@@ -11,7 +11,8 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::proto::{
-    decode_frame, encode_request, read_frame, write_frame, ErrorCode, Frame, ProtoError, Request,
+    append_frame, decode_frame, encode_request_into, read_frame, ErrorCode, Frame, ProtoError,
+    Request,
 };
 
 /// What the server answered.
@@ -92,6 +93,7 @@ impl From<io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -117,6 +119,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
+            frame: Vec::new(),
         })
     }
 
@@ -126,7 +129,8 @@ impl Client {
     ///
     /// The write error, verbatim.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        write_frame(&mut self.writer, &encode_request(req))
+        self.send_buffered(req)?;
+        self.flush()
     }
 
     /// Sends a request *without* flushing — the batcher for deep
@@ -136,11 +140,9 @@ impl Client {
     ///
     /// The write error, verbatim.
     pub fn send_buffered(&mut self, req: &Request) -> io::Result<()> {
-        let payload = encode_request(req);
-        #[allow(clippy::cast_possible_truncation)]
-        let len = (payload.len() as u32).to_le_bytes();
-        self.writer.write_all(&len)?;
-        self.writer.write_all(&payload)
+        self.frame.clear();
+        append_frame(&mut self.frame, |o| encode_request_into(o, req));
+        self.writer.write_all(&self.frame)
     }
 
     /// Flushes buffered sends.

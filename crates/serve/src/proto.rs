@@ -322,18 +322,15 @@ impl std::error::Error for ProtoError {}
 
 // ---- encoding ----------------------------------------------------------
 
-fn header(kind: u8, body_capacity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body_capacity);
+fn put_header(out: &mut Vec<u8>, kind: u8) {
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(kind);
-    out
 }
 
-/// Encodes a request payload (no length prefix; see [`write_frame`]).
-#[must_use]
-pub fn encode_request(r: &Request) -> Vec<u8> {
-    let mut out = header(KIND_REQUEST, REQUEST_BODY_LEN);
+/// Appends a request payload (no length prefix; see [`append_frame`]).
+pub fn encode_request_into(out: &mut Vec<u8>, r: &Request) {
+    put_header(out, KIND_REQUEST);
     out.extend_from_slice(&r.req_id.to_le_bytes());
     out.extend_from_slice(&r.tenant.to_le_bytes());
     out.extend_from_slice(&r.eta.to_le_bytes());
@@ -344,13 +341,11 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
     for w in r.measure {
         out.extend_from_slice(&w.to_le_bytes());
     }
-    out
 }
 
-/// Encodes a response payload.
-#[must_use]
-pub fn encode_response(req_id: u64, value: &oaq_engine::QosValue) -> Vec<u8> {
-    let mut out = header(KIND_RESPONSE, 32);
+/// Appends a response payload.
+pub fn encode_response_into(out: &mut Vec<u8>, req_id: u64, value: &oaq_engine::QosValue) {
+    put_header(out, KIND_RESPONSE);
     out.extend_from_slice(&req_id.to_le_bytes());
     match value {
         oaq_engine::QosValue::Scalar(x) => {
@@ -366,17 +361,38 @@ pub fn encode_response(req_id: u64, value: &oaq_engine::QosValue) -> Vec<u8> {
             }
         }
     }
+}
+
+/// Appends an error payload.
+pub fn encode_error_into(out: &mut Vec<u8>, e: &ErrorFrame) {
+    put_header(out, KIND_ERROR);
+    out.extend_from_slice(&e.req_id.to_le_bytes());
+    out.extend_from_slice(&e.code.code().to_le_bytes());
+    out.extend_from_slice(&e.aux0.to_le_bytes());
+    out.extend_from_slice(&e.aux1.to_le_bytes());
+}
+
+/// Encodes a request payload (no length prefix; see [`write_frame`]).
+#[must_use]
+pub fn encode_request(r: &Request) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + REQUEST_BODY_LEN);
+    encode_request_into(&mut out, r);
+    out
+}
+
+/// Encodes a response payload.
+#[must_use]
+pub fn encode_response(req_id: u64, value: &oaq_engine::QosValue) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + 32);
+    encode_response_into(&mut out, req_id, value);
     out
 }
 
 /// Encodes an error payload.
 #[must_use]
 pub fn encode_error(e: &ErrorFrame) -> Vec<u8> {
-    let mut out = header(KIND_ERROR, ERROR_BODY_LEN);
-    out.extend_from_slice(&e.req_id.to_le_bytes());
-    out.extend_from_slice(&e.code.code().to_le_bytes());
-    out.extend_from_slice(&e.aux0.to_le_bytes());
-    out.extend_from_slice(&e.aux1.to_le_bytes());
+    let mut out = Vec::with_capacity(HEADER_LEN + ERROR_BODY_LEN);
+    encode_error_into(&mut out, e);
     out
 }
 
@@ -517,17 +533,30 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
 
 // ---- framing I/O -------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Appends one length-prefixed frame to `out`: `payload` appends the
+/// payload bytes, and the prefix is patched in once their length is known.
+/// This is the only place the length prefix is written.
+pub fn append_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - start - 4;
+    debug_assert!(len <= MAX_FRAME);
+    #[allow(clippy::cast_possible_truncation)]
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Writes one length-prefixed frame — prefix and payload in a single
+/// `write_all`, so an unbuffered `TCP_NODELAY` socket sends one segment —
+/// then flushes `w`.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    #[allow(clippy::cast_possible_truncation)]
-    let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    append_frame(&mut frame, |out| out.extend_from_slice(payload));
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -562,13 +591,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// The server feeds whatever bytes `read` returned into [`push`] and
 /// drains complete frames with [`next_frame`]; partial frames stay
 /// buffered across read timeouts, so a slow client never desynchronizes
-/// the stream.
+/// the stream. Frames are borrowed in place behind a read cursor; the
+/// consumed prefix is compacted away once per [`push`], not per frame.
 ///
 /// [`push`]: FrameBuffer::push
 /// [`next_frame`]: FrameBuffer::next_frame
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Start of the first unconsumed byte in `buf`.
+    pos: usize,
 }
 
 impl FrameBuffer {
@@ -578,38 +610,42 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends freshly read bytes.
+    /// Appends freshly read bytes, first dropping the frames already
+    /// handed out.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Extracts the next complete frame payload, if one is buffered.
+    /// Borrows the next complete frame payload, if one is buffered.
     ///
     /// # Errors
     ///
     /// [`ProtoError::Oversized`] when the buffered length prefix exceeds
     /// [`MAX_FRAME`] — the connection cannot resynchronize and should be
     /// dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        if self.buf.len() < 4 {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        let rest = &self.buf[self.pos..];
+        let Some(&prefix) = rest.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME {
             return Err(ProtoError::Oversized { len: len as u64 });
         }
-        if self.buf.len() < 4 + len {
+        let Some(payload) = rest.get(4..4 + len) else {
             return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        };
+        self.pos += 4 + len;
         Ok(Some(payload))
     }
 
-    /// Bytes currently buffered (complete or partial).
+    /// Bytes currently buffered and not yet handed out (complete or
+    /// partial frames).
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 }
 
@@ -786,7 +822,8 @@ mod tests {
 
     #[test]
     fn oversized_distribution_is_rejected_before_allocation() {
-        let mut bytes = header(KIND_RESPONSE, 16);
+        let mut bytes = Vec::new();
+        put_header(&mut bytes, KIND_RESPONSE);
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.push(1);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -814,7 +851,7 @@ mod tests {
         for &byte in &wire {
             fb.push(&[byte]);
             while let Some(p) = fb.next_frame().unwrap() {
-                out.push(p);
+                out.push(p.to_vec());
             }
         }
         assert_eq!(out, vec![a, b]);

@@ -5,10 +5,16 @@
 //! harnesses and operator tools, not the open internet), blocking I/O
 //! with a short read timeout so every handler observes the shutdown flag
 //! promptly. Shutdown is *graceful by construction*: the accept loop
-//! closes first, each handler finishes the request it is currently
-//! answering before it closes, and only then does the engine drain and
+//! closes first, each handler answers and sends every request it has
+//! already read before it closes, and only then does the engine drain and
 //! the cache snapshot get written — so a drained server loses neither
 //! in-flight answers nor its warm working set.
+//!
+//! Writes are batched per read: every reply to the frames one `read`
+//! delivered is encoded into a reused buffer and sent in one `write` on a
+//! `TCP_NODELAY` socket, so a reply never waits on Nagle's algorithm. The
+//! price is head-of-line delay inside a batch — its first reply leaves
+//! with its last — bounded by sending early past 64 KiB.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -21,8 +27,8 @@ use std::time::Duration;
 use oaq_engine::{Engine, EngineConfig, EngineError};
 
 use crate::proto::{
-    decode_frame, encode_error, encode_response, write_frame, ErrorCode, ErrorFrame, Frame,
-    FrameBuffer, Request,
+    append_frame, decode_frame, encode_error_into, encode_response_into, error_code_of, ErrorCode,
+    ErrorFrame, Frame, FrameBuffer, Request,
 };
 use crate::snapshot::{self, SnapshotStats};
 
@@ -153,8 +159,18 @@ fn accept_loop(
     }
 }
 
+/// Once the pending replies pass this many bytes they are sent without
+/// waiting for the rest of the batch: bounds the per-connection output
+/// buffer and the head-of-line delay inside one batch.
+const FLUSH_AT: usize = 64 * 1024;
+
 /// Serves one connection until the peer closes, a fatal protocol
 /// violation desynchronizes the stream, or shutdown drains it.
+///
+/// Replies to every frame a read delivered are encoded into one reused
+/// buffer and leave in a single `write` before the handler blocks in
+/// `read` again (or returns); with `TCP_NODELAY` set, none of them waits
+/// on Nagle's algorithm for the peer's delayed ACK.
 fn handle_connection(
     stream: TcpStream,
     engine: &Engine,
@@ -162,30 +178,32 @@ fn handle_connection(
     read_timeout: Duration,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     let mut frames = FrameBuffer::new();
+    let mut out = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
         // Serve everything already buffered before touching the socket.
         loop {
             match frames.next_frame() {
-                Ok(Some(payload)) => serve_frame(&payload, engine, &mut writer)?,
+                Ok(Some(payload)) => {
+                    serve_frame(payload, engine, &mut out);
+                    if out.len() >= FLUSH_AT {
+                        send_replies(&mut writer, &mut out)?;
+                    }
+                }
                 Ok(None) => break,
-                // An oversized length prefix cannot resynchronize: answer
-                // once, then close.
+                // An oversized length prefix cannot resynchronize: send
+                // the answers before it, answer it once, then close.
                 Err(_) => {
-                    let reply = encode_error(&ErrorFrame {
-                        req_id: 0,
-                        code: ErrorCode::Malformed,
-                        aux0: 0,
-                        aux1: 0,
-                    });
-                    write_frame(&mut writer, &reply)?;
-                    return Ok(());
+                    malformed(&mut out, 0);
+                    return send_replies(&mut writer, &mut out);
                 }
             }
         }
+        send_replies(&mut writer, &mut out)?;
         if stop.load(Ordering::Acquire) {
             // Drained: nothing buffered and shutdown requested.
             return Ok(());
@@ -202,49 +220,56 @@ fn handle_connection(
     }
 }
 
-/// Answers one frame: a request runs through the engine; anything else
-/// (including undecodable bytes) gets a typed `Malformed` error frame.
-fn serve_frame(payload: &[u8], engine: &Engine, writer: &mut impl Write) -> io::Result<()> {
-    let reply = match decode_frame(payload) {
-        Ok(Frame::Request(req)) => answer_request(&req, engine),
-        Ok(Frame::Response(r)) => malformed(r.req_id),
-        Ok(Frame::Error(e)) => malformed(e.req_id),
-        Err(_) => malformed(0),
-    };
-    write_frame(writer, &reply)
+/// Sends the pending replies, if any, in one write and empties the buffer.
+fn send_replies(writer: &mut TcpStream, out: &mut Vec<u8>) -> io::Result<()> {
+    if !out.is_empty() {
+        writer.write_all(out)?;
+        out.clear();
+    }
+    Ok(())
 }
 
-fn malformed(req_id: u64) -> Vec<u8> {
-    encode_error(&ErrorFrame {
-        req_id,
-        code: ErrorCode::Malformed,
-        aux0: 0,
-        aux1: 0,
-    })
-}
-
-fn answer_request(req: &Request, engine: &Engine) -> Vec<u8> {
-    let Some(spec) = req.to_spec() else {
-        return malformed(req.req_id);
-    };
-    let query = match spec.build() {
-        Ok(q) => q,
-        Err(e) => return engine_error(req.req_id, &EngineError::Query(e)),
-    };
-    match engine.evaluate(query) {
-        Ok(value) => encode_response(req.req_id, &value),
-        Err(e) => engine_error(req.req_id, &e),
+/// Answers one frame into `out`: a request runs through the engine;
+/// anything else (including undecodable bytes) gets a typed `Malformed`
+/// error frame.
+fn serve_frame(payload: &[u8], engine: &Engine, out: &mut Vec<u8>) {
+    match decode_frame(payload) {
+        Ok(Frame::Request(req)) => answer_request(&req, engine, out),
+        Ok(Frame::Response(r)) => malformed(out, r.req_id),
+        Ok(Frame::Error(e)) => malformed(out, e.req_id),
+        Err(_) => malformed(out, 0),
     }
 }
 
-fn engine_error(req_id: u64, e: &EngineError) -> Vec<u8> {
-    let (code, aux0, aux1) = crate::proto::error_code_of(e);
-    encode_error(&ErrorFrame {
+fn malformed(out: &mut Vec<u8>, req_id: u64) {
+    error_frame(out, req_id, ErrorCode::Malformed, 0, 0);
+}
+
+fn answer_request(req: &Request, engine: &Engine, out: &mut Vec<u8>) {
+    let Some(spec) = req.to_spec() else {
+        return malformed(out, req.req_id);
+    };
+    let result = spec
+        .build()
+        .map_err(EngineError::Query)
+        .and_then(|query| engine.evaluate(query));
+    match result {
+        Ok(value) => append_frame(out, |o| encode_response_into(o, req.req_id, &value)),
+        Err(e) => {
+            let (code, aux0, aux1) = error_code_of(&e);
+            error_frame(out, req.req_id, code, aux0, aux1);
+        }
+    }
+}
+
+fn error_frame(out: &mut Vec<u8>, req_id: u64, code: ErrorCode, aux0: u64, aux1: u64) {
+    let e = ErrorFrame {
         req_id,
         code,
         aux0,
         aux1,
-    })
+    };
+    append_frame(out, |o| encode_error_into(o, &e));
 }
 
 impl ServerHandle {

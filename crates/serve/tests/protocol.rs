@@ -5,12 +5,14 @@
 //! frame or a typed [`ProtoError`] — never a panic, a hang, or an
 //! unbounded allocation.
 
+use std::io;
+
 use proptest::prelude::*;
 
 use oaq_engine::{Measure, QuerySpec, Scheme, TenantId};
 use oaq_serve::proto::{
-    decode_frame, encode_error, encode_request, encode_response, ErrorCode, ErrorFrame, Frame,
-    FrameBuffer, ProtoError, Request, MAX_FRAME,
+    append_frame, decode_frame, encode_error, encode_request, encode_request_into, encode_response,
+    read_frame, ErrorCode, ErrorFrame, Frame, FrameBuffer, ProtoError, Request, MAX_FRAME,
 };
 
 fn request_strategy() -> impl Strategy<Value = Request> {
@@ -95,10 +97,7 @@ proptest! {
     ) {
         let mut wire = Vec::new();
         for r in &reqs {
-            let payload = encode_request(r);
-            #[allow(clippy::cast_possible_truncation)]
-            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            wire.extend_from_slice(&payload);
+            append_frame(&mut wire, |out| encode_request_into(out, r));
         }
         let mut fb = FrameBuffer::new();
         let mut decoded = Vec::new();
@@ -112,13 +111,51 @@ proptest! {
             fb.push(&wire[pos..end]);
             pos = end;
             while let Some(p) = fb.next_frame().unwrap() {
-                decoded.push(p);
+                decoded.push(p.to_vec());
             }
         }
         prop_assert_eq!(decoded.len(), reqs.len());
         for (payload, want) in decoded.iter().zip(&reqs) {
             prop_assert_eq!(decode_frame(payload), Ok(Frame::Request(*want)));
         }
+        prop_assert_eq!(fb.buffered(), 0);
+    }
+
+    /// The same wire fed to a `FrameBuffer` at arbitrary split points
+    /// yields exactly the payloads `read_frame` reads from it whole —
+    /// including frames that straddle a push and so survive compaction.
+    #[test]
+    fn frame_buffer_agrees_with_read_frame(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..12),
+        cuts in prop::collection::vec(any::<u16>(), 0..16),
+    ) {
+        let mut wire = Vec::new();
+        for p in &payloads {
+            append_frame(&mut wire, |out| out.extend_from_slice(p));
+        }
+        let mut whole = io::Cursor::new(&wire);
+        let mut want = Vec::new();
+        while let Some(p) = read_frame(&mut whole).unwrap() {
+            want.push(p);
+        }
+        let mut splits: Vec<usize> = cuts
+            .iter()
+            .map(|&c| usize::from(c) % (wire.len() + 1))
+            .chain([wire.len()])
+            .collect();
+        splits.sort_unstable();
+        let mut fb = FrameBuffer::new();
+        let mut got = Vec::new();
+        let mut from = 0;
+        for to in splits {
+            fb.push(&wire[from..to]);
+            from = to;
+            while let Some(p) = fb.next_frame().unwrap() {
+                got.push(p.to_vec());
+            }
+        }
+        prop_assert_eq!(&want, &payloads);
+        prop_assert_eq!(got, want);
         prop_assert_eq!(fb.buffered(), 0);
     }
 

@@ -11,8 +11,8 @@ use oaq_engine::{
     direct_eval, zipf_workload, EngineConfig, Measure, QuerySpec, QuotaPolicy, Scheme, TenantId,
     WorkloadConfig,
 };
-use oaq_serve::client::{Client, Reply};
-use oaq_serve::proto::{ErrorCode, Request};
+use oaq_serve::client::{Client, ClientError, Reply};
+use oaq_serve::proto::{append_frame, encode_request_into, ErrorCode, Request};
 use oaq_serve::server::{serve, ServerConfig, ServerHandle, WarmStart};
 
 fn test_config() -> ServerConfig {
@@ -224,6 +224,55 @@ fn hostile_bytes_get_typed_errors_and_the_connection_survives() {
 
     drop(client);
     drop(raw);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn one_pipelined_write_is_answered_in_full_before_an_oversize_close() {
+    let handle = start();
+    let queries: Vec<_> = (0..6u32)
+        .map(|i| sample_query(2e-5 + f64::from(i) * 1e-6))
+        .collect();
+    // Valid requests, a junk frame after the third, and a trailing length
+    // prefix over the cap — all in one write, so the server sees them in
+    // one batch.
+    let mut wire = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        if i == 3 {
+            append_frame(&mut wire, |out| out.extend_from_slice(&[0xDE, 0xAD, 0xBE]));
+        }
+        let req = Request::from_query(100 + i as u64, q);
+        append_frame(&mut wire, |out| encode_request_into(out, &req));
+    }
+    wire.extend_from_slice(&u32::MAX.to_le_bytes());
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&wire).unwrap();
+    let mut client = Client::from_stream(stream).unwrap();
+
+    let malformed = |reply: Reply| {
+        let Reply::Error { req_id, code, .. } = reply else {
+            panic!("expected a Malformed error frame, got {reply:?}");
+        };
+        assert_eq!((req_id, code), (0, ErrorCode::Malformed));
+    };
+    for (i, q) in queries.iter().enumerate() {
+        if i == 3 {
+            malformed(client.recv().unwrap());
+        }
+        let Reply::Value { req_id, value } = client.recv().unwrap() else {
+            panic!("query {i} failed");
+        };
+        assert_eq!(req_id, 100 + i as u64, "in-order replies");
+        assert_eq!(value, direct_eval(q).unwrap());
+    }
+    malformed(client.recv().unwrap());
+    assert!(
+        matches!(client.recv(), Err(ClientError::Closed)),
+        "the oversize answer is the last frame before EOF"
+    );
     handle.shutdown().unwrap();
 }
 
