@@ -9,8 +9,7 @@
 ///
 /// Generic over the integrand (`?Sized`, so both concrete closures and
 /// `&dyn Fn` trait objects work): the inner-loop callers monomorphize and
-/// the per-evaluation indirect call disappears. A `&dyn`-typed entry point
-/// remains as [`adaptive_simpson_dyn`].
+/// the per-evaluation indirect call disappears.
 ///
 /// # Panics
 ///
@@ -41,13 +40,6 @@ where
     let fc = f(c);
     let whole = simpson(a, b, fa, fc, fb);
     recurse(f, a, b, fa, fc, fb, whole, tol, 0)
-}
-
-/// Convenience wrapper over [`adaptive_simpson`] for callers that already
-/// hold a `&dyn Fn` trait object (dynamic dispatch per evaluation).
-#[must_use]
-pub fn adaptive_simpson_dyn(f: &dyn Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
-    adaptive_simpson(f, a, b, tol)
 }
 
 fn simpson(a: f64, b: f64, fa: f64, fc: f64, fb: f64) -> f64 {
@@ -129,7 +121,7 @@ mod tests {
         let f = |x: f64| (x * 1.7).cos() + x;
         let dynamic: &dyn Fn(f64) -> f64 = &f;
         let a = adaptive_simpson(&f, 0.0, 2.0, 1e-12);
-        let b = adaptive_simpson_dyn(dynamic, 0.0, 2.0, 1e-12);
+        let b = adaptive_simpson(dynamic, 0.0, 2.0, 1e-12);
         assert_eq!(a.to_bits(), b.to_bits(), "same arithmetic, same bits");
     }
 }

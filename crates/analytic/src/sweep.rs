@@ -107,7 +107,6 @@ where
 
 /// One row of a Figure 7 sweep: `P(K = k)` at a failure rate λ.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CapacityRow {
     /// Failure rate λ (per hour).
     pub lambda: f64,
@@ -117,7 +116,6 @@ pub struct CapacityRow {
 
 /// One row of a Figure 8/9-style sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosRow {
     /// The swept abscissa (λ, τ or 1/µ depending on the sweep).
     pub x: f64,

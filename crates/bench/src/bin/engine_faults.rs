@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oaq_bench::args::CliSpec;
-use oaq_engine::report::{fmt_f64, fmt_f64_or_null};
+use oaq_bench::json::{emit, fmt_f64};
 use oaq_engine::{
     direct_eval, eval_cheap, eval_with_pk, multi_tenant_workload, silence_injected_panics,
     zipf_workload, Engine, EngineConfig, EngineError, Evaluator, QosQuery, QosValue, QueryError,
@@ -299,7 +299,7 @@ fn run_cell(
         m.shed,
         fmt_f64(m.shed_probability),
         m.pk_solves,
-        fmt_f64_or_null(m.end_to_end.p99),
+        fmt_f64(m.end_to_end.p99),
     )
 }
 
@@ -514,7 +514,7 @@ fn run_flood(
         fmt_f64(slo_s),
         fmt_f64(wall_s),
         flood_outcomes.json(),
-        fmt_f64_or_null(polite_p99),
+        fmt_f64(polite_p99),
         tenant_rows.join(", "),
     )
 }
@@ -623,7 +623,7 @@ fn main() {
         &mut violations,
     );
 
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"engine_faults\",\n  \"seed\": {seed},\n  \"quick\": {quick},\n  \
          \"deadline_ms\": {},\n  \"slo_ms\": {},\n  \"invariants_ok\": {},\n  \
          \"fault_sweep\": [{}],\n  \"flood\": {}\n}}",
@@ -632,7 +632,7 @@ fn main() {
         violations.is_empty(),
         cells.join(", "),
         flood_json,
-    );
+    ));
 
     if !violations.is_empty() {
         for v in &violations {

@@ -21,11 +21,10 @@
 //!
 //! Usage: `geoloc_batch [--quick] [--seed N] [--passes N] [--chunk N]`
 
-use std::time::Instant;
-
 use oaq_bench::args::CliSpec;
+use oaq_bench::json::{emit, fmt_f64};
+use oaq_bench::measure;
 use oaq_core::fullstack::{solve_tracks_batched, solve_tracks_looped, synthesize_emitter_tracks};
-use oaq_engine::report::fmt_f64;
 use oaq_exec::Executor;
 use oaq_geoloc::doppler::DopplerMeasurement;
 use oaq_geoloc::wls::{Estimate, SolveError};
@@ -37,26 +36,6 @@ use oaq_geoloc::{BatchSolver, WlsSolver};
 const THETA: f64 = 90.0;
 const TC: f64 = 9.0;
 const REVISIT: f64 = 9.0;
-
-/// Wall-clock seconds per call of `f`: the minimum over five timing
-/// rounds of `reps` calls each, after one untimed warmup call. The warmup
-/// keeps first-touch page faults and lazy init out of whichever path is
-/// timed first; the min-over-rounds is the robust throughput estimator on
-/// a shared box, where scheduler preemption only ever *adds* time — a
-/// round must stay long enough (reps high enough) that a millisecond-scale
-/// preemption burst cannot straddle every round.
-fn time_per_call<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(f());
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
-    }
-    best
-}
 
 /// Bitwise identity of two per-track solve results. `Ok` estimates compare
 /// state, cost, iteration count and the reported error radius down to the
@@ -97,10 +76,10 @@ fn main() {
     let seed = cli.get_u64("--seed", 22);
     let passes = u32::try_from(cli.get_u64("--passes", 2)).expect("passes fits u32");
     let chunk = cli.get_chunk("--chunk");
-    // Same reps in both modes: the gate needs each timing round long
-    // enough to amortize scheduler noise; `--quick` shortens the batch
-    // axis (drops 1024), not the measurement quality.
-    let reps = 10;
+    // Five rounds of ten calls in both modes: the gate needs each timing
+    // round long enough to amortize scheduler noise; `--quick` shortens
+    // the batch axis (drops 1024), not the measurement quality.
+    let (rounds, reps) = (5, 10);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     let mut failure = false;
@@ -122,9 +101,11 @@ fn main() {
             eprintln!("# DIVERGENCE: batched solve disagrees with the looped solver at n={n}");
             failure = true;
         }
-        let looped_secs = time_per_call(reps, || solve_tracks_looped(&tracks)) / f64::from(n);
+        let looped_secs =
+            measure::per_call(rounds, reps, || solve_tracks_looped(&tracks)) / f64::from(n);
         let batched_secs =
-            time_per_call(reps, || solve_tracks_batched(&tracks, &mut batch)) / f64::from(n);
+            measure::per_call(rounds, reps, || solve_tracks_batched(&tracks, &mut batch))
+                / f64::from(n);
         let speedup = looped_secs / batched_secs;
         eprintln!(
             "# batch n={n}: looped {:.1} us/solve, batched {:.1} us/solve, {speedup:.2}x, \
@@ -152,7 +133,7 @@ fn main() {
     let n = *batch_sizes.last().expect("batch axis non-empty");
     let tracks = synthesize_emitter_tracks(THETA, TC, REVISIT, n, passes, seed);
     let serial = solve_tracks_looped(&tracks);
-    let serial_secs = time_per_call(reps, || solve_tracks_looped(&tracks));
+    let serial_secs = measure::per_call(rounds, reps, || solve_tracks_looped(&tracks));
     let solver = WlsSolver::new();
     let mut exec_rows = Vec::new();
     for &w in &[1usize, 2, 4, 8] {
@@ -167,7 +148,7 @@ fn main() {
             eprintln!("# DIVERGENCE: {w} executor workers disagree with the serial loop");
             failure = true;
         }
-        let secs = time_per_call(reps, run);
+        let secs = measure::per_call(rounds, reps, run);
         let speedup = serial_secs / secs;
         eprintln!(
             "# executor {w} workers ({n} tracks): {:.1} ms, {speedup:.2}x vs serial, \
@@ -181,7 +162,7 @@ fn main() {
         ));
     }
 
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"geoloc_batch\",\n  \"quick\": {quick},\n  \
          \"cores\": {cores},\n  \"seed\": {seed},\n  \"passes\": {passes},\n  \
          \"scenario\": {{\"theta_min\": {THETA}, \"tc_min\": {TC}, \"revisit_min\": {REVISIT}}},\n  \
@@ -190,7 +171,7 @@ fn main() {
         batch_rows.join(", "),
         fmt_f64(serial_secs),
         exec_rows.join(", "),
-    );
+    ));
 
     if failure {
         eprintln!("# BATCH SOLVER CONTRACT VIOLATED: divergence or throughput miss (see above)");

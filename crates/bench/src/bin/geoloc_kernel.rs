@@ -23,10 +23,9 @@
 //!
 //! Usage: `geoloc_kernel [--quick] [--reps N]`
 
-use std::time::Instant;
-
 use oaq_bench::args::CliSpec;
-use oaq_engine::report::fmt_f64;
+use oaq_bench::json::{emit, fmt_f64};
+use oaq_bench::measure;
 use oaq_geoloc::doppler::DopplerMeasurement;
 use oaq_geoloc::emitter::Emitter;
 use oaq_geoloc::scenario::PassScenario;
@@ -36,14 +35,9 @@ use oaq_orbit::units::Degrees;
 use oaq_orbit::GroundPoint;
 use oaq_sim::SimRng;
 
-/// Wall-clock seconds per call of `f`, averaged over `reps` calls.
-fn time_per_call<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
+/// Timing rounds per measurement; each round runs `1/ROUNDS` of the
+/// requested repetitions.
+const ROUNDS: usize = 5;
 
 /// Full bitwise agreement of two estimates (state, cost, iterations,
 /// covariance).
@@ -84,7 +78,7 @@ fn main() {
         .option("--reps", "N", "per-solve timing repetitions (default 2000)")
         .parse();
     let quick = cli.has("--quick");
-    let reps = cli.get_usize("--reps", if quick { 300 } else { 2000 });
+    let reps = (cli.get_usize("--reps", if quick { 300 } else { 2000 }) / ROUNDS).max(1);
 
     let emitter = Emitter::new(
         GroundPoint::from_degrees(Degrees(30.0), Degrees(10.0)),
@@ -117,9 +111,9 @@ fn main() {
         .great_circle_distance(&heap_fd.position())
         .value();
 
-    let heap_fd_secs = time_per_call(reps, || solver.solve_heap(&fd_refs, x0).unwrap());
-    let heap_an_secs = time_per_call(reps, || solver.solve_heap(&an_refs, x0).unwrap());
-    let stack_secs = time_per_call(reps, || solver.solve_obs(&obs, x0).unwrap());
+    let heap_fd_secs = measure::per_call(ROUNDS, reps, || solver.solve_heap(&fd_refs, x0).unwrap());
+    let heap_an_secs = measure::per_call(ROUNDS, reps, || solver.solve_heap(&an_refs, x0).unwrap());
+    let stack_secs = measure::per_call(ROUNDS, reps, || solver.solve_obs(&obs, x0).unwrap());
     let speedup_fd = heap_fd_secs / stack_secs;
     let speedup_an = heap_an_secs / stack_secs;
     let baseline_agreement_json = fmt_f64(baseline_agreement_km);
@@ -150,7 +144,7 @@ fn main() {
     // 3. Chain growth: batch re-solve vs incremental information filter.
     // Pass indices cycle so every pass keeps workable geometry.
     let lengths: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
-    let chain_reps = if quick { 20 } else { 100 };
+    let chain_reps = if quick { 4 } else { 20 };
     let mut chain_rows = Vec::new();
     for &n in lengths {
         let mut rng = SimRng::seed_from(7);
@@ -181,8 +175,8 @@ fn main() {
             .position()
             .great_circle_distance(&inc_final.position())
             .value();
-        let batch_secs = time_per_call(chain_reps, run_batch);
-        let inc_secs = time_per_call(chain_reps, run_incremental);
+        let batch_secs = measure::per_call(ROUNDS, chain_reps, run_batch);
+        let inc_secs = measure::per_call(ROUNDS, chain_reps, run_incremental);
         eprintln!(
             "# chain_growth n={n} ({} obs): batch {:.1} us, incremental {:.1} us, {:.2}x, \
              agreement {agreement_km:.2e} km",
@@ -202,7 +196,7 @@ fn main() {
         ));
     }
 
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"geoloc_kernel\",\n  \"quick\": {quick},\n  \
          \"per_solve\": {{\"observations\": {}, \"heap_dyn_fd_secs\": {}, \
          \"heap_dyn_analytic_secs\": {}, \"stack_generic_secs\": {}, \
@@ -227,7 +221,7 @@ fn main() {
         fmt_f64(toa_abs),
         fmt_f64(toa_rel),
         chain_rows.join(", "),
-    );
+    ));
 
     if !bit_identical {
         eprintln!("# KERNEL AGREEMENT VIOLATED: stack fast path diverged from the heap reference");

@@ -23,44 +23,15 @@
 //!
 //! Usage: `mc_replication [--quick] [--seed N] [--episodes N] [--chunk N]`
 
-use std::time::Instant;
-
 use oaq_bench::args::CliSpec;
 use oaq_bench::campaign::{
-    run_cell_fanout, run_cell_traced_baseline, run_grid_fanout, CellOutcome, CellSpec, LossAxis,
+    run_cell_fanout, run_cell_traced_baseline, run_grid_fanout, CellSpec, LossAxis,
 };
+use oaq_bench::json::{emit, fmt_f64};
+use oaq_bench::measure;
 use oaq_core::config::{ProtocolConfig, Scheme};
 use oaq_core::experiment::{estimate_conditional_qos_fanout, MonteCarloOptions};
-use oaq_engine::report::fmt_f64;
 use oaq_sim::par::Replicator;
-
-/// Wall-clock seconds per call of `f`, averaged over `reps` calls.
-fn time_per_call<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
-
-/// Full bit-identity of two cell outcomes: every tally, every violation
-/// record, every trace line.
-fn cells_identical(a: &CellOutcome, b: &CellOutcome) -> bool {
-    a.episodes == b.episodes
-        && a.detected == b.detected
-        && a.timely == b.timely
-        && a.quality == b.quality
-        && a.live_detector == b.live_detector
-        && a.live_detector_timely == b.live_detector_timely
-        && a.violations.len() == b.violations.len()
-        && a.violations.iter().zip(&b.violations).all(|(x, y)| {
-            x.episode == y.episode
-                && x.seed == y.seed
-                && x.detector == y.detector
-                && x.outcome == y.outcome
-                && x.trace == y.trace
-        })
-}
 
 fn main() {
     let cli = CliSpec::new("mc_replication")
@@ -80,7 +51,7 @@ fn main() {
     let resolved_chunk = Replicator::new(1)
         .with_chunk_override(chunk)
         .resolved_chunk(episodes);
-    let reps = if quick { 1 } else { 3 };
+    let rounds = if quick { 1 } else { 3 };
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     let mut divergence = false;
@@ -93,12 +64,17 @@ fn main() {
     };
     let reference = run_cell_fanout(&spec, episodes, seed, 1, chunk);
     let baseline = run_cell_traced_baseline(&spec, episodes, seed);
-    if !cells_identical(&reference, &baseline) {
+    if reference != baseline {
         eprintln!("# DIVERGENCE: fast path disagrees with the traced baseline");
         divergence = true;
     }
-    let traced_secs = time_per_call(reps, || run_cell_traced_baseline(&spec, episodes, seed));
-    let fastpath_secs = time_per_call(reps, || run_cell_fanout(&spec, episodes, seed, 1, chunk));
+    let traced_secs = measure::per_call(rounds, 1, || {
+        run_cell_traced_baseline(&spec, episodes, seed)
+    });
+    // Timed once: the 1-worker row of the curve below is this same call.
+    let fastpath_secs = measure::per_call(rounds, 1, || {
+        run_cell_fanout(&spec, episodes, seed, 1, chunk)
+    });
     eprintln!(
         "# campaign_cell ({episodes} episodes): traced {:.1} ms, fastpath {:.1} ms, {:.2}x",
         traced_secs * 1e3,
@@ -111,11 +87,17 @@ fn main() {
         .iter()
         .map(|&w| {
             let out = run_cell_fanout(&spec, episodes, seed, w, chunk);
-            let identical = cells_identical(&out, &reference);
+            let identical = out == reference;
             if !identical {
                 eprintln!("# DIVERGENCE: {w} workers disagree with the serial cell");
             }
-            let secs = time_per_call(reps, || run_cell_fanout(&spec, episodes, seed, w, chunk));
+            let secs = if w == 1 {
+                fastpath_secs
+            } else {
+                measure::per_call(rounds, 1, || {
+                    run_cell_fanout(&spec, episodes, seed, w, chunk)
+                })
+            };
             eprintln!(
                 "#   {w} workers: {:.1} ms, {:.2}x vs serial, identical={identical}",
                 secs * 1e3,
@@ -134,7 +116,7 @@ fn main() {
         seed,
     };
     let qos_serial = estimate_conditional_qos_fanout(&cfg, &opts, 1, chunk);
-    let qos_serial_secs = time_per_call(reps, || {
+    let qos_serial_secs = measure::per_call(rounds, 1, || {
         estimate_conditional_qos_fanout(&cfg, &opts, 1, chunk)
     });
     let qos_curve: Vec<(usize, f64, bool)> = [2usize, 4]
@@ -145,7 +127,7 @@ fn main() {
             if !identical {
                 eprintln!("# DIVERGENCE: QoS estimate with {w} workers differs from serial");
             }
-            let secs = time_per_call(reps, || {
+            let secs = measure::per_call(rounds, 1, || {
                 estimate_conditional_qos_fanout(&cfg, &opts, w, chunk)
             });
             (w, secs, identical)
@@ -180,12 +162,12 @@ fn main() {
     let grid_identical = grid
         .iter()
         .zip(&grid_specs)
-        .all(|(cell, s)| cells_identical(cell, &run_cell_fanout(s, grid_episodes, seed, 1, chunk)));
+        .all(|(cell, s)| *cell == run_cell_fanout(s, grid_episodes, seed, 1, chunk));
     if !grid_identical {
         eprintln!("# DIVERGENCE: grid fan-out disagrees with per-cell runs");
         divergence = true;
     }
-    let grid_secs = time_per_call(reps, || {
+    let grid_secs = measure::per_call(rounds, 1, || {
         run_grid_fanout(&grid_specs, grid_episodes, seed, 2, chunk)
     });
     eprintln!(
@@ -214,7 +196,7 @@ fn main() {
             )
         })
         .collect();
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"mc_replication\",\n  \"quick\": {quick},\n  \
          \"cores\": {cores},\n  \"chunk\": {resolved_chunk},\n  \"seed\": {seed},\n  \
          \"campaign_cell\": {{\"episodes\": {episodes}, \"traced_baseline_secs\": {}, \
@@ -231,7 +213,7 @@ fn main() {
         qos_json.join(", "),
         grid_specs.len(),
         fmt_f64(grid_secs),
-    );
+    ));
 
     if divergence {
         eprintln!("# REPLICATION DETERMINISM VIOLATED: parallel answers diverged from serial");

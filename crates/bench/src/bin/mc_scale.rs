@@ -29,19 +29,17 @@ use std::time::Instant;
 
 use oaq_bench::args::CliSpec;
 use oaq_bench::campaign::{
-    replay_episode_scenario, run_cell_scenario, CellOutcome, CellSpec, LossAxis, Scenario,
+    replay_episode_scenario, run_cell_scenario, CellSpec, LossAxis, Scenario,
 };
+use oaq_bench::json::{emit, fmt_f64};
+use oaq_bench::measure;
+use oaq_bench::recruit::run_membership;
 use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
 use oaq_core::experiment::{estimate_conditional_qos_stressed, MonteCarloOptions};
-use oaq_core::protocol::{Episode, EpisodeScratch};
-use oaq_core::qos_level::QosLevel;
 use oaq_core::signal::CoverageGeometry;
-use oaq_engine::report::fmt_f64;
 use oaq_net::topology::BfsScratch;
 use oaq_net::{LinkEvent, NodeId, Topology, TopologySchedule};
 use oaq_orbit::{cross_plane_outages, Degrees, Preset};
-use oaq_sim::par::{Merge, Replicator};
-use oaq_sim::rng::substream_seed;
 
 /// Per-episode fastpath cost recorded by `mc_replication` in the
 /// checked-in BENCH_sim.json before the zero-allocation engine pass
@@ -50,88 +48,6 @@ const BASELINE_US_PER_EPISODE: f64 = 3.375;
 
 /// Wall-clock budget for the full Starlink campaign section.
 const STARLINK_BUDGET_SECS: f64 = 120.0;
-
-/// Minimum observed seconds per call of `f` over `reps` repetitions — the
-/// noise-robust point estimate for a deterministic workload.
-fn min_time_per_call<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Full bit-identity of two cell outcomes: every tally, every violation
-/// record, every trace line.
-fn cells_identical(a: &CellOutcome, b: &CellOutcome) -> bool {
-    a.episodes == b.episodes
-        && a.detected == b.detected
-        && a.timely == b.timely
-        && a.quality == b.quality
-        && a.live_detector == b.live_detector
-        && a.live_detector_timely == b.live_detector_timely
-        && a.violations.len() == b.violations.len()
-        && a.violations.iter().zip(&b.violations).all(|(x, y)| {
-            x.episode == y.episode
-                && x.seed == y.seed
-                && x.detector == y.detector
-                && x.outcome == y.outcome
-                && x.trace == y.trace
-        })
-}
-
-/// Membership-assisted recruitment tallies (all-integer → exact merge).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RecruitSink {
-    seq: u64,
-    missed: u64,
-    msgs: u64,
-}
-
-impl Merge for RecruitSink {
-    fn merge(&mut self, other: &Self) {
-        self.seq.merge(&other.seq);
-        self.missed.merge(&other.missed);
-        self.msgs.merge(&other.msgs);
-    }
-}
-
-/// The membership-assisted recruitment aggregate (E12's assisted variant)
-/// under an arbitrary scheduling configuration.
-fn run_membership(
-    cfg: &ProtocolConfig,
-    episodes: u64,
-    base_seed: u64,
-    workers: usize,
-    chunk: Option<u64>,
-    forced: bool,
-) -> RecruitSink {
-    Replicator::new(workers)
-        .with_chunk_override(chunk)
-        .with_forced_steals(forced)
-        .run_scratch(
-            episodes,
-            base_seed,
-            RecruitSink::default,
-            EpisodeScratch::new,
-            |i, rng, scratch, sink| {
-                let birth = 90.0 + rng.uniform(0.0, 10.0);
-                let seed = substream_seed(base_seed, i).wrapping_add(1);
-                let mut ep = Episode::new(cfg, seed);
-                ep.add_failure(1, 0.0);
-                let out = ep.run_scratch(birth, 15.0, scratch);
-                if out.level >= QosLevel::SequentialDual {
-                    sink.seq += 1;
-                }
-                if out.level == QosLevel::Missed {
-                    sink.missed += 1;
-                }
-                sink.msgs += out.messages_sent;
-            },
-        )
-}
 
 /// The Starlink shell-1 coverage geometry: satellite `(p, s)` (node
 /// `p·S + s`) reaches the target `θ·phase/2π` minutes into the period,
@@ -181,10 +97,13 @@ fn main() {
         retry_budget: 1,
     };
     let serial = Scenario::new(&base, 1);
-    // Warm the per-worker scratch (geometry, topology, buffers) once so the
-    // timed repetitions measure the steady state the campaign runs in.
     let reference = run_cell_scenario(&serial, &spec, episodes, seed);
-    let gate_secs = min_time_per_call(reps, || run_cell_scenario(&serial, &spec, episodes, seed));
+    // Minimum over single calls, after a warm-up call that fills the
+    // per-worker scratch (geometry, topology, buffers), so the timed calls
+    // measure the steady state the campaign runs in.
+    let gate_secs = measure::per_call(reps, 1, || {
+        run_cell_scenario(&serial, &spec, episodes, seed)
+    });
     let gate_us = gate_secs * 1e6 / episodes as f64;
     let required_us = BASELINE_US_PER_EPISODE / 2.0;
     let gate_pass = gate_us <= required_us;
@@ -223,7 +142,7 @@ fn main() {
                 let scen = Scenario::new(&base, workers)
                     .with_chunk(chunk_cfg)
                     .with_forced_steals(forced);
-                if !cells_identical(&run_cell_scenario(&scen, &spec, episodes, seed), &reference) {
+                if run_cell_scenario(&scen, &spec, episodes, seed) != reference {
                     eprintln!(
                         "# DIVERGENCE campaign: workers={workers} chunk={chunk_cfg:?} forced={forced}"
                     );
@@ -363,7 +282,7 @@ fn main() {
          reachable {min_reach}..{max_reach} of {nodes}"
     );
 
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"mc_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \
          \"seed\": {seed},\n  \
          \"throughput_gate\": {{\"episodes\": {episodes}, \"reps\": {reps}, \
@@ -396,7 +315,7 @@ fn main() {
         starlink.detected,
         starlink.violations.len(),
         fmt_f64(STARLINK_BUDGET_SECS),
-    );
+    ));
 
     if miss {
         eprintln!("# MC_SCALE GATE FAILED");

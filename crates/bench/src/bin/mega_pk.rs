@@ -36,7 +36,8 @@ use oaq_analytic::compose::{EvaluationConfig, Scheme};
 use oaq_analytic::qos::QosParams;
 use oaq_analytic::sweep::paper_lambda_grid;
 use oaq_bench::args::CliSpec;
-use oaq_engine::report::fmt_f64;
+use oaq_bench::json::{emit, fmt_f64};
+use oaq_bench::{max_abs_diff, measure, scaled_solve};
 use oaq_orbit::constellation::Preset;
 use oaq_orbit::coverage::design_geometry;
 use oaq_san::plane::{product_form_pk, CapacitySolve, PlaneModelConfig, SparePolicy};
@@ -56,37 +57,6 @@ const DETECT_SPEEDUP_BAR: f64 = 2.0;
 /// Product-form vs joint-chain agreement bar.
 const PRODUCT_TOL: f64 = 1e-12;
 
-/// Wall-clock seconds per call of `f`, averaged over `reps` calls.
-fn time_per_call<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
-
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
-/// A plane scaled to `scale`× the reference complement (η fixed, so the
-/// within-cycle death chain grows with the scale).
-fn scaled_solve(scale: u32) -> CapacitySolve {
-    PlaneModelConfig {
-        capacity: 14 * scale,
-        spares: 2 * scale,
-        lambda: LAMBDA,
-        phi: PHI,
-        eta: ETA,
-        policy: SparePolicy::PinAtThreshold,
-    }
-    .capacity_solve(100_000)
-    .expect("scaled plane explores")
-}
-
 /// The paper's capacity model transplanted onto a preset plane: the
 /// threshold sits the reference's `capacity − η = 4` below the complement.
 fn preset_eta(capacity: u32) -> u32 {
@@ -100,7 +70,7 @@ fn main() {
         .parse();
     let quick = cli.has("--quick");
     let panels = cli.get_usize("--panels", 64);
-    let reps = if quick { 1 } else { 3 };
+    let rounds = if quick { 1 } else { 3 };
     let mut violations: Vec<String> = Vec::new();
 
     // 1. Scaling: per-solve P(k) cost up to a ≥ 1000-state plane.
@@ -112,11 +82,9 @@ fn main() {
     let scaling_json: Vec<String> = scales
         .iter()
         .map(|&scale| {
-            let solve = scaled_solve(scale);
-            solve
-                .distribution_over(PHI, panels)
-                .expect("scaled plane solves"); // warm the CSR kernel
-            let secs = time_per_call(reps, || solve.distribution_over(PHI, panels).unwrap());
+            let solve = scaled_solve(scale, LAMBDA, PHI, ETA);
+            let secs =
+                measure::per_call(rounds, 1, || solve.distribution_over(PHI, panels).unwrap());
             eprintln!(
                 "# scaling x{scale} ({} states): {:.2} ms per solve",
                 solve.num_states(),
@@ -132,7 +100,7 @@ fn main() {
 
     // 2. Steady-state detection vs the full-iteration kernel on the
     // 1015-state plane over a φ axis reaching 10× the paper's horizon.
-    let big = scaled_solve(64);
+    let big = scaled_solve(64, LAMBDA, PHI, ETA);
     let kernel = big.ctmc().kernel().expect("kernel builds");
     let p0 = big.ctmc().initial_distribution();
     let phis = [PHI, 100_000.0, 300_000.0];
@@ -143,10 +111,10 @@ fn main() {
             let detected = kernel.time_average_many(&p0, &[phi], panels).unwrap();
             let full = kernel.time_average_many_full(&p0, &[phi], panels).unwrap();
             let diff = max_abs_diff(&detected[0], &full[0]);
-            let detect_secs = time_per_call(reps, || {
+            let detect_secs = measure::per_call(rounds, 1, || {
                 kernel.time_average_many(&p0, &[phi], panels).unwrap()
             });
-            let full_secs = time_per_call(reps, || {
+            let full_secs = measure::per_call(rounds, 1, || {
                 kernel.time_average_many_full(&p0, &[phi], panels).unwrap()
             });
             let speedup = full_secs / detect_secs;
@@ -206,9 +174,11 @@ fn main() {
             let product = product_form_pk(&refs, PHI, panels).unwrap();
             let exact = product_form_pk(&[&joint], PHI, panels).unwrap();
             let diff = max_abs_diff(&product, &exact);
-            let product_secs = time_per_call(reps, || product_form_pk(&refs, PHI, panels).unwrap());
-            let joint_secs =
-                time_per_call(reps, || product_form_pk(&[&joint], PHI, panels).unwrap());
+            let product_secs =
+                measure::per_call(rounds, 1, || product_form_pk(&refs, PHI, panels).unwrap());
+            let joint_secs = measure::per_call(rounds, 1, || {
+                product_form_pk(&[&joint], PHI, panels).unwrap()
+            });
             eprintln!(
                 "# product_vs_joint q={q} ({} joint states): joint {:.2} ms, product {:.2} ms, \
                  max|diff| {:.2e}",
@@ -314,7 +284,7 @@ fn main() {
         })
         .collect();
 
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"mega_pk\",\n  \"quick\": {quick},\n  \"panels\": {panels},\n  \
          \"scaling\": [{}],\n  \
          \"steady_state\": {{\"states\": {}, \"rows\": [{}]}},\n  \
@@ -325,7 +295,7 @@ fn main() {
         steady_json.join(", "),
         product_json.join(", "),
         design_json.join(", "),
-    );
+    ));
 
     if !violations.is_empty() {
         for v in &violations {

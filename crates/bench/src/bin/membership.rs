@@ -4,29 +4,10 @@
 //! recruitment when satellites are fail-silent.
 
 use oaq_bench::args::CliSpec;
+use oaq_bench::recruit::run_membership;
 use oaq_bench::{banner, tsv_header, tsv_row};
 use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
-use oaq_core::protocol::Episode;
-use oaq_core::qos_level::QosLevel;
 use oaq_membership::{MembershipConfig, MembershipSim};
-use oaq_sim::par::{Merge, Replicator};
-use oaq_sim::rng::substream_seed;
-
-/// Per-chunk recruitment tallies (all-integer, so the reduction is exact).
-#[derive(Debug, Clone, Copy, Default)]
-struct RecruitSink {
-    seq: u64,
-    missed: u64,
-    msgs: u64,
-}
-
-impl Merge for RecruitSink {
-    fn merge(&mut self, other: &Self) {
-        self.seq.merge(&other.seq);
-        self.missed.merge(&other.missed);
-        self.msgs.merge(&other.msgs);
-    }
-}
 
 fn main() {
     let cli = CliSpec::new("membership")
@@ -77,28 +58,7 @@ fn main() {
     let base_seed = 42u64;
     tsv_header(&["variant", "P(Y>=2)", "P(missed)", "mean_msgs"]);
     for (label, cfg) in [("plain", &plain), ("assisted", &assisted)] {
-        // Episode i draws its birth from substream (base_seed, i) and seeds
-        // its protocol run from the same substream value (offset by one),
-        // so every worker count tallies the identical counts.
-        let sink = Replicator::new(workers).with_chunk_override(chunk).run(
-            episodes,
-            base_seed,
-            RecruitSink::default,
-            |i, rng, sink| {
-                let birth = 90.0 + rng.uniform(0.0, 10.0);
-                let seed = substream_seed(base_seed, i).wrapping_add(1);
-                let out = Episode::new(cfg, seed)
-                    .with_failure(1, 0.0)
-                    .run(birth, 15.0);
-                if out.level >= QosLevel::SequentialDual {
-                    sink.seq += 1;
-                }
-                if out.level == QosLevel::Missed {
-                    sink.missed += 1;
-                }
-                sink.msgs += out.messages_sent;
-            },
-        );
+        let sink = run_membership(cfg, episodes, base_seed, workers, chunk, false);
         println!(
             "{label}\t{:.4}\t{:.4}\t{:.2}",
             sink.seq as f64 / episodes as f64,

@@ -22,50 +22,18 @@
 //!
 //! Usage: `pk_kernel [--quick] [--panels N] [--workers N]`
 
-use std::time::Instant;
-
 use oaq_analytic::capacity::CapacityParams;
 use oaq_analytic::sweep::{
     effective_sweep_workers, figure7, figure7_par, paper_lambda_grid, Fanout,
 };
 use oaq_bench::args::CliSpec;
-use oaq_engine::report::fmt_f64;
-use oaq_san::plane::{CapacitySolve, PlaneModelConfig, SparePolicy};
+use oaq_bench::json::{emit, fmt_f64};
+use oaq_bench::{max_abs_diff, measure, scaled_solve};
+use oaq_san::plane::CapacitySolve;
 
 const LAMBDA: f64 = 5e-5;
 const PHI: f64 = 30_000.0;
 const ETA: u32 = 10;
-
-/// Wall-clock seconds per call of `f`, averaged over `reps` calls.
-fn time_per_call<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
-
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
-/// A plane scaled to `scale`× the reference complement (η fixed, so the
-/// within-cycle death chain grows with the scale).
-fn scaled_solve(scale: u32) -> CapacitySolve {
-    PlaneModelConfig {
-        capacity: 14 * scale,
-        spares: 2 * scale,
-        lambda: LAMBDA,
-        phi: PHI,
-        eta: ETA,
-        policy: SparePolicy::PinAtThreshold,
-    }
-    .capacity_solve(10_000)
-    .expect("scaled plane explores")
-}
 
 struct KernelRow {
     states: usize,
@@ -75,16 +43,20 @@ struct KernelRow {
 }
 
 /// Times dense-per-panel vs sparse-shared-iterate `distribution_over` on
-/// one solve, asserting agreement.
-fn bench_solve(solve: &CapacitySolve, panels: usize, reps: usize) -> KernelRow {
-    // Warm both paths once (the sparse side builds its CSR kernel here).
+/// one solve (`rounds` × `reps` calls each), asserting agreement.
+fn bench_solve(solve: &CapacitySolve, panels: usize, (rounds, reps): (usize, usize)) -> KernelRow {
+    // Agreement first (the sparse side builds its CSR kernel here).
     let sparse = solve.distribution_over(PHI, panels).expect("sparse solves");
     let dense = solve
         .distribution_over_dense(PHI, panels)
         .expect("dense solves");
     let diff = max_abs_diff(&sparse, &dense);
-    let dense_secs = time_per_call(reps, || solve.distribution_over_dense(PHI, panels).unwrap());
-    let sparse_secs = time_per_call(reps, || solve.distribution_over(PHI, panels).unwrap());
+    let dense_secs = measure::per_call(rounds, reps, || {
+        solve.distribution_over_dense(PHI, panels).unwrap()
+    });
+    let sparse_secs = measure::per_call(rounds, reps, || {
+        solve.distribution_over(PHI, panels).unwrap()
+    });
     KernelRow {
         states: solve.num_states(),
         dense_secs,
@@ -111,13 +83,14 @@ fn main() {
         workers,
         chunk: cli.get_chunk("--chunk"),
     };
-    let reps = if quick { 3 } else { 10 };
+    // Timing rounds × calls per round.
+    let timing = if quick { (3, 1) } else { (5, 2) };
 
     // 1. Reference plane: the exact solve `engine::eval` serves.
     let solve = CapacityParams::reference(LAMBDA, PHI, ETA)
         .solve()
         .expect("reference plane solves");
-    let reference = bench_solve(&solve, panels, reps);
+    let reference = bench_solve(&solve, panels, timing);
     eprintln!(
         "# reference ({} states, {panels} panels): dense {:.1} us, sparse {:.1} us, {:.1}x, \
          max|diff| {:.2e}",
@@ -138,8 +111,11 @@ fn main() {
         .map(|&phi| solve.distribution_over(phi, panels).unwrap())
         .collect();
     let batch_identical = batched == single;
-    let batch_secs = time_per_call(reps, || solve.distributions_over(&phis, panels).unwrap());
-    let per_phi_secs = time_per_call(reps, || {
+    let (rounds, reps) = timing;
+    let batch_secs = measure::per_call(rounds, reps, || {
+        solve.distributions_over(&phis, panels).unwrap()
+    });
+    let per_phi_secs = measure::per_call(rounds, reps, || {
         phis.iter()
             .map(|&phi| solve.distribution_over(phi, panels).unwrap())
             .collect::<Vec<_>>()
@@ -158,9 +134,11 @@ fn main() {
     let serial_rows = figure7(&grid, PHI, ETA).expect("serial sweep");
     let parallel_rows = figure7_par(&grid, PHI, ETA, fanout).expect("parallel sweep");
     let sweep_identical = serial_rows == parallel_rows;
-    let sweep_reps = if quick { 1 } else { 3 };
-    let serial_secs = time_per_call(sweep_reps, || figure7(&grid, PHI, ETA).unwrap());
-    let parallel_secs = time_per_call(sweep_reps, || figure7_par(&grid, PHI, ETA, fanout).unwrap());
+    let sweep_rounds = if quick { 1 } else { 3 };
+    let serial_secs = measure::per_call(sweep_rounds, 1, || figure7(&grid, PHI, ETA).unwrap());
+    let parallel_secs = measure::per_call(sweep_rounds, 1, || {
+        figure7_par(&grid, PHI, ETA, fanout).unwrap()
+    });
     eprintln!(
         "# parallel_sweep ({} rows, {} workers): serial {:.1} ms, parallel {:.1} ms, {:.1}x, \
          identical={}",
@@ -178,8 +156,8 @@ fn main() {
     let scaling: Vec<(u32, KernelRow)> = scales
         .iter()
         .map(|&scale| {
-            let s = scaled_solve(scale);
-            let row = bench_solve(&s, panels, if quick { 1 } else { 3 });
+            let s = scaled_solve(scale, LAMBDA, PHI, ETA);
+            let row = bench_solve(&s, panels, if quick { (1, 1) } else { (3, 1) });
             eprintln!(
                 "# scaling x{scale} ({} states): dense {:.1} us, sparse {:.1} us, {:.1}x",
                 row.states,
@@ -205,7 +183,7 @@ fn main() {
             )
         })
         .collect();
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"pk_kernel\",\n  \"quick\": {quick},\n  \"panels\": {panels},\n  \
          \"reference\": {{\"states\": {}, \"dense_per_panel_secs\": {}, \
          \"sparse_shared_secs\": {}, \"speedup\": {}, \"max_abs_diff\": {}}},\n  \
@@ -229,7 +207,7 @@ fn main() {
         fmt_f64(parallel_secs),
         fmt_f64(serial_secs / parallel_secs),
         scaling_json.join(", "),
-    );
+    ));
 
     let agreement_violated = reference.diff > 1e-12 || scaling.iter().any(|(_, r)| r.diff > 1e-12);
     if agreement_violated || !batch_identical || !sweep_identical {

@@ -24,12 +24,11 @@
 use std::time::Instant;
 
 use oaq_bench::args::CliSpec;
-use oaq_engine::report::{fmt_f64, fmt_f64_or_null, json_escape, results_json};
+use oaq_bench::json::{cache_stats_json, emit, escape, fmt_f64, results_json};
 use oaq_engine::{
     direct_eval, zipf_workload, Engine, EngineConfig, EngineResult, LatencySnapshot,
     MetricsSnapshot, QosQuery, WorkloadConfig,
 };
-use oaq_serve::report::cache_stats_json;
 
 /// FNV-1a over the deterministic result digest, so two runs (or two
 /// machines) can compare answers without shipping the full array.
@@ -48,11 +47,11 @@ fn latency_json(l: &LatencySnapshot) -> String {
     format!(
         "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
         l.count,
-        fmt_f64_or_null(l.mean),
-        fmt_f64_or_null(l.p50),
-        fmt_f64_or_null(l.p95),
-        fmt_f64_or_null(l.p99),
-        fmt_f64_or_null(l.max),
+        fmt_f64(l.mean),
+        fmt_f64(l.p50),
+        fmt_f64(l.p95),
+        fmt_f64(l.p99),
+        fmt_f64(l.max),
     )
 }
 
@@ -77,7 +76,7 @@ fn metrics_json(m: &MetricsSnapshot) -> String {
         m.shed,
         fmt_f64(m.shed_probability),
         m.batch_count,
-        fmt_f64_or_null(m.mean_batch_size),
+        fmt_f64(m.mean_batch_size),
         latency_json(&m.queue_wait),
         latency_json(&m.solve),
         latency_json(&m.end_to_end),
@@ -204,7 +203,7 @@ fn main() {
         "#   bit_identical={identical}, speedup cold {speedup_cold:.1}x, warm {speedup_warm:.1}x"
     );
 
-    println!(
+    emit(&format!(
         "{{\n  \"experiment\": \"qos_server\",\n  \"seed\": {seed},\n  \"queries\": {queries},\n  \
          \"scenarios\": {},\n  \"workers\": {},\n  \"quick\": {quick},\n  \
          \"bit_identical\": {identical},\n  \"results_digest_fnv1a\": \"{}\",\n  \
@@ -217,7 +216,7 @@ fn main() {
          \"cache_shards\": {}\n}}",
         workload_cfg.scenarios,
         engine.config().effective_workers(),
-        json_escape(&format!("{digest:016x}")),
+        escape(&format!("{digest:016x}")),
         fmt_f64(naive_secs),
         fmt_f64(throughput(queries, naive_secs)),
         fmt_f64(cold_secs),
@@ -233,7 +232,7 @@ fn main() {
             .join(", "),
         metrics_json(&metrics),
         cache_stats_json(&engine.cache_stats()),
-    );
+    ));
 
     if !identical {
         eprintln!("# BIT-IDENTITY VIOLATED: engine answers diverged from direct evaluation");

@@ -16,6 +16,7 @@
 
 use oaq_bench::args::CliSpec;
 use oaq_bench::campaign::{campaign_json, run_grid_fanout, CellSpec, LossAxis};
+use oaq_bench::json::emit;
 
 fn main() {
     let cli = CliSpec::new("robustness")
@@ -106,7 +107,7 @@ fn main() {
     }
 
     let violations: usize = cells.iter().map(|c| c.violations.len()).sum();
-    println!("{}", campaign_json(&cells, base_seed, episodes));
+    emit(&campaign_json(&cells, base_seed, episodes));
     if violations > 0 {
         eprintln!("# GUARANTEE VIOLATED in {violations} episode(s) — see the JSON trace dump");
         std::process::exit(1);

@@ -30,6 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oaq_bench::args::CliSpec;
+use oaq_bench::json::emit;
 use oaq_bench::serve_report::{
     MatrixCell, OpenLoopReport, ProbeCell, Rate, ServeReport, WarmStartReport,
 };
@@ -38,7 +39,6 @@ use oaq_engine::{
 };
 use oaq_serve::client::{Client, Reply};
 use oaq_serve::proto::{decode_frame, encode_request, read_frame, write_frame, Frame, Request};
-use oaq_serve::report::parse;
 use oaq_serve::server::{serve, ServerConfig, ServerHandle, WarmStart};
 
 /// How many requests a closed-loop replay keeps on the wire at once —
@@ -499,13 +499,7 @@ fn main() {
         warm_start: warm_report,
         cache,
     };
-    let doc = report.render();
-    // The document must be strict JSON before it is the artifact.
-    if let Err(e) = parse(&doc) {
-        eprintln!("# INTERNAL: emitted document is not strict JSON: {e}");
-        std::process::exit(1);
-    }
-    println!("{doc}");
+    emit(&report.render());
 
     if !bit_identical {
         eprintln!("# BIT-IDENTITY VIOLATED: a wire answer diverged from direct evaluation");

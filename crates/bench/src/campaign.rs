@@ -21,6 +21,8 @@ use oaq_sim::par::{Merge, Replicator};
 use oaq_sim::rng::substream_seed;
 use oaq_sim::SimRng;
 
+use crate::json::escape;
+
 /// The loss process of one campaign cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossAxis {
@@ -105,7 +107,7 @@ pub struct CellSpec {
 }
 
 /// A replayable record of one guarantee violation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Episode index within the cell.
     pub episode: u64,
@@ -120,7 +122,7 @@ pub struct Violation {
 }
 
 /// Tallies of one campaign cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellOutcome {
     /// The swept parameters.
     pub spec: CellSpec,
@@ -738,19 +740,6 @@ pub fn run_grid_scenario(
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn cell_json(c: &CellOutcome) -> String {
     let violations: Vec<String> = c
         .violations
@@ -759,14 +748,14 @@ fn cell_json(c: &CellOutcome) -> String {
             let trace: Vec<String> = v
                 .trace
                 .iter()
-                .map(|l| format!("\"{}\"", json_escape(l)))
+                .map(|l| format!("\"{}\"", escape(l)))
                 .collect();
             format!(
                 "{{\"episode\":{},\"seed\":{},\"detector\":{},\"outcome\":\"{}\",\"trace\":[{}]}}",
                 v.episode,
                 v.seed,
                 v.detector,
-                json_escape(&v.outcome),
+                escape(&v.outcome),
                 trace.join(",")
             )
         })
@@ -880,23 +869,6 @@ mod tests {
         assert!((ge.stationary_loss() - 0.2).abs() < 1e-12);
     }
 
-    fn assert_cells_identical(a: &CellOutcome, b: &CellOutcome) {
-        assert_eq!(a.episodes, b.episodes);
-        assert_eq!(a.detected, b.detected);
-        assert_eq!(a.timely, b.timely);
-        assert_eq!(a.quality, b.quality);
-        assert_eq!(a.live_detector, b.live_detector);
-        assert_eq!(a.live_detector_timely, b.live_detector_timely);
-        assert_eq!(a.violations.len(), b.violations.len());
-        for (x, y) in a.violations.iter().zip(&b.violations) {
-            assert_eq!(x.episode, y.episode);
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(x.detector, y.detector);
-            assert_eq!(x.outcome, y.outcome);
-            assert_eq!(x.trace, y.trace);
-        }
-    }
-
     #[test]
     fn cells_are_reproducible() {
         let spec = CellSpec {
@@ -906,7 +878,7 @@ mod tests {
         };
         let a = run_cell(&spec, 60, 7);
         let b = run_cell(&spec, 60, 7);
-        assert_cells_identical(&a, &b);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -922,7 +894,7 @@ mod tests {
         let reference = run_cell(&spec, 120, 11);
         for workers in [2, 4] {
             let par = run_cell_workers(&spec, 120, 11, workers);
-            assert_cells_identical(&par, &reference);
+            assert_eq!(par, reference);
         }
     }
 
@@ -936,7 +908,7 @@ mod tests {
         let reference = run_cell(&spec, 120, 11);
         for chunk in [1u64, 7, 64, 1000] {
             let out = run_cell_fanout(&spec, 120, 11, 2, Some(chunk));
-            assert_cells_identical(&out, &reference);
+            assert_eq!(out, reference);
         }
     }
 
@@ -962,7 +934,7 @@ mod tests {
                     120,
                     11,
                 );
-                assert_cells_identical(&stressed, &reference);
+                assert_eq!(stressed, reference);
             }
         }
     }
@@ -995,7 +967,7 @@ mod tests {
             80,
             7,
         );
-        assert_cells_identical(&a, &b);
+        assert_eq!(a, b);
         let (out_a, trace_a) = replay_episode_scenario(&scenario, &spec, 7, 3);
         let (out_b, trace_b) = replay_episode_scenario(&scenario, &spec, 7, 3);
         assert_eq!(out_a, out_b);
@@ -1028,7 +1000,7 @@ mod tests {
         assert_eq!(grid.len(), specs.len());
         for (cell, spec) in grid.iter().zip(&specs) {
             let solo = run_cell(spec, 70, 42);
-            assert_cells_identical(cell, &solo);
+            assert_eq!(cell, &solo);
         }
     }
 
@@ -1041,7 +1013,7 @@ mod tests {
         };
         let fast = run_cell(&spec, 150, 5);
         let traced = run_cell_traced_baseline(&spec, 150, 5);
-        assert_cells_identical(&fast, &traced);
+        assert_eq!(fast, traced);
     }
 
     #[test]

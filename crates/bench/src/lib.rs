@@ -23,7 +23,16 @@
 //! | `qos_server` | E16 (engine) — serving-engine replay of a seeded Zipf query workload: throughput vs naive recompute, latency percentiles, cache/admission counters, JSON |
 //! | `pk_kernel` | E17 (perf) — sparse shared-iterate P(k) kernel vs dense per-panel baseline, JSON |
 //! | `mc_replication` | E18 (perf) — deterministic parallel replication engine: traced vs fast-path campaign cells, worker fan-out with in-bench bit-identity assertion, JSON |
+//! | `geoloc_kernel` | E19 (perf) — zero-allocation WLS kernel vs the heap/dynamic-dispatch baseline, analytic-vs-FD Jacobians, incremental sequential mode, JSON |
+//! | `engine_faults` | E20 (robustness) — serving engine under injected panics/stalls and a tenant flood, exactly-one-outcome and bit-identity invariants, JSON |
 //! | `serve_bench` | E21 (serving) — networked frontend over the wire: worker×shard scaling matrix with per-shard contention counters, open-loop (coordinated-omission-free) latency quantiles, snapshot warm-start, JSON |
+//! | `geoloc_batch` | E22 (perf) — structure-of-arrays batched WLS vs the looped solver, executor scheduling overhead, JSON |
+//! | `mega_pk` | E23 (perf) — mega-constellation `P(k)`: steady-state detection, product form vs joint chain, QoS over the Walker presets, JSON |
+//! | `mc_scale` | E24 (perf) — zero-allocation episode engine: serial throughput gate, bit-identity across scheduling configs, Starlink-scale campaign, JSON |
+//!
+//! Repeated timings go through [`measure::per_call`], and every
+//! JSON-printing binary prints through [`json::emit`], which refuses a
+//! document that is not strict JSON with a string `experiment`.
 //!
 //! The Criterion benches (`benches/`) measure the computational substrates
 //! themselves (kernel, SAN solvers, WLS, analytic evaluation, protocol
@@ -32,8 +41,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use oaq_san::plane::{CapacitySolve, PlaneModelConfig, SparePolicy};
+
 pub mod args;
 pub mod campaign;
+pub mod json;
+pub mod measure;
+pub mod recruit;
 pub mod serve_report;
 
 /// Prints a TSV header row.
@@ -54,6 +68,37 @@ pub fn tsv_row(x: f64, values: &[f64]) {
 /// A section banner for experiment output.
 pub fn banner(title: &str) {
     println!("\n# {title}");
+}
+
+/// The reference plane's capacity solve scaled to `scale`× its complement
+/// (14 operational + 2 spares per unit, pinned at the threshold). η stays
+/// fixed, so the within-cycle death chain grows with the scale.
+///
+/// # Panics
+///
+/// Panics if the chain exceeds 100 000 states.
+#[must_use]
+pub fn scaled_solve(scale: u32, lambda: f64, phi: f64, eta: u32) -> CapacitySolve {
+    PlaneModelConfig {
+        capacity: 14 * scale,
+        spares: 2 * scale,
+        lambda,
+        phi,
+        eta,
+        policy: SparePolicy::PinAtThreshold,
+    }
+    .capacity_solve(100_000)
+    .expect("scaled plane explores")
+}
+
+/// The largest element-wise absolute difference of two equal-length
+/// vectors.
+#[must_use]
+pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -3,12 +3,12 @@
 //! The `serve_bench` binary fills a [`ServeReport`] from its measurements
 //! and prints [`ServeReport::render`]. Keeping the assembly here (rather
 //! than inline in the binary) lets the round-trip test feed a synthetic
-//! report through [`oaq_serve::report::parse`] and assert the document is
-//! strict JSON without running the full benchmark.
+//! report through [`crate::json::check`] and assert the document is a
+//! valid record without running the full benchmark.
 
-use oaq_engine::report::fmt_f64;
 use oaq_engine::CacheStatsSnapshot;
-use oaq_serve::report::{cache_stats_json, quantiles_json, rate_json};
+
+use crate::json::{cache_stats_json, fmt_f64, quantiles_json, rate_json};
 
 /// A (queries, seconds) pair rendered as `{"secs":…,"qps":…}`.
 #[derive(Debug, Clone, Copy)]
@@ -205,7 +205,7 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// The document, pretty enough for a human and strict enough for
-    /// [`oaq_serve::report::parse`].
+    /// [`crate::json::emit`].
     #[must_use]
     pub fn render(&self) -> String {
         let rows: Vec<String> = self.matrix.iter().map(MatrixCell::json).collect();
@@ -234,8 +234,8 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{check, JsonValue};
     use oaq_engine::CacheShardStats;
-    use oaq_serve::report::{parse, JsonValue};
 
     fn synthetic() -> ServeReport {
         let shard = CacheShardStats {
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn rendered_report_parses_as_strict_json() {
         let doc = synthetic().render();
-        let v = parse(&doc).unwrap();
+        let v = check(&doc).unwrap();
         assert_eq!(
             v.get("experiment"),
             Some(&JsonValue::String("serve_bench".to_string()))

@@ -10,38 +10,15 @@
 //! merge in — so any drift here is a scheduler bug, not noise.
 
 use oaq_bench::campaign::{
-    replay_episode_scenario, run_cell_scenario, CellOutcome, CellSpec, LossAxis, Scenario,
+    replay_episode_scenario, run_cell_scenario, CellSpec, LossAxis, Scenario,
 };
+use oaq_bench::recruit::run_membership;
 use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
 use oaq_core::experiment::{estimate_conditional_qos_stressed, MonteCarloOptions};
-use oaq_core::protocol::{Episode, EpisodeScratch};
-use oaq_core::qos_level::QosLevel;
-use oaq_sim::par::{Merge, Replicator};
-use oaq_sim::rng::substream_seed;
 
 const WORKERS: [usize; 3] = [2, 4, 8];
 const CHUNKS: [Option<u64>; 3] = [None, Some(16), Some(7)];
 const SEED: u64 = 20030622;
-
-fn assert_cells_identical(a: &CellOutcome, b: &CellOutcome, what: &str) {
-    assert_eq!(a.episodes, b.episodes, "{what}: episodes");
-    assert_eq!(a.detected, b.detected, "{what}: detected");
-    assert_eq!(a.timely, b.timely, "{what}: timely");
-    assert_eq!(a.quality, b.quality, "{what}: quality");
-    assert_eq!(a.live_detector, b.live_detector, "{what}: live_detector");
-    assert_eq!(
-        a.live_detector_timely, b.live_detector_timely,
-        "{what}: live_detector_timely"
-    );
-    assert_eq!(a.violations.len(), b.violations.len(), "{what}: violations");
-    for (x, y) in a.violations.iter().zip(&b.violations) {
-        assert_eq!(x.episode, y.episode, "{what}: violation episode");
-        assert_eq!(x.seed, y.seed, "{what}: violation seed");
-        assert_eq!(x.detector, y.detector, "{what}: violation detector");
-        assert_eq!(x.outcome, y.outcome, "{what}: violation outcome");
-        assert_eq!(x.trace, y.trace, "{what}: violation trace");
-    }
-}
 
 #[test]
 fn campaign_cell_is_steal_schedule_invariant() {
@@ -59,10 +36,9 @@ fn campaign_cell_is_steal_schedule_invariant() {
                     .with_chunk(chunk)
                     .with_forced_steals(forced);
                 let par = run_cell_scenario(&scen, &spec, 160, SEED);
-                assert_cells_identical(
-                    &par,
-                    &serial,
-                    &format!("workers={workers} chunk={chunk:?} forced={forced}"),
+                assert_eq!(
+                    par, serial,
+                    "cell drifted at workers={workers} chunk={chunk:?} forced={forced}"
                 );
             }
         }
@@ -91,63 +67,16 @@ fn qos_estimate_is_steal_schedule_invariant() {
     }
 }
 
-/// Membership-assisted recruitment tallies (integer-exact merge).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RecruitSink {
-    seq: u64,
-    missed: u64,
-    msgs: u64,
-}
-
-impl Merge for RecruitSink {
-    fn merge(&mut self, other: &Self) {
-        self.seq.merge(&other.seq);
-        self.missed.merge(&other.missed);
-        self.msgs.merge(&other.msgs);
-    }
-}
-
-fn run_membership(
-    cfg: &ProtocolConfig,
-    workers: usize,
-    chunk: Option<u64>,
-    forced: bool,
-) -> RecruitSink {
-    Replicator::new(workers)
-        .with_chunk_override(chunk)
-        .with_forced_steals(forced)
-        .run_scratch(
-            96,
-            SEED,
-            RecruitSink::default,
-            EpisodeScratch::new,
-            |i, rng, scratch, sink| {
-                let birth = 90.0 + rng.uniform(0.0, 10.0);
-                let seed = substream_seed(SEED, i).wrapping_add(1);
-                let mut ep = Episode::new(cfg, seed);
-                ep.add_failure(1, 0.0);
-                let out = ep.run_scratch(birth, 15.0, scratch);
-                if out.level >= QosLevel::SequentialDual {
-                    sink.seq += 1;
-                }
-                if out.level == QosLevel::Missed {
-                    sink.missed += 1;
-                }
-                sink.msgs += out.messages_sent;
-            },
-        )
-}
-
 #[test]
 fn membership_aggregate_is_steal_schedule_invariant() {
     let mut cfg = ProtocolConfig::reference(9, Scheme::Oaq);
     cfg.tau = 25.0;
     cfg.membership = Some(MembershipHints::default());
-    let serial = run_membership(&cfg, 1, None, false);
+    let serial = run_membership(&cfg, 96, SEED, 1, None, false);
     for workers in WORKERS {
         for chunk in CHUNKS {
             for forced in [false, true] {
-                let par = run_membership(&cfg, workers, chunk, forced);
+                let par = run_membership(&cfg, 96, SEED, workers, chunk, forced);
                 assert_eq!(
                     par, serial,
                     "membership drifted at workers={workers} chunk={chunk:?} forced={forced}"

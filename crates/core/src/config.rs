@@ -6,7 +6,6 @@ use oaq_sim::SimDuration;
 
 /// The QoS-enhancement scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scheme {
     /// Opportunity-adaptive QoS enhancement: withhold, coordinate, iterate
     /// within the window of opportunity.
@@ -24,7 +23,6 @@ pub enum Scheme {
 /// literature's shape: large single-pass ambiguity, strong collapse with a
 /// second (offset) pass, best with simultaneous dual coverage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyModel {
     /// Reported 1-σ error after a single-satellite computation, km.
     pub single_pass_km: f64,
@@ -73,7 +71,6 @@ impl AccuracyModel {
 /// `oaq-membership` crate, whose `detection_bound()` justifies the latency
 /// used here (see the umbrella integration tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MembershipHints {
     /// Time (minutes) after a failure by which every survivor knows it.
     pub detection_latency: f64,
@@ -96,7 +93,6 @@ impl Default for MembershipHints {
 /// center-line target — the situation the paper's analytic model
 /// formulates).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConfig {
     /// Active satellites in the plane, `k`.
     pub k: usize,

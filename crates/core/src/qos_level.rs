@@ -5,7 +5,6 @@
 /// Ordered: comparisons follow the paper's spectrum, so
 /// `QosLevel::SequentialDual > QosLevel::Single`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QosLevel {
     /// `Y = 0`: the target escaped surveillance entirely.
     Missed,
@@ -63,7 +62,6 @@ impl std::fmt::Display for QosLevel {
 
 /// Everything recorded about one signal episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EpisodeOutcome {
     /// Quality of the best result the ground received by the deadline.
     pub level: QosLevel,

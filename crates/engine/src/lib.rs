@@ -62,7 +62,6 @@ pub mod eval;
 pub mod metrics;
 pub mod query;
 pub mod queue;
-pub mod report;
 pub mod shard;
 pub mod shed;
 pub mod singleflight;

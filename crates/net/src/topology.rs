@@ -160,24 +160,10 @@ impl Topology {
         self.slot(a).map_or(&[], |s| &self.adj[s])
     }
 
-    /// Neighbors of `a` as an owned `Vec` (compatibility wrapper around
-    /// [`Topology::neighbors`]).
-    #[must_use]
-    pub fn neighbors_vec(&self, a: NodeId) -> Vec<NodeId> {
-        self.neighbors(a).to_vec()
-    }
-
     /// All nodes that appear in any link, ascending, as a borrowed slice.
     #[must_use]
     pub fn nodes(&self) -> &[NodeId] {
         &self.ids
-    }
-
-    /// All nodes as an owned `Vec` (compatibility wrapper around
-    /// [`Topology::nodes`]).
-    #[must_use]
-    pub fn nodes_vec(&self) -> Vec<NodeId> {
-        self.ids.clone()
     }
 
     /// Number of nodes.
@@ -427,12 +413,5 @@ mod tests {
     fn nodes_sorted() {
         let t = Topology::ring(4);
         assert_eq!(t.nodes(), vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn vec_wrappers_match_slices() {
-        let t = Topology::constellation_grid(2, 3);
-        assert_eq!(t.neighbors_vec(NodeId(0)), t.neighbors(NodeId(0)).to_vec());
-        assert_eq!(t.nodes_vec(), t.nodes().to_vec());
     }
 }

@@ -19,7 +19,6 @@ pub const EARTH_RADIUS: Km = Km(6371.0);
 /// assert!((d.value() - 3940.0).abs() < 50.0); // ~3944 km on a sphere
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroundPoint {
     lat: Radians,
     lon: Radians,

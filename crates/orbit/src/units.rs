@@ -11,7 +11,6 @@ macro_rules! scalar_newtype {
     ($(#[$doc:meta])* $name:ident, $unit:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(pub f64);
 
         impl $name {

@@ -19,8 +19,6 @@
 //!   cache layers; a reloaded snapshot answers the steady-state working
 //!   set without re-running a single `P(k)` CTMC solve, and a corrupt or
 //!   future-version file is rejected typed (the server just boots cold).
-//! * [`report`] — JSON emission for `BENCH_serve.json` plus a strict
-//!   JSON parser backing the round-trip tests.
 //!
 //! ## Example
 //!
@@ -52,7 +50,6 @@
 
 pub mod client;
 pub mod proto;
-pub mod report;
 pub mod server;
 pub mod snapshot;
 
