@@ -24,19 +24,17 @@
 //!
 //! Usage: `mc_scale [--quick] [--seed N] [--episodes N] [--chunk N]`
 
-use std::f64::consts::TAU;
 use std::time::Instant;
 
 use oaq_bench::args::CliSpec;
 use oaq_bench::campaign::{
-    replay_episode_scenario, run_cell_scenario, CellSpec, LossAxis, Scenario,
+    replay_episode_scenario, run_cell_scenario, starlink_geometry, CellSpec, LossAxis, Scenario,
 };
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::measure;
 use oaq_bench::recruit::run_membership;
 use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
 use oaq_core::experiment::{estimate_conditional_qos_stressed, MonteCarloOptions};
-use oaq_core::signal::CoverageGeometry;
 use oaq_net::topology::BfsScratch;
 use oaq_net::{LinkEvent, NodeId, Topology, TopologySchedule};
 use oaq_orbit::{cross_plane_outages, Degrees, Preset};
@@ -48,26 +46,6 @@ const BASELINE_US_PER_EPISODE: f64 = 3.375;
 
 /// Wall-clock budget for the full Starlink campaign section.
 const STARLINK_BUDGET_SECS: f64 = 120.0;
-
-/// The Starlink shell-1 coverage geometry: satellite `(p, s)` (node
-/// `p·S + s`) reaches the target `θ·phase/2π` minutes into the period,
-/// where `phase` is the Walker builder's phase convention
-/// (`2π·F·p/T + 2π·s/S`).
-fn starlink_geometry() -> CoverageGeometry {
-    let w = Preset::Starlink.config();
-    let total = w.total_satellites();
-    let theta = w.period.value();
-    let offsets: Vec<f64> = (0..w.planes)
-        .flat_map(|p| (0..w.satellites_per_plane).map(move |s| (p, s)))
-        .map(|(p, s)| {
-            let phase = (TAU * (w.phasing_factor * p) as f64 / total as f64
-                + TAU * s as f64 / w.satellites_per_plane as f64)
-                % TAU;
-            theta * phase / TAU
-        })
-        .collect();
-    CoverageGeometry::with_offsets(offsets, theta, w.coverage_time.value())
-}
 
 fn main() {
     let cli = CliSpec::new("mc_scale")

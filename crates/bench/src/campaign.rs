@@ -12,11 +12,14 @@
 //! through `[t0, t0 + τ]` delivers at least the minimal-QoS (single
 //! coverage) alert by τ*, whatever the fault mix does to quality.
 
+use std::f64::consts::TAU;
+
 use oaq_core::config::{ProtocolConfig, Scheme};
 use oaq_core::protocol::{Episode, EpisodeScratch};
 use oaq_core::qos_level::{EpisodeOutcome, QosLevel};
 use oaq_core::signal::CoverageGeometry;
 use oaq_net::GilbertElliott;
+use oaq_orbit::Preset;
 use oaq_sim::par::{Merge, Replicator};
 use oaq_sim::rng::substream_seed;
 use oaq_sim::SimRng;
@@ -250,8 +253,8 @@ fn cell_config_from(base: &ProtocolConfig, spec: &CellSpec) -> ProtocolConfig {
 /// one run: a base protocol configuration (each cell's fault mix is
 /// applied on top), an optional explicit coverage geometry for
 /// non-reference constellations (e.g. a Walker/Starlink preset), and the
-/// worker/chunk/steal configuration. [`run_cell_workers`] is the
-/// reference-plane shorthand for `Scenario::reference(workers)`.
+/// worker/chunk/steal configuration. [`run_cell_fanout`] is the
+/// reference-plane shorthand for it.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario<'a> {
     /// Base protocol configuration (fault-free; cells overlay their mix).
@@ -302,6 +305,27 @@ impl<'a> Scenario<'a> {
         self.forced_steals = forced;
         self
     }
+}
+
+/// The Starlink shell-1 coverage geometry: satellite `(p, s)` (node
+/// `p·S + s`) reaches the target `θ·phase/2π` minutes into the period,
+/// where `phase` is the Walker builder's phase convention
+/// (`2π·F·p/T + 2π·s/S`).
+#[must_use]
+pub fn starlink_geometry() -> CoverageGeometry {
+    let w = Preset::Starlink.config();
+    let total = w.total_satellites();
+    let theta = w.period.value();
+    let offsets: Vec<f64> = (0..w.planes)
+        .flat_map(|p| (0..w.satellites_per_plane).map(move |s| (p, s)))
+        .map(|(p, s)| {
+            let phase = (TAU * (w.phasing_factor * p) as f64 / total as f64
+                + TAU * s as f64 / w.satellites_per_plane as f64)
+                % TAU;
+            theta * phase / TAU
+        })
+        .collect();
+    CoverageGeometry::with_offsets(offsets, theta, w.coverage_time.value())
 }
 
 /// Derives episode `i`'s `(seed, birth, duration, fault plan)` from the
@@ -462,22 +486,11 @@ fn build_episode(cfg: &ProtocolConfig, geometry: Option<&CoverageGeometry>, seed
 /// Re-runs one campaign episode with full tracing enabled.
 ///
 /// This is the replay path behind every [`Violation`] record: the episode
-/// is reconstructed purely from `(spec, base_seed, episode)`, so a
-/// violation reported by any past campaign run — serial or parallel — can
-/// be reproduced bit-for-bit, trace and all.
-#[must_use]
-pub fn replay_episode(
-    spec: &CellSpec,
-    base_seed: u64,
-    episode: u64,
-) -> (EpisodeOutcome, Vec<String>) {
-    replay_with(&cell_config(spec), None, spec, base_seed, episode)
-}
-
-/// [`replay_episode`] against an arbitrary scenario: the cell config is
-/// rebuilt from `scenario.base` and the scenario's geometry (if any) is
-/// re-attached, so violations reported by a mega-constellation campaign
-/// replay bit-for-bit too.
+/// is reconstructed purely from `(scenario, spec, base_seed, episode)` —
+/// the cell config is rebuilt from `scenario.base` and the scenario's
+/// geometry (if any) is re-attached — so a violation reported by any past
+/// campaign run, serial or parallel, reference plane or
+/// mega-constellation, can be reproduced bit-for-bit, trace and all.
 #[must_use]
 pub fn replay_episode_scenario(
     scenario: &Scenario<'_>,
@@ -509,33 +522,12 @@ fn replay_with(
 
 /// Runs one campaign cell: `episodes` episodes of the reference k = 10
 /// plane under the cell's fault mix, signal births spread over a full
-/// orbit period, durations Exp(0.2).
-///
-/// Equivalent to [`run_cell_workers`] with one worker.
-#[must_use]
-pub fn run_cell(spec: &CellSpec, episodes: u64, base_seed: u64) -> CellOutcome {
-    run_cell_workers(spec, episodes, base_seed, 1)
-}
-
-/// Runs one campaign cell, fanning episodes across `workers` threads
-/// (`0` = one per core).
+/// orbit period, durations Exp(0.2), fanned across `workers` threads
+/// (`0` = one per core) in chunks of `chunk` episodes (`None` = adaptive).
 ///
 /// Every tally is an integer and the violation list concatenates in
-/// episode order, so the outcome is bit-identical for any worker count —
-/// including the one-worker serial path.
-#[must_use]
-pub fn run_cell_workers(
-    spec: &CellSpec,
-    episodes: u64,
-    base_seed: u64,
-    workers: usize,
-) -> CellOutcome {
-    run_cell_fanout(spec, episodes, base_seed, workers, None)
-}
-
-/// [`run_cell_workers`] with an explicit chunk-size override (`None` =
-/// adaptive chunking). The chunk only changes how episodes are batched
-/// onto workers; the outcome is bit-identical for every chunk size.
+/// episode order, so the outcome is bit-identical for any worker count
+/// and chunk size — including the one-worker serial path.
 ///
 /// # Panics
 ///
@@ -645,25 +637,15 @@ impl Merge for GridSink {
     }
 }
 
-/// Runs a whole campaign grid through one two-level fan-out: the engine
-/// partitions the flattened `cells × episodes` index space, so workers
-/// stay busy even when cells outnumber episodes or vice versa.
+/// Runs a whole campaign grid of reference-plane cells through one
+/// two-level fan-out: the engine partitions the flattened
+/// `cells × episodes` index space in chunks of `chunk` (`None` =
+/// adaptive), so workers stay busy even when cells outnumber episodes or
+/// vice versa.
 ///
-/// Each cell's outcome is bit-identical to [`run_cell_workers`] on that
+/// Each cell's outcome is bit-identical to [`run_cell_fanout`] on that
 /// cell (same per-episode seeds, same episode-ordered violation list), and
 /// the whole grid is bit-identical for any worker count.
-#[must_use]
-pub fn run_grid_workers(
-    specs: &[CellSpec],
-    episodes: u64,
-    base_seed: u64,
-    workers: usize,
-) -> Vec<CellOutcome> {
-    run_grid_fanout(specs, episodes, base_seed, workers, None)
-}
-
-/// [`run_grid_workers`] with an explicit chunk-size override (`None` =
-/// adaptive chunking over the flattened `cells × episodes` index space).
 ///
 /// # Panics
 ///
@@ -876,8 +858,8 @@ mod tests {
             node_failure_rate: 0.2,
             retry_budget: 1,
         };
-        let a = run_cell(&spec, 60, 7);
-        let b = run_cell(&spec, 60, 7);
+        let a = run_cell_fanout(&spec, 60, 7, 1, None);
+        let b = run_cell_fanout(&spec, 60, 7, 1, None);
         assert_eq!(a, b);
     }
 
@@ -891,9 +873,9 @@ mod tests {
             node_failure_rate: 0.3,
             retry_budget: 1,
         };
-        let reference = run_cell(&spec, 120, 11);
+        let reference = run_cell_fanout(&spec, 120, 11, 1, None);
         for workers in [2, 4] {
-            let par = run_cell_workers(&spec, 120, 11, workers);
+            let par = run_cell_fanout(&spec, 120, 11, workers, None);
             assert_eq!(par, reference);
         }
     }
@@ -905,7 +887,7 @@ mod tests {
             node_failure_rate: 0.2,
             retry_budget: 1,
         };
-        let reference = run_cell(&spec, 120, 11);
+        let reference = run_cell_fanout(&spec, 120, 11, 1, None);
         for chunk in [1u64, 7, 64, 1000] {
             let out = run_cell_fanout(&spec, 120, 11, 2, Some(chunk));
             assert_eq!(out, reference);
@@ -922,7 +904,7 @@ mod tests {
             node_failure_rate: 0.3,
             retry_budget: 1,
         };
-        let reference = run_cell(&spec, 120, 11);
+        let reference = run_cell_fanout(&spec, 120, 11, 1, None);
         let base = ProtocolConfig::reference(10, Scheme::Oaq);
         for workers in [2, 4] {
             for chunk in [None, Some(16u64), Some(7)] {
@@ -996,10 +978,10 @@ mod tests {
                 retry_budget: 1,
             },
         ];
-        let grid = run_grid_workers(&specs, 70, 42, 2);
+        let grid = run_grid_fanout(&specs, 70, 42, 2, None);
         assert_eq!(grid.len(), specs.len());
         for (cell, spec) in grid.iter().zip(&specs) {
-            let solo = run_cell(spec, 70, 42);
+            let solo = run_cell_fanout(spec, 70, 42, 1, None);
             assert_eq!(cell, &solo);
         }
     }
@@ -1011,9 +993,54 @@ mod tests {
             node_failure_rate: 0.4,
             retry_budget: 1,
         };
-        let fast = run_cell(&spec, 150, 5);
+        let fast = run_cell_fanout(&spec, 150, 5, 1, None);
         let traced = run_cell_traced_baseline(&spec, 150, 5);
         assert_eq!(fast, traced);
+    }
+
+    #[test]
+    fn recycled_episode_matches_a_fresh_one() {
+        // The campaign re-arms one `Episode` per worker in place
+        // (`reset` + `add_failure*` + `run_scratch`); that must return
+        // exactly what a freshly built episode returns, at paper scale and
+        // at Starlink scale with explicit geometry.
+        let paper = ProtocolConfig::reference(9, Scheme::Oaq);
+        let walker = Preset::Starlink.config();
+        let mut starlink = ProtocolConfig::reference(walker.total_satellites(), Scheme::Oaq);
+        starlink.theta = walker.period.value();
+        starlink.tc = walker.coverage_time.value();
+        let starlink_geom = starlink_geometry();
+        for (base, geometry, failure_rate) in
+            [(&paper, None, 0.3), (&starlink, Some(&starlink_geom), 0.02)]
+        {
+            let spec = CellSpec {
+                loss: LossAxis::Iid { p: 0.3 },
+                node_failure_rate: failure_rate,
+                retry_budget: 1,
+            };
+            let cfg = cell_config_from(base, &spec);
+            let mut scratch = EpisodeScratch::default();
+            let mut recycled: Option<Episode> = None;
+            let (mut detected, mut failed) = (0, 0);
+            for i in 0..200 {
+                let (seed, birth, duration, plan) = episode_setup(&cfg, &spec, 21, i);
+                let fresh =
+                    apply_plan(build_episode(&cfg, geometry, seed), &plan).run(birth, duration);
+                let ep = recycled.get_or_insert_with(|| build_episode(&cfg, geometry, seed));
+                ep.reset(&cfg, seed);
+                for &(sat, from, until) in &plan {
+                    match until {
+                        None => ep.add_failure(sat, from),
+                        Some(u) => ep.add_failure_window(sat, from, u),
+                    }
+                }
+                let reused = ep.run_scratch(birth, duration, &mut scratch);
+                assert_eq!(reused, fresh, "k = {}, episode {i}", cfg.k);
+                detected += u32::from(fresh.detected_at.is_some());
+                failed += u32::from(!plan.is_empty());
+            }
+            assert!(detected > 0 && failed > 0, "k = {}: vacuous probe", cfg.k);
+        }
     }
 
     #[test]
@@ -1031,15 +1058,22 @@ mod tests {
             node_failure_rate: 0.5,
             retry_budget: 1,
         };
+        let base = ProtocolConfig::reference(10, Scheme::Oaq);
+        let scenario = Scenario::new(&base, 1);
         for i in [0u64, 3, 17] {
-            let (out_a, trace_a) = replay_episode(&spec, 77, i);
-            let (out_b, trace_b) = replay_episode(&spec, 77, i);
+            let (out_a, trace_a) = replay_episode_scenario(&scenario, &spec, 77, i);
+            let (out_b, trace_b) = replay_episode_scenario(&scenario, &spec, 77, i);
             assert_eq!(out_a, out_b);
             assert_eq!(trace_a, trace_b);
         }
-        let cell = run_cell(&spec, 20, 77);
+        let cell = run_cell_fanout(&spec, 20, 77, 1, None);
         let replayed_detected = (0..20)
-            .filter(|&i| replay_episode(&spec, 77, i).0.detected_at.is_some())
+            .filter(|&i| {
+                replay_episode_scenario(&scenario, &spec, 77, i)
+                    .0
+                    .detected_at
+                    .is_some()
+            })
             .count() as u64;
         assert_eq!(replayed_detected, cell.detected);
     }
@@ -1062,7 +1096,7 @@ mod tests {
                     node_failure_rate: 0.25,
                     retry_budget: budget,
                 };
-                let out = run_cell(&spec, 150, 99);
+                let out = run_cell_fanout(&spec, 150, 99, 1, None);
                 assert!(
                     out.violations.is_empty(),
                     "{}/budget {budget}: {:#?}",
@@ -1086,7 +1120,7 @@ mod tests {
                 node_failure_rate: 0.0,
                 retry_budget: 0,
             };
-            cells.push(run_cell(&spec, 400, 1234));
+            cells.push(run_cell_fanout(&spec, 400, 1234, 1, None));
         }
         for w in cells.windows(2) {
             assert!(
@@ -1108,7 +1142,7 @@ mod tests {
     #[test]
     fn retries_buy_back_quality_under_loss() {
         let cell = |budget: u32| {
-            run_cell(
+            run_cell_fanout(
                 &CellSpec {
                     loss: LossAxis::Iid { p: 0.3 },
                     node_failure_rate: 0.0,
@@ -1116,6 +1150,8 @@ mod tests {
                 },
                 400,
                 55,
+                1,
+                None,
             )
         };
         let plain = cell(0);
@@ -1132,7 +1168,7 @@ mod tests {
     fn violations_render_replayable_json() {
         // Synthesize a violation record and check the JSON stays parseable
         // in shape (quotes escaped, seed present).
-        let mut out = run_cell(
+        let mut out = run_cell_fanout(
             &CellSpec {
                 loss: LossAxis::Iid { p: 0.0 },
                 node_failure_rate: 0.0,
@@ -1140,6 +1176,8 @@ mod tests {
             },
             5,
             3,
+            1,
+            None,
         );
         out.violations.push(Violation {
             episode: 2,

@@ -33,10 +33,6 @@
 //! Repeated timings go through [`measure::per_call`], and every
 //! JSON-printing binary prints through [`json::emit`], which refuses a
 //! document that is not strict JSON with a string `experiment`.
-//!
-//! The Criterion benches (`benches/`) measure the computational substrates
-//! themselves (kernel, SAN solvers, WLS, analytic evaluation, protocol
-//! episodes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

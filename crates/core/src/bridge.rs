@@ -268,12 +268,19 @@ mod tests {
         // A single tiny plane with a small footprint cannot cover the far
         // side of the globe... use a 1-plane constellation and a target
         // well off its track.
-        let c = oaq_orbit::constellation::ConstellationBuilder::new()
-            .planes(1)
-            .satellites_per_plane(4)
-            .coverage_time(Minutes(2.0))
-            .inclination(Degrees(10.0))
-            .build();
+        let c = oaq_orbit::WalkerConfig {
+            pattern: oaq_orbit::WalkerPattern::Star,
+            planes: 1,
+            satellites_per_plane: 4,
+            spares_per_plane: 2,
+            phasing_factor: 0,
+            inclination: Degrees(10.0),
+            period: Minutes(90.0),
+            coverage_time: Minutes(2.0),
+            earth_rotation: false,
+        }
+        .try_build()
+        .unwrap();
         let target = GroundPoint::from_degrees(Degrees(80.0), Degrees(0.0));
         assert!(DerivedScenario::from_constellation(&c, &target, Minutes(0.05)).is_none());
     }

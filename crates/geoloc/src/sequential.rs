@@ -76,13 +76,6 @@ impl SequentialLocalizer {
         }
     }
 
-    /// Replaces the solver configuration.
-    #[must_use]
-    pub fn with_solver(mut self, solver: WlsSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Sets how far (in the solver's scaled step norm — radians plus
     /// relative frequency) an incremental solution may move from the
     /// prior's anchor before [`SequentialLocalizer::estimate_incremental`]

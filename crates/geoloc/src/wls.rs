@@ -294,20 +294,6 @@ impl WlsSolver {
         Self::default()
     }
 
-    /// Sets the iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, n: u32) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    /// Sets the convergence tolerance on the scaled step norm.
-    #[must_use]
-    pub fn with_step_tolerance(mut self, tol: f64) -> Self {
-        self.step_tolerance = tol;
-        self
-    }
-
     fn cost(obs: &[&dyn Observation], x: &[f64; STATE_DIM]) -> f64 {
         obs.iter()
             .map(|o| {

@@ -351,7 +351,7 @@ impl Preset {
 ///
 /// [`Constellation::reference`] builds the paper's JPL RF-geolocation
 /// design: 7 planes × (14 active + 2 in-orbit spares), θ = 90 min,
-/// Tc = 9 min. Custom designs are built with [`ConstellationBuilder`].
+/// Tc = 9 min. Custom designs are built from a [`WalkerConfig`].
 ///
 /// # Examples
 ///
@@ -368,136 +368,29 @@ pub struct Constellation {
     period: Minutes,
 }
 
-/// Builder for [`Constellation`] (C-BUILDER).
-///
-/// # Examples
-///
-/// ```
-/// use oaq_orbit::constellation::ConstellationBuilder;
-/// use oaq_orbit::units::{Degrees, Minutes};
-///
-/// let c = ConstellationBuilder::new()
-///     .planes(4)
-///     .satellites_per_plane(10)
-///     .spares_per_plane(1)
-///     .period(Minutes(100.0))
-///     .coverage_time(Minutes(8.0))
-///     .inclination(Degrees(70.0))
-///     .build();
-/// assert_eq!(c.total_active(), 40);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConstellationBuilder {
-    planes: usize,
-    satellites_per_plane: usize,
-    spares_per_plane: usize,
-    period: Minutes,
-    coverage_time: Minutes,
-    inclination: crate::units::Degrees,
-    earth_rotation: bool,
-}
-
-impl Default for ConstellationBuilder {
-    fn default() -> Self {
-        ConstellationBuilder {
-            planes: 7,
-            satellites_per_plane: 14,
-            spares_per_plane: 2,
-            period: Minutes(90.0),
-            coverage_time: Minutes(9.0),
-            inclination: crate::units::Degrees(85.0),
-            earth_rotation: false,
-        }
-    }
-}
-
-impl ConstellationBuilder {
-    /// Starts from the reference-design defaults.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of orbital planes.
-    pub fn planes(&mut self, n: usize) -> &mut Self {
-        self.planes = n;
-        self
-    }
-
-    /// Active satellites per plane.
-    pub fn satellites_per_plane(&mut self, n: usize) -> &mut Self {
-        self.satellites_per_plane = n;
-        self
-    }
-
-    /// In-orbit spares per plane.
-    pub fn spares_per_plane(&mut self, n: usize) -> &mut Self {
-        self.spares_per_plane = n;
-        self
-    }
-
-    /// Orbit period θ.
-    pub fn period(&mut self, theta: Minutes) -> &mut Self {
-        self.period = theta;
-        self
-    }
-
-    /// Single-satellite coverage time Tc (sets the footprint size).
-    pub fn coverage_time(&mut self, tc: Minutes) -> &mut Self {
-        self.coverage_time = tc;
-        self
-    }
-
-    /// Orbit inclination.
-    pub fn inclination(&mut self, inc: crate::units::Degrees) -> &mut Self {
-        self.inclination = inc;
-        self
-    }
-
-    /// Whether ground tracks drift with earth rotation.
-    pub fn earth_rotation(&mut self, on: bool) -> &mut Self {
-        self.earth_rotation = on;
-        self
-    }
-
-    /// The equivalent Walker description: a star pattern with phasing
-    /// factor 1 (one satellite-slot stagger between adjacent planes).
-    #[must_use]
-    pub fn walker_config(&self) -> WalkerConfig {
-        WalkerConfig {
-            pattern: WalkerPattern::Star,
-            planes: self.planes,
-            satellites_per_plane: self.satellites_per_plane,
-            spares_per_plane: self.spares_per_plane,
-            phasing_factor: usize::from(self.planes > 1),
-            inclination: self.inclination,
-            period: self.period,
-            coverage_time: self.coverage_time,
-            earth_rotation: self.earth_rotation,
-        }
-    }
-
-    /// Builds the constellation: planes get evenly spaced RAANs over π
-    /// (a polar-star pattern) and staggered phase references
-    /// (delegates to [`WalkerConfig::try_build`]).
+impl Constellation {
+    /// The paper's reference RF-geolocation constellation:
+    /// a star pattern of 7 × (14 + 2 spares), F = 1, 85°, θ = 90 min,
+    /// Tc = 9 min.
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are invalid — see [`WalkerConfig::validate`].
-    #[must_use]
-    pub fn build(&self) -> Constellation {
-        self.walker_config()
-            .try_build()
-            .unwrap_or_else(|e| panic!("invalid constellation: {e}"))
-    }
-}
-
-impl Constellation {
-    /// The paper's reference RF-geolocation constellation:
-    /// 7 × (14 + 2 spares), θ = 90 min, Tc = 9 min.
+    /// Never in practice — the reference configuration validates.
     #[must_use]
     pub fn reference() -> Self {
-        ConstellationBuilder::new().build()
+        WalkerConfig {
+            pattern: WalkerPattern::Star,
+            planes: 7,
+            satellites_per_plane: 14,
+            spares_per_plane: 2,
+            phasing_factor: 1,
+            inclination: Degrees(85.0),
+            period: Minutes(90.0),
+            coverage_time: Minutes(9.0),
+            earth_rotation: false,
+        }
+        .try_build()
+        .expect("the reference configuration is valid")
     }
 
     /// Number of planes.
@@ -652,31 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_customization() {
-        let c = ConstellationBuilder::new()
-            .planes(3)
-            .satellites_per_plane(5)
-            .spares_per_plane(0)
-            .build();
+    fn walker_customization() {
+        let c = WalkerConfig {
+            planes: 3,
+            satellites_per_plane: 5,
+            spares_per_plane: 0,
+            ..Preset::Kepler.config()
+        }
+        .try_build()
+        .unwrap();
         assert_eq!(c.total_active(), 15);
         assert_eq!(c.total_with_spares(), 15);
-    }
-
-    #[test]
-    fn builder_matches_walker_star_bitwise() {
-        let b = ConstellationBuilder::new();
-        let legacy = b.build();
-        let walker = b.walker_config().try_build().unwrap();
-        assert_eq!(legacy.num_planes(), walker.num_planes());
-        for p in 0..legacy.num_planes() {
-            let (l, w) = (legacy.plane(p), walker.plane(p));
-            assert_eq!(l.orbit().raan().value(), w.orbit().raan().value());
-            assert_eq!(
-                l.satellite_phase(0).value(),
-                w.satellite_phase(0).value(),
-                "phase reference differs on plane {p}"
-            );
-        }
     }
 
     #[test]
@@ -786,12 +665,6 @@ mod tests {
             max: 180.0,
         };
         assert!(err.to_string().contains("inclination"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid constellation")]
-    fn builder_panics_on_zero_planes() {
-        let _ = ConstellationBuilder::new().planes(0).build();
     }
 
     #[test]
