@@ -5,19 +5,18 @@
 //! quadrature (where it would silently poison every integral) or the CTMC
 //! solver (where it would panic deep in a model assertion).
 //!
-//! Every sweep also has a `*_par` sibling that fans the (embarrassingly
-//! parallel) grid out over the [`oaq_exec`] deterministic executor. Each
+//! Every sweep fans its (embarrassingly parallel) grid out over the
+//! [`oaq_exec`] deterministic executor and takes `impl Into<`[`Executor`]`>`,
+//! so a bare worker count works (`1` is the plain serial loop) while the
+//! bench binaries thread an explicit `--chunk` granularity through. Each
 //! grid point's solve is independent and deterministic, and results are
-//! written into index-addressed slots, so the parallel output is
-//! **bit-identical and identically ordered** to the serial path —
-//! parallelism is purely a wall-clock lever. The `*_par` entry points
-//! accept `impl Into<`[`Fanout`]`>`, so a bare worker count keeps working
-//! while the bench binaries can thread an explicit `--chunk` granularity
-//! through.
+//! written into index-addressed slots, so the output is **bit-identical
+//! and identically ordered** for every worker count and chunk size —
+//! parallelism is purely a wall-clock lever.
 
 use oaq_san::ctmc::CtmcError;
 
-pub use oaq_exec::Fanout;
+use oaq_exec::Executor;
 
 use crate::capacity::CapacityParams;
 use crate::compose::{EvaluationConfig, Scheme};
@@ -72,37 +71,18 @@ fn check_axis(name: &'static str, values: &[f64]) -> Result<(), ParamError> {
     Ok(())
 }
 
-/// Resolves a worker-count request: `0` means one worker per available
-/// core, anything else is taken literally.
-#[must_use]
-pub fn effective_sweep_workers(workers: usize) -> usize {
-    oaq_exec::effective_workers(workers)
-}
-
-/// Maps `f` over `items` on the [`oaq_exec`] executor (one worker runs
-/// the plain serial loop). Results land in index-addressed slots, so
-/// ordering — and, because every `f` is deterministic and independent,
-/// every bit of the output — matches the serial path. On failure the
-/// error with the smallest index is returned, again matching serial
-/// short-circuiting.
-fn sweep_map<T, U, F>(items: &[T], fanout: Fanout, f: F) -> Result<Vec<U>, SweepError>
+/// Maps `f` over `items` on `exec` (one worker runs the plain serial
+/// loop). Results land in index-addressed slots, so ordering — and,
+/// because every `f` is deterministic and independent, every bit of the
+/// output — is the same for any worker count. On failure the error with
+/// the smallest index is returned, as a serial loop would.
+fn sweep_map<T, U, F>(items: &[T], exec: Executor, f: F) -> Result<Vec<U>, SweepError>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> Result<U, SweepError> + Sync,
 {
-    let workers = effective_sweep_workers(fanout.workers).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    Fanout {
-        workers,
-        chunk: fanout.chunk,
-    }
-    .executor()
-    .map_indexed(items, |item| f(item))
-    .into_iter()
-    .collect()
+    exec.map_indexed(items, f).into_iter().collect()
 }
 
 /// One row of a Figure 7 sweep: `P(K = k)` at a failure rate λ.
@@ -140,26 +120,16 @@ pub fn paper_lambda_grid() -> Vec<f64> {
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn figure7(lambdas: &[f64], phi: f64, eta: u32) -> Result<Vec<CapacityRow>, SweepError> {
-    figure7_par(lambdas, phi, eta, 1)
-}
-
-/// [`figure7`] fanned out over the deterministic executor (`0` workers = all cores);
-/// output is bit-identical and identically ordered to the serial path.
-///
-/// # Errors
-///
-/// As [`figure7`].
-pub fn figure7_par(
+pub fn figure7(
     lambdas: &[f64],
     phi: f64,
     eta: u32,
-    fanout: impl Into<Fanout>,
+    exec: impl Into<Executor>,
 ) -> Result<Vec<CapacityRow>, SweepError> {
     check_axis("lambda", lambdas)?;
     require_positive("phi", phi)?;
     require_int_in_range("eta", eta, 1, 13)?;
-    sweep_map(lambdas, fanout.into(), |&lambda| {
+    sweep_map(lambdas, exec.into(), |&lambda| {
         Ok(CapacityRow {
             lambda,
             p_k: CapacityParams::reference(lambda, phi, eta).distribution()?,
@@ -174,25 +144,15 @@ pub fn figure7_par(
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn figure8(scheme: Scheme, mu: f64, lambdas: &[f64]) -> Result<Vec<QosRow>, SweepError> {
-    figure8_par(scheme, mu, lambdas, 1)
-}
-
-/// [`figure8`] fanned out over the deterministic executor (`0` workers = all cores);
-/// output is bit-identical and identically ordered to the serial path.
-///
-/// # Errors
-///
-/// As [`figure8`].
-pub fn figure8_par(
+pub fn figure8(
     scheme: Scheme,
     mu: f64,
     lambdas: &[f64],
-    fanout: impl Into<Fanout>,
+    exec: impl Into<Executor>,
 ) -> Result<Vec<QosRow>, SweepError> {
     require_positive("mu", mu)?;
     check_axis("lambda", lambdas)?;
-    sweep_map(lambdas, fanout.into(), |&lambda| {
+    sweep_map(lambdas, exec.into(), |&lambda| {
         let cfg = EvaluationConfig {
             theta: 90.0,
             tc: 9.0,
@@ -215,23 +175,13 @@ pub fn figure8_par(
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn figure9(scheme: Scheme, lambdas: &[f64]) -> Result<Vec<QosRow>, SweepError> {
-    figure9_par(scheme, lambdas, 1)
-}
-
-/// [`figure9`] fanned out over the deterministic executor (`0` workers = all cores);
-/// output is bit-identical and identically ordered to the serial path.
-///
-/// # Errors
-///
-/// As [`figure9`].
-pub fn figure9_par(
+pub fn figure9(
     scheme: Scheme,
     lambdas: &[f64],
-    fanout: impl Into<Fanout>,
+    exec: impl Into<Executor>,
 ) -> Result<Vec<QosRow>, SweepError> {
     check_axis("lambda", lambdas)?;
-    sweep_map(lambdas, fanout.into(), |&lambda| {
+    sweep_map(lambdas, exec.into(), |&lambda| {
         let d = EvaluationConfig::paper_defaults(lambda).qos_distribution(scheme)?;
         Ok(QosRow {
             x: lambda,
@@ -249,26 +199,15 @@ pub fn figure9_par(
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn tau_sweep(scheme: Scheme, lambda: f64, taus: &[f64]) -> Result<Vec<QosRow>, SweepError> {
-    tau_sweep_par(scheme, lambda, taus, 1)
-}
-
-/// [`tau_sweep`] fanned out over the deterministic executor (`0` workers =
-/// all cores); output is bit-identical and identically ordered to the
-/// serial path.
-///
-/// # Errors
-///
-/// As [`tau_sweep`].
-pub fn tau_sweep_par(
+pub fn tau_sweep(
     scheme: Scheme,
     lambda: f64,
     taus: &[f64],
-    fanout: impl Into<Fanout>,
+    exec: impl Into<Executor>,
 ) -> Result<Vec<QosRow>, SweepError> {
     require_positive("lambda", lambda)?;
     check_axis("tau", taus)?;
-    sweep_map(taus, fanout.into(), |&tau| {
+    sweep_map(taus, exec.into(), |&tau| {
         let mut cfg = EvaluationConfig::paper_defaults(lambda);
         cfg.qos.tau = tau;
         let d = cfg.qos_distribution(scheme)?;
@@ -292,26 +231,11 @@ pub fn duration_sweep(
     scheme: Scheme,
     lambda: f64,
     mean_durations: &[f64],
-) -> Result<Vec<QosRow>, SweepError> {
-    duration_sweep_par(scheme, lambda, mean_durations, 1)
-}
-
-/// [`duration_sweep`] fanned out over the deterministic executor (`0` workers =
-/// all cores); output is bit-identical and identically ordered to the
-/// serial path.
-///
-/// # Errors
-///
-/// As [`duration_sweep`].
-pub fn duration_sweep_par(
-    scheme: Scheme,
-    lambda: f64,
-    mean_durations: &[f64],
-    fanout: impl Into<Fanout>,
+    exec: impl Into<Executor>,
 ) -> Result<Vec<QosRow>, SweepError> {
     require_positive("lambda", lambda)?;
     check_axis("mean_duration", mean_durations)?;
-    sweep_map(mean_durations, fanout.into(), |&dur| {
+    sweep_map(mean_durations, exec.into(), |&dur| {
         let mut cfg = EvaluationConfig::paper_defaults(lambda);
         cfg.qos.mu = 1.0 / dur;
         let d = cfg.qos_distribution(scheme)?;
@@ -338,7 +262,7 @@ mod tests {
 
     #[test]
     fn figure7_rows_are_distributions() {
-        let rows = figure7(&[1e-5, 1e-4], 30_000.0, 10).unwrap();
+        let rows = figure7(&[1e-5, 1e-4], 30_000.0, 10, 1).unwrap();
         for row in rows {
             let total: f64 = row.p_k.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "λ = {}", row.lambda);
@@ -350,10 +274,10 @@ mod tests {
         // Paper: µ 0.5 → 0.2 raises OAQ's P(Y = 3) by up to 38%, and BAQ is
         // insensitive.
         let grid = [1e-5, 5e-5, 1e-4];
-        let oaq_02 = figure8(Scheme::Oaq, 0.2, &grid).unwrap();
-        let oaq_05 = figure8(Scheme::Oaq, 0.5, &grid).unwrap();
-        let baq_02 = figure8(Scheme::Baq, 0.2, &grid).unwrap();
-        let baq_05 = figure8(Scheme::Baq, 0.5, &grid).unwrap();
+        let oaq_02 = figure8(Scheme::Oaq, 0.2, &grid, 1).unwrap();
+        let oaq_05 = figure8(Scheme::Oaq, 0.5, &grid, 1).unwrap();
+        let baq_02 = figure8(Scheme::Baq, 0.2, &grid, 1).unwrap();
+        let baq_05 = figure8(Scheme::Baq, 0.5, &grid, 1).unwrap();
         let mut max_gain: f64 = 0.0;
         for i in 0..grid.len() {
             assert!(oaq_02[i].p_ge_3 > oaq_05[i].p_ge_3);
@@ -369,7 +293,7 @@ mod tests {
 
     #[test]
     fn tau_sweep_is_monotone_for_oaq() {
-        let rows = tau_sweep(Scheme::Oaq, 5e-5, &[1.0, 2.0, 4.0, 6.0, 8.0]).unwrap();
+        let rows = tau_sweep(Scheme::Oaq, 5e-5, &[1.0, 2.0, 4.0, 6.0, 8.0], 1).unwrap();
         for w in rows.windows(2) {
             assert!(w[1].p_ge_2 >= w[0].p_ge_2 - 1e-12);
         }
@@ -379,39 +303,39 @@ mod tests {
     fn sweeps_reject_poisoned_inputs_with_typed_errors() {
         // NaN λ must never reach the quadrature.
         assert!(matches!(
-            figure9(Scheme::Oaq, &[1e-5, f64::NAN]),
+            figure9(Scheme::Oaq, &[1e-5, f64::NAN], 1),
             Err(SweepError::Param(ParamError::NonFinite {
                 name: "lambda",
                 ..
             }))
         ));
         assert!(matches!(
-            figure7(&[1e-5], -1.0, 10),
+            figure7(&[1e-5], -1.0, 10, 1),
             Err(SweepError::Param(ParamError::NonPositive {
                 name: "phi",
                 ..
             }))
         ));
         assert!(matches!(
-            figure7(&[1e-5], 30_000.0, 14),
+            figure7(&[1e-5], 30_000.0, 14, 1),
             Err(SweepError::Param(ParamError::IntOutOfRange {
                 name: "eta",
                 ..
             }))
         ));
         assert!(matches!(
-            figure8(Scheme::Baq, f64::INFINITY, &[1e-5]),
+            figure8(Scheme::Baq, f64::INFINITY, &[1e-5], 1),
             Err(SweepError::Param(ParamError::NonFinite { name: "mu", .. }))
         ));
         assert!(matches!(
-            tau_sweep(Scheme::Oaq, 1e-5, &[5.0, 0.0]),
+            tau_sweep(Scheme::Oaq, 1e-5, &[5.0, 0.0], 1),
             Err(SweepError::Param(ParamError::NonPositive {
                 name: "tau",
                 ..
             }))
         ));
         assert!(matches!(
-            duration_sweep(Scheme::Oaq, -1e-5, &[5.0]),
+            duration_sweep(Scheme::Oaq, -1e-5, &[5.0], 1),
             Err(SweepError::Param(ParamError::NonPositive { .. }))
         ));
     }
@@ -421,30 +345,21 @@ mod tests {
         let grid = paper_lambda_grid();
         for workers in [2, 4, 8, 0] {
             assert_eq!(
-                figure7_par(&grid, 30_000.0, 10, workers).unwrap(),
-                figure7(&grid, 30_000.0, 10).unwrap(),
+                figure7(&grid, 30_000.0, 10, workers).unwrap(),
+                figure7(&grid, 30_000.0, 10, 1).unwrap(),
                 "workers = {workers}"
             );
         }
         // An explicit chunk override changes only the executor's task
         // slicing, never the output.
         assert_eq!(
-            figure7_par(
-                &grid,
-                30_000.0,
-                10,
-                Fanout {
-                    workers: 3,
-                    chunk: Some(2),
-                },
-            )
-            .unwrap(),
-            figure7(&grid, 30_000.0, 10).unwrap(),
+            figure7(&grid, 30_000.0, 10, Executor::new(3).with_chunk(Some(2))).unwrap(),
+            figure7(&grid, 30_000.0, 10, 1).unwrap(),
         );
         let taus = [1.0, 3.0, 5.0, 8.0];
         assert_eq!(
-            tau_sweep_par(Scheme::Oaq, 5e-5, &taus, 3).unwrap(),
-            tau_sweep(Scheme::Oaq, 5e-5, &taus).unwrap()
+            tau_sweep(Scheme::Oaq, 5e-5, &taus, 3).unwrap(),
+            tau_sweep(Scheme::Oaq, 5e-5, &taus, 1).unwrap()
         );
     }
 
@@ -452,23 +367,17 @@ mod tests {
     fn parallel_sweep_error_parity_with_serial() {
         // Poisoned points: the parallel path must report exactly the error
         // the serial path reports.
-        let serial = figure9(Scheme::Oaq, &[1e-5, f64::NAN, -1.0]).unwrap_err();
-        let parallel = figure9_par(Scheme::Oaq, &[1e-5, f64::NAN, -1.0], 3).unwrap_err();
+        let serial = figure9(Scheme::Oaq, &[1e-5, f64::NAN, -1.0], 1).unwrap_err();
+        let parallel = figure9(Scheme::Oaq, &[1e-5, f64::NAN, -1.0], 3).unwrap_err();
         // NaN payloads defeat PartialEq; the rendered error is the contract.
         assert_eq!(parallel.to_string(), serial.to_string());
     }
 
     #[test]
-    fn effective_workers_resolves_zero_to_cores() {
-        assert!(effective_sweep_workers(0) >= 1);
-        assert_eq!(effective_sweep_workers(3), 3);
-    }
-
-    #[test]
     fn duration_sweep_grows_oaq_gain() {
         let durations = [1.0, 2.0, 5.0, 10.0, 20.0];
-        let oaq = duration_sweep(Scheme::Oaq, 5e-5, &durations).unwrap();
-        let baq = duration_sweep(Scheme::Baq, 5e-5, &durations).unwrap();
+        let oaq = duration_sweep(Scheme::Oaq, 5e-5, &durations, 1).unwrap();
+        let baq = duration_sweep(Scheme::Baq, 5e-5, &durations, 1).unwrap();
         let gain_short = oaq[0].p_ge_2 - baq[0].p_ge_2;
         let gain_long = oaq[4].p_ge_2 - baq[4].p_ge_2;
         assert!(

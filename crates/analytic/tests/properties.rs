@@ -2,7 +2,7 @@
 
 use oaq_analytic::geometry::PlaneGeometry;
 use oaq_analytic::qos::{conditional_qos, g2_oaq, g3_baq, g3_oaq, QosParams, Scheme};
-use oaq_analytic::sweep::{figure9, figure9_par, tau_sweep, tau_sweep_par};
+use oaq_analytic::sweep::{figure9, tau_sweep};
 use proptest::prelude::*;
 
 fn params() -> impl Strategy<Value = QosParams> {
@@ -73,10 +73,10 @@ proptest! {
         lambdas in prop::collection::vec(1e-6f64..1e-4, 1..6),
         workers in 1usize..5,
     ) {
-        // The scoped-pool fan-out must return rows bit-identical to the
-        // serial sweep, in the same order, for any grid and worker count.
-        let serial = figure9(Scheme::Oaq, &lambdas).unwrap();
-        let parallel = figure9_par(Scheme::Oaq, &lambdas, workers).unwrap();
+        // The executor fan-out must return rows bit-identical to the
+        // one-worker sweep, in the same order, for any grid and worker count.
+        let serial = figure9(Scheme::Oaq, &lambdas, 1).unwrap();
+        let parallel = figure9(Scheme::Oaq, &lambdas, workers).unwrap();
         prop_assert_eq!(parallel, serial);
     }
 
@@ -85,8 +85,8 @@ proptest! {
         taus in prop::collection::vec(0.5f64..8.0, 1..5),
         workers in 1usize..5,
     ) {
-        let serial = tau_sweep(Scheme::Baq, 5e-5, &taus).unwrap();
-        let parallel = tau_sweep_par(Scheme::Baq, 5e-5, &taus, workers).unwrap();
+        let serial = tau_sweep(Scheme::Baq, 5e-5, &taus, 1).unwrap();
+        let parallel = tau_sweep(Scheme::Baq, 5e-5, &taus, workers).unwrap();
         prop_assert_eq!(parallel, serial);
     }
 

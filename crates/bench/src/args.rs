@@ -11,6 +11,8 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use oaq_exec::Executor;
+
 /// A declared flag set for one binary.
 #[derive(Debug, Clone)]
 pub struct CliSpec {
@@ -271,6 +273,18 @@ impl CliArgs {
             assert!(chunk > 0, "bad value for {name}: {v} (must be positive)");
             chunk
         })
+    }
+
+    /// The fan-out the `--workers` (`0` = one per core) and `--chunk`
+    /// flags describe, with `default_workers` when `--workers` is absent.
+    ///
+    /// # Panics
+    ///
+    /// As [`CliArgs::get_usize`] and [`CliArgs::get_chunk`].
+    #[must_use]
+    pub fn executor(&self, default_workers: usize) -> Executor {
+        Executor::new(self.get_usize("--workers", default_workers))
+            .with_chunk(self.get_chunk("--chunk"))
     }
 }
 

@@ -5,7 +5,7 @@
 //! Both solution paths are printed: the exact regeneration-cycle integral
 //! and the SAN long-run simulation with the true deterministic clock.
 
-use oaq_analytic::sweep::{figure7_par, paper_lambda_grid, Fanout};
+use oaq_analytic::sweep::{figure7, paper_lambda_grid};
 use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 use oaq_san::plane::PlaneModelConfig;
@@ -24,10 +24,7 @@ fn main() {
         .parse();
     let quick = cli.has("--quick");
     let seed = cli.get_u64("--seed", 7);
-    let fanout = Fanout {
-        workers: cli.get_usize("--workers", 0),
-        chunk: cli.get_chunk("--chunk"),
-    };
+    let exec = cli.executor(0);
     let (warmup, horizon) = if quick {
         (30_000.0, 900_000.0)
     } else {
@@ -39,7 +36,7 @@ fn main() {
     tsv_header(&[
         "lambda", "P(9)", "P(10)", "P(11)", "P(12)", "P(13)", "P(14)",
     ]);
-    for row in figure7_par(&grid, 30_000.0, 10, fanout).expect("capacity model solves") {
+    for row in figure7(&grid, 30_000.0, 10, exec).expect("capacity model solves") {
         tsv_row(row.lambda, &row.p_k[9..=14]);
     }
 

@@ -2,7 +2,7 @@
 //! BAQ at µ ∈ {0.2, 0.5} (τ = 5, ν = 30, η = 12, φ = 30000 h).
 
 use oaq_analytic::compose::Scheme;
-use oaq_analytic::sweep::{figure8_par, paper_lambda_grid, Fanout};
+use oaq_analytic::sweep::{figure8, paper_lambda_grid};
 use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
@@ -15,10 +15,7 @@ fn main() {
             "grid points per work chunk (default: adaptive)",
         )
         .parse();
-    let fanout = Fanout {
-        workers: cli.get_usize("--workers", 0),
-        chunk: cli.get_chunk("--chunk"),
-    };
+    let exec = cli.executor(0);
     let grid = paper_lambda_grid();
     banner("Figure 8: P(Y=3) vs lambda (tau=5, eta=12, phi=30000h)");
     tsv_header(&[
@@ -28,10 +25,10 @@ fn main() {
         "BAQ(mu=0.2)",
         "BAQ(mu=0.5)",
     ]);
-    let oaq02 = figure8_par(Scheme::Oaq, 0.2, &grid, fanout).expect("solves");
-    let oaq05 = figure8_par(Scheme::Oaq, 0.5, &grid, fanout).expect("solves");
-    let baq02 = figure8_par(Scheme::Baq, 0.2, &grid, fanout).expect("solves");
-    let baq05 = figure8_par(Scheme::Baq, 0.5, &grid, fanout).expect("solves");
+    let oaq02 = figure8(Scheme::Oaq, 0.2, &grid, exec).expect("solves");
+    let oaq05 = figure8(Scheme::Oaq, 0.5, &grid, exec).expect("solves");
+    let baq02 = figure8(Scheme::Baq, 0.2, &grid, exec).expect("solves");
+    let baq05 = figure8(Scheme::Baq, 0.5, &grid, exec).expect("solves");
     let mut max_gain: f64 = 0.0;
     for i in 0..grid.len() {
         tsv_row(

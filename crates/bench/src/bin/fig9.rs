@@ -2,7 +2,7 @@
 //! as a function of λ (τ = 5, µ = 0.2, η = 10, φ = 30000 h).
 
 use oaq_analytic::compose::Scheme;
-use oaq_analytic::sweep::{figure9_par, paper_lambda_grid, Fanout};
+use oaq_analytic::sweep::{figure9, paper_lambda_grid};
 use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
@@ -15,17 +15,14 @@ fn main() {
             "grid points per work chunk (default: adaptive)",
         )
         .parse();
-    let fanout = Fanout {
-        workers: cli.get_usize("--workers", 0),
-        chunk: cli.get_chunk("--chunk"),
-    };
+    let exec = cli.executor(0);
     let grid = paper_lambda_grid();
     banner("Figure 9: P(Y>=y) vs lambda (tau=5, mu=0.2, eta=10, phi=30000h)");
     tsv_header(&[
         "lambda", "OAQ:y=1", "OAQ:y=2", "OAQ:y=3", "BAQ:y=1", "BAQ:y=2", "BAQ:y=3",
     ]);
-    let oaq = figure9_par(Scheme::Oaq, &grid, fanout).expect("solves");
-    let baq = figure9_par(Scheme::Baq, &grid, fanout).expect("solves");
+    let oaq = figure9(Scheme::Oaq, &grid, exec).expect("solves");
+    let baq = figure9(Scheme::Baq, &grid, exec).expect("solves");
     for i in 0..grid.len() {
         tsv_row(
             grid[i],

@@ -80,7 +80,7 @@ fn main() {
     // round long enough to amortize scheduler noise; `--quick` shortens
     // the batch axis (drops 1024), not the measurement quality.
     let (rounds, reps) = (5, 10);
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = oaq_exec::effective_workers(0);
 
     let mut failure = false;
 
@@ -137,10 +137,7 @@ fn main() {
     let solver = WlsSolver::new();
     let mut exec_rows = Vec::new();
     for &w in &[1usize, 2, 4, 8] {
-        let mut exec = Executor::new(w);
-        if let Some(c) = chunk {
-            exec = exec.with_chunk(c);
-        }
+        let exec = Executor::new(w).with_chunk(chunk);
         let run = || exec.map_indexed(&tracks, |t| solver.solve_obs(&t.observations, t.x0));
         let fanned = run();
         let identical = results_identical(&fanned, &serial);

@@ -30,7 +30,8 @@ use oaq_bench::campaign::{
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::measure;
 use oaq_core::config::{ProtocolConfig, Scheme};
-use oaq_core::experiment::{estimate_conditional_qos_fanout, MonteCarloOptions};
+use oaq_core::experiment::{estimate_conditional_qos_par, MonteCarloOptions};
+use oaq_exec::Executor;
 use oaq_sim::par::Replicator;
 
 fn main() {
@@ -48,11 +49,11 @@ fn main() {
     let seed = cli.get_u64("--seed", 1515);
     let episodes = cli.get_u64("--episodes", if quick { 300 } else { 2000 });
     let chunk = cli.get_chunk("--chunk");
-    let resolved_chunk = Replicator::new(1)
-        .with_chunk_override(chunk)
-        .resolved_chunk(episodes);
+    // Every run pins the same chunk override; only the worker count varies.
+    let on = |workers: usize| Executor::new(workers).with_chunk(chunk);
+    let resolved_chunk = Replicator::new(on(1)).resolved_chunk(episodes);
     let rounds = if quick { 1 } else { 3 };
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = oaq_exec::effective_workers(0);
 
     let mut divergence = false;
 
@@ -62,7 +63,7 @@ fn main() {
         node_failure_rate: 0.25,
         retry_budget: 1,
     };
-    let reference = run_cell_fanout(&spec, episodes, seed, 1, chunk);
+    let reference = run_cell_fanout(&spec, episodes, seed, on(1));
     let baseline = run_cell_traced_baseline(&spec, episodes, seed);
     if reference != baseline {
         eprintln!("# DIVERGENCE: fast path disagrees with the traced baseline");
@@ -72,9 +73,8 @@ fn main() {
         run_cell_traced_baseline(&spec, episodes, seed)
     });
     // Timed once: the 1-worker row of the curve below is this same call.
-    let fastpath_secs = measure::per_call(rounds, 1, || {
-        run_cell_fanout(&spec, episodes, seed, 1, chunk)
-    });
+    let fastpath_secs =
+        measure::per_call(rounds, 1, || run_cell_fanout(&spec, episodes, seed, on(1)));
     eprintln!(
         "# campaign_cell ({episodes} episodes): traced {:.1} ms, fastpath {:.1} ms, {:.2}x",
         traced_secs * 1e3,
@@ -86,7 +86,7 @@ fn main() {
     let curve: Vec<(usize, f64, bool)> = worker_counts
         .iter()
         .map(|&w| {
-            let out = run_cell_fanout(&spec, episodes, seed, w, chunk);
+            let out = run_cell_fanout(&spec, episodes, seed, on(w));
             let identical = out == reference;
             if !identical {
                 eprintln!("# DIVERGENCE: {w} workers disagree with the serial cell");
@@ -94,9 +94,7 @@ fn main() {
             let secs = if w == 1 {
                 fastpath_secs
             } else {
-                measure::per_call(rounds, 1, || {
-                    run_cell_fanout(&spec, episodes, seed, w, chunk)
-                })
+                measure::per_call(rounds, 1, || run_cell_fanout(&spec, episodes, seed, on(w)))
             };
             eprintln!(
                 "#   {w} workers: {:.1} ms, {:.2}x vs serial, identical={identical}",
@@ -115,20 +113,20 @@ fn main() {
         mu: 0.5,
         seed,
     };
-    let qos_serial = estimate_conditional_qos_fanout(&cfg, &opts, 1, chunk);
+    let qos_serial = estimate_conditional_qos_par(&cfg, &opts, on(1));
     let qos_serial_secs = measure::per_call(rounds, 1, || {
-        estimate_conditional_qos_fanout(&cfg, &opts, 1, chunk)
+        estimate_conditional_qos_par(&cfg, &opts, on(1))
     });
     let qos_curve: Vec<(usize, f64, bool)> = [2usize, 4]
         .iter()
         .map(|&w| {
-            let est = estimate_conditional_qos_fanout(&cfg, &opts, w, chunk);
+            let est = estimate_conditional_qos_par(&cfg, &opts, on(w));
             let identical = est == qos_serial;
             if !identical {
                 eprintln!("# DIVERGENCE: QoS estimate with {w} workers differs from serial");
             }
             let secs = measure::per_call(rounds, 1, || {
-                estimate_conditional_qos_fanout(&cfg, &opts, w, chunk)
+                estimate_conditional_qos_par(&cfg, &opts, on(w))
             });
             (w, secs, identical)
         })
@@ -158,17 +156,17 @@ fn main() {
         },
     ];
     let grid_episodes = episodes / 2;
-    let grid = run_grid_fanout(&grid_specs, grid_episodes, seed, 2, chunk);
+    let grid = run_grid_fanout(&grid_specs, grid_episodes, seed, on(2));
     let grid_identical = grid
         .iter()
         .zip(&grid_specs)
-        .all(|(cell, s)| *cell == run_cell_fanout(s, grid_episodes, seed, 1, chunk));
+        .all(|(cell, s)| *cell == run_cell_fanout(s, grid_episodes, seed, on(1)));
     if !grid_identical {
         eprintln!("# DIVERGENCE: grid fan-out disagrees with per-cell runs");
         divergence = true;
     }
     let grid_secs = measure::per_call(rounds, 1, || {
-        run_grid_fanout(&grid_specs, grid_episodes, seed, 2, chunk)
+        run_grid_fanout(&grid_specs, grid_episodes, seed, on(2))
     });
     eprintln!(
         "# grid ({} cells x {grid_episodes} episodes, 2 workers): {:.1} ms, identical={grid_identical}",

@@ -34,7 +34,8 @@ use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::measure;
 use oaq_bench::recruit::run_membership;
 use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
-use oaq_core::experiment::{estimate_conditional_qos_stressed, MonteCarloOptions};
+use oaq_core::experiment::{estimate_conditional_qos_par, MonteCarloOptions};
+use oaq_exec::Executor;
 use oaq_net::topology::BfsScratch;
 use oaq_net::{LinkEvent, NodeId, Topology, TopologySchedule};
 use oaq_orbit::{cross_plane_outages, Degrees, Preset};
@@ -63,7 +64,7 @@ fn main() {
     let episodes = cli.get_u64("--episodes", if quick { 1000 } else { 2000 });
     let chunk = cli.get_chunk("--chunk");
     let reps = if quick { 3 } else { 5 };
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = oaq_exec::effective_workers(0);
 
     let mut miss = false;
 
@@ -108,8 +109,8 @@ fn main() {
     mem_cfg.membership = Some(MembershipHints::default());
     let mem_episodes = episodes / 2;
 
-    let qos_ref = estimate_conditional_qos_stressed(&qos_cfg, &qos_opts, 1, None, false);
-    let mem_ref = run_membership(&mem_cfg, mem_episodes, seed, 1, None, false);
+    let qos_ref = estimate_conditional_qos_par(&qos_cfg, &qos_opts, 1);
+    let mem_ref = run_membership(&mem_cfg, mem_episodes, seed, 1);
 
     let mut configs = 0u32;
     let (mut campaign_ok, mut qos_ok, mut mem_ok) = (true, true, true);
@@ -117,27 +118,23 @@ fn main() {
         for &chunk_cfg in &[None, Some(16u64), chunk.or(Some(7))] {
             for &forced in &[false, true] {
                 configs += 1;
-                let scen = Scenario::new(&base, workers)
+                let exec = Executor::new(workers)
                     .with_chunk(chunk_cfg)
                     .with_forced_steals(forced);
+                let scen = Scenario::new(&base, exec);
                 if run_cell_scenario(&scen, &spec, episodes, seed) != reference {
                     eprintln!(
                         "# DIVERGENCE campaign: workers={workers} chunk={chunk_cfg:?} forced={forced}"
                     );
                     campaign_ok = false;
                 }
-                if estimate_conditional_qos_stressed(
-                    &qos_cfg, &qos_opts, workers, chunk_cfg, forced,
-                ) != qos_ref
-                {
+                if estimate_conditional_qos_par(&qos_cfg, &qos_opts, exec) != qos_ref {
                     eprintln!(
                         "# DIVERGENCE qos: workers={workers} chunk={chunk_cfg:?} forced={forced}"
                     );
                     qos_ok = false;
                 }
-                if run_membership(&mem_cfg, mem_episodes, seed, workers, chunk_cfg, forced)
-                    != mem_ref
-                {
+                if run_membership(&mem_cfg, mem_episodes, seed, exec) != mem_ref {
                     eprintln!(
                         "# DIVERGENCE membership: workers={workers} chunk={chunk_cfg:?} forced={forced}"
                     );

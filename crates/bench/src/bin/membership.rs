@@ -28,8 +28,7 @@ fn main() {
         )
         .parse();
     let episodes = cli.get_u64("--episodes", 20_000);
-    let workers = cli.get_usize("--workers", 0);
-    let chunk = cli.get_chunk("--chunk");
+    let exec = cli.executor(0);
 
     banner("Membership service: group-wide detection latency (ring planes)");
     tsv_header(&["n", "analytic_bound_min", "measured_min", "messages"]);
@@ -58,7 +57,7 @@ fn main() {
     let base_seed = 42u64;
     tsv_header(&["variant", "P(Y>=2)", "P(missed)", "mean_msgs"]);
     for (label, cfg) in [("plain", &plain), ("assisted", &assisted)] {
-        let sink = run_membership(cfg, episodes, base_seed, workers, chunk, false);
+        let sink = run_membership(cfg, episodes, base_seed, exec);
         println!(
             "{label}\t{:.4}\t{:.4}\t{:.2}",
             sink.seq as f64 / episodes as f64,

@@ -3,7 +3,7 @@
 //! opportunity to achieve better geolocation quality".
 
 use oaq_analytic::compose::Scheme;
-use oaq_analytic::sweep::{duration_sweep_par, Fanout};
+use oaq_analytic::sweep::duration_sweep;
 use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
@@ -16,16 +16,13 @@ fn main() {
             "grid points per work chunk (default: adaptive)",
         )
         .parse();
-    let fanout = Fanout {
-        workers: cli.get_usize("--workers", 0),
-        chunk: cli.get_chunk("--chunk"),
-    };
+    let exec = cli.executor(0);
     let durations = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0];
     let lambda = 5e-5;
     banner("QoS vs mean signal duration 1/mu (lambda=5e-5, tau=5, eta=10)");
     tsv_header(&["mean_dur", "OAQ:y>=2", "OAQ:y=3", "BAQ:y>=2", "BAQ:y=3"]);
-    let oaq = duration_sweep_par(Scheme::Oaq, lambda, &durations, fanout).expect("solves");
-    let baq = duration_sweep_par(Scheme::Baq, lambda, &durations, fanout).expect("solves");
+    let oaq = duration_sweep(Scheme::Oaq, lambda, &durations, exec).expect("solves");
+    let baq = duration_sweep(Scheme::Baq, lambda, &durations, exec).expect("solves");
     for i in 0..durations.len() {
         tsv_row(
             durations[i],

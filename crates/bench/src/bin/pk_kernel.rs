@@ -23,9 +23,7 @@
 //! Usage: `pk_kernel [--quick] [--panels N] [--workers N]`
 
 use oaq_analytic::capacity::CapacityParams;
-use oaq_analytic::sweep::{
-    effective_sweep_workers, figure7, figure7_par, paper_lambda_grid, Fanout,
-};
+use oaq_analytic::sweep::{figure7, paper_lambda_grid};
 use oaq_bench::args::CliSpec;
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::{max_abs_diff, measure, scaled_solve};
@@ -78,11 +76,7 @@ fn main() {
         .parse();
     let quick = cli.has("--quick");
     let panels = cli.get_usize("--panels", 256);
-    let workers = cli.get_usize("--workers", 0);
-    let fanout = Fanout {
-        workers,
-        chunk: cli.get_chunk("--chunk"),
-    };
+    let exec = cli.executor(0);
     // Timing rounds × calls per round.
     let timing = if quick { (3, 1) } else { (5, 2) };
 
@@ -131,19 +125,18 @@ fn main() {
 
     // 3. The sweep layer fan-out on the paper's Figure 7 grid.
     let grid = paper_lambda_grid();
-    let serial_rows = figure7(&grid, PHI, ETA).expect("serial sweep");
-    let parallel_rows = figure7_par(&grid, PHI, ETA, fanout).expect("parallel sweep");
+    let serial_rows = figure7(&grid, PHI, ETA, 1).expect("serial sweep");
+    let parallel_rows = figure7(&grid, PHI, ETA, exec).expect("parallel sweep");
     let sweep_identical = serial_rows == parallel_rows;
     let sweep_rounds = if quick { 1 } else { 3 };
-    let serial_secs = measure::per_call(sweep_rounds, 1, || figure7(&grid, PHI, ETA).unwrap());
-    let parallel_secs = measure::per_call(sweep_rounds, 1, || {
-        figure7_par(&grid, PHI, ETA, fanout).unwrap()
-    });
+    let serial_secs = measure::per_call(sweep_rounds, 1, || figure7(&grid, PHI, ETA, 1).unwrap());
+    let parallel_secs =
+        measure::per_call(sweep_rounds, 1, || figure7(&grid, PHI, ETA, exec).unwrap());
     eprintln!(
         "# parallel_sweep ({} rows, {} workers): serial {:.1} ms, parallel {:.1} ms, {:.1}x, \
          identical={}",
         grid.len(),
-        effective_sweep_workers(workers),
+        exec.effective_workers(),
         serial_secs * 1e3,
         parallel_secs * 1e3,
         serial_secs / parallel_secs,
@@ -202,7 +195,7 @@ fn main() {
         fmt_f64(batch_secs),
         fmt_f64(per_phi_secs / batch_secs),
         grid.len(),
-        effective_sweep_workers(workers),
+        exec.effective_workers(),
         fmt_f64(serial_secs),
         fmt_f64(parallel_secs),
         fmt_f64(serial_secs / parallel_secs),

@@ -37,8 +37,7 @@ fn main() {
     let quick = cli.has("--quick");
     let base_seed = cli.get_u64("--seed", 1515);
     let episodes = cli.get_u64("--episodes", if quick { 100 } else { 1500 });
-    let workers = cli.get_usize("--workers", 1);
-    let chunk = cli.get_chunk("--chunk");
+    let exec = cli.executor(1);
 
     let losses: Vec<LossAxis> = if quick {
         vec![
@@ -90,7 +89,7 @@ fn main() {
             }
         }
     }
-    let cells = run_grid_fanout(&specs, episodes, base_seed, workers, chunk);
+    let cells = run_grid_fanout(&specs, episodes, base_seed, exec);
     for (done, out) in cells.iter().enumerate() {
         eprintln!(
             "#   [{}/{total}] {} fail={} budget={}: \

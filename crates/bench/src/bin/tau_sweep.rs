@@ -2,7 +2,7 @@
 //! better QoS by taking full advantage of the time allowance".
 
 use oaq_analytic::compose::Scheme;
-use oaq_analytic::sweep::{tau_sweep_par, Fanout};
+use oaq_analytic::sweep::tau_sweep;
 use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
@@ -15,16 +15,13 @@ fn main() {
             "grid points per work chunk (default: adaptive)",
         )
         .parse();
-    let fanout = Fanout {
-        workers: cli.get_usize("--workers", 0),
-        chunk: cli.get_chunk("--chunk"),
-    };
+    let exec = cli.executor(0);
     let taus: Vec<f64> = (1..=16).map(|i| 0.5 * f64::from(i)).collect();
     let lambda = 5e-5;
     banner("QoS vs deadline tau (lambda=5e-5, mu=0.2, eta=10)");
     tsv_header(&["tau", "OAQ:y>=2", "OAQ:y=3", "BAQ:y>=2", "BAQ:y=3"]);
-    let oaq = tau_sweep_par(Scheme::Oaq, lambda, &taus, fanout).expect("solves");
-    let baq = tau_sweep_par(Scheme::Baq, lambda, &taus, fanout).expect("solves");
+    let oaq = tau_sweep(Scheme::Oaq, lambda, &taus, exec).expect("solves");
+    let baq = tau_sweep(Scheme::Baq, lambda, &taus, exec).expect("solves");
     for i in 0..taus.len() {
         tsv_row(
             taus[i],

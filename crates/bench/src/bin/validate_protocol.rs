@@ -4,7 +4,7 @@
 //! prints the full comparison table.)
 //!
 //! Parallelism comes from the deterministic replication engine inside
-//! [`estimate_conditional_qos_fanout`]: episodes fan out on counter-based
+//! [`estimate_conditional_qos_par`]: episodes fan out on counter-based
 //! substreams, so every worker count prints the identical table.
 //!
 //! Usage: `validate_protocol [--episodes N] [--workers N]`
@@ -14,7 +14,7 @@ use oaq_analytic::qos::{conditional_qos, QosParams, Scheme as AScheme};
 use oaq_bench::args::CliSpec;
 use oaq_bench::banner;
 use oaq_core::config::{ProtocolConfig, Scheme};
-use oaq_core::experiment::{estimate_conditional_qos_fanout, MonteCarloOptions, QosEstimate};
+use oaq_core::experiment::{estimate_conditional_qos_par, MonteCarloOptions, QosEstimate};
 
 fn main() {
     let cli = CliSpec::new("validate_protocol")
@@ -31,22 +31,20 @@ fn main() {
         )
         .parse();
     let episodes = cli.get_usize("--episodes", 40_000);
-    let workers = cli.get_usize("--workers", 0);
-    let chunk = cli.get_chunk("--chunk");
+    let exec = cli.executor(0);
 
     let mut collected: Vec<QosEstimate> = Vec::new();
     for scheme in [Scheme::Oaq, Scheme::Baq] {
         for mu in [0.2, 0.5] {
             for k in 9..=14u32 {
-                collected.push(estimate_conditional_qos_fanout(
+                collected.push(estimate_conditional_qos_par(
                     &ProtocolConfig::reference(k as usize, scheme),
                     &MonteCarloOptions {
                         episodes,
                         mu,
                         seed: 31 + u64::from(k),
                     },
-                    workers,
-                    chunk,
+                    exec,
                 ));
             }
         }

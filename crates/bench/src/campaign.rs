@@ -18,6 +18,7 @@ use oaq_core::config::{ProtocolConfig, Scheme};
 use oaq_core::protocol::{Episode, EpisodeScratch};
 use oaq_core::qos_level::{EpisodeOutcome, QosLevel};
 use oaq_core::signal::CoverageGeometry;
+use oaq_exec::Executor;
 use oaq_net::GilbertElliott;
 use oaq_orbit::Preset;
 use oaq_sim::par::{Merge, Replicator};
@@ -249,12 +250,11 @@ fn cell_config_from(base: &ProtocolConfig, spec: &CellSpec) -> ProtocolConfig {
     cfg
 }
 
-/// The constellation a campaign runs against plus the scheduler knobs of
-/// one run: a base protocol configuration (each cell's fault mix is
-/// applied on top), an optional explicit coverage geometry for
-/// non-reference constellations (e.g. a Walker/Starlink preset), and the
-/// worker/chunk/steal configuration. [`run_cell_fanout`] is the
-/// reference-plane shorthand for it.
+/// The constellation a campaign runs against plus how its episodes are
+/// spread: a base protocol configuration (each cell's fault mix is applied
+/// on top), an optional explicit coverage geometry for non-reference
+/// constellations (e.g. a Walker/Starlink preset), and the [`Executor`].
+/// [`run_cell_fanout`] is the reference-plane shorthand for it.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario<'a> {
     /// Base protocol configuration (fault-free; cells overlay their mix).
@@ -262,26 +262,20 @@ pub struct Scenario<'a> {
     /// Explicit coverage geometry, `None` = derive from `base` (reference
     /// evenly-spaced plane).
     pub geometry: Option<&'a CoverageGeometry>,
-    /// Worker threads (`0` = one per core).
-    pub workers: usize,
-    /// Episodes per work chunk (`None` = adaptive).
-    pub chunk: Option<u64>,
-    /// Switch on the scheduler's forced-steal stressor (cannot change any
-    /// outcome — that is the contract the invariance tests pin down).
-    pub forced_steals: bool,
+    /// Workers, chunk override and steal stressor; none of them can change
+    /// an outcome — that is the contract the invariance tests pin down.
+    pub exec: Executor,
 }
 
 impl<'a> Scenario<'a> {
-    /// A scenario over `base` with default scheduling (adaptive chunks, no
-    /// forced steals).
+    /// A scenario over `base` fanned out on `exec` (a bare worker count
+    /// converts, `0` = one per core).
     #[must_use]
-    pub fn new(base: &'a ProtocolConfig, workers: usize) -> Self {
+    pub fn new(base: &'a ProtocolConfig, exec: impl Into<Executor>) -> Self {
         Scenario {
             base,
             geometry: None,
-            workers,
-            chunk: None,
-            forced_steals: false,
+            exec: exec.into(),
         }
     }
 
@@ -289,20 +283,6 @@ impl<'a> Scenario<'a> {
     #[must_use]
     pub fn with_geometry(mut self, geometry: &'a CoverageGeometry) -> Self {
         self.geometry = Some(geometry);
-        self
-    }
-
-    /// Overrides the chunk size.
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: Option<u64>) -> Self {
-        self.chunk = chunk;
-        self
-    }
-
-    /// Switches the forced-steal stressor on or off.
-    #[must_use]
-    pub fn with_forced_steals(mut self, forced: bool) -> Self {
-        self.forced_steals = forced;
         self
     }
 }
@@ -522,31 +502,21 @@ fn replay_with(
 
 /// Runs one campaign cell: `episodes` episodes of the reference k = 10
 /// plane under the cell's fault mix, signal births spread over a full
-/// orbit period, durations Exp(0.2), fanned across `workers` threads
-/// (`0` = one per core) in chunks of `chunk` episodes (`None` = adaptive).
+/// orbit period, durations Exp(0.2), fanned out on `exec` (a bare worker
+/// count converts, `0` = one per core).
 ///
 /// Every tally is an integer and the violation list concatenates in
 /// episode order, so the outcome is bit-identical for any worker count
 /// and chunk size — including the one-worker serial path.
-///
-/// # Panics
-///
-/// Panics when `chunk` is `Some(0)`.
 #[must_use]
 pub fn run_cell_fanout(
     spec: &CellSpec,
     episodes: u64,
     base_seed: u64,
-    workers: usize,
-    chunk: Option<u64>,
+    exec: impl Into<Executor>,
 ) -> CellOutcome {
     let base = ProtocolConfig::reference(10, Scheme::Oaq);
-    run_cell_scenario(
-        &Scenario::new(&base, workers).with_chunk(chunk),
-        spec,
-        episodes,
-        base_seed,
-    )
+    run_cell_scenario(&Scenario::new(&base, exec), spec, episodes, base_seed)
 }
 
 /// Runs one campaign cell against an arbitrary [`Scenario`] — any base
@@ -557,7 +527,7 @@ pub fn run_cell_fanout(
 ///
 /// # Panics
 ///
-/// Panics when `scenario.chunk` is `Some(0)` or on an invalid base config.
+/// Panics on an invalid base config.
 #[must_use]
 pub fn run_cell_scenario(
     scenario: &Scenario<'_>,
@@ -571,18 +541,15 @@ pub fn run_cell_scenario(
     // episode-seed scheme predates the replication engine and recorded
     // violation seeds must stay replayable, so episodes re-derive their
     // streams from `episode_seed` (the same mixing function) instead.
-    let sink = Replicator::new(scenario.workers)
-        .with_chunk_override(scenario.chunk)
-        .with_forced_steals(scenario.forced_steals)
-        .run_scratch(
-            episodes,
-            base_seed,
-            CellSink::default,
-            CellScratch::default,
-            |i, _rng, scratch, sink| {
-                run_episode(&cfg, geometry, spec, base_seed, i, scratch, sink);
-            },
-        );
+    let sink = Replicator::new(scenario.exec).run_scratch(
+        episodes,
+        base_seed,
+        CellSink::default,
+        CellScratch::default,
+        |i, _rng, scratch, sink| {
+            run_episode(&cfg, geometry, spec, base_seed, i, scratch, sink);
+        },
+    );
     sink.into_outcome(spec, episodes)
 }
 
@@ -639,32 +606,22 @@ impl Merge for GridSink {
 
 /// Runs a whole campaign grid of reference-plane cells through one
 /// two-level fan-out: the engine partitions the flattened
-/// `cells × episodes` index space in chunks of `chunk` (`None` =
-/// adaptive), so workers stay busy even when cells outnumber episodes or
-/// vice versa.
+/// `cells × episodes` index space in chunks (adaptive unless `exec` pins
+/// one), so workers stay busy even when cells outnumber episodes or vice
+/// versa.
 ///
 /// Each cell's outcome is bit-identical to [`run_cell_fanout`] on that
 /// cell (same per-episode seeds, same episode-ordered violation list), and
 /// the whole grid is bit-identical for any worker count.
-///
-/// # Panics
-///
-/// Panics when `chunk` is `Some(0)`.
 #[must_use]
 pub fn run_grid_fanout(
     specs: &[CellSpec],
     episodes: u64,
     base_seed: u64,
-    workers: usize,
-    chunk: Option<u64>,
+    exec: impl Into<Executor>,
 ) -> Vec<CellOutcome> {
     let base = ProtocolConfig::reference(10, Scheme::Oaq);
-    run_grid_scenario(
-        &Scenario::new(&base, workers).with_chunk(chunk),
-        specs,
-        episodes,
-        base_seed,
-    )
+    run_grid_scenario(&Scenario::new(&base, exec), specs, episodes, base_seed)
 }
 
 /// [`run_grid_fanout`] against an arbitrary [`Scenario`]. Each cell's
@@ -673,7 +630,7 @@ pub fn run_grid_fanout(
 ///
 /// # Panics
 ///
-/// Panics when `scenario.chunk` is `Some(0)` or on an invalid base config.
+/// Panics on an invalid base config.
 #[must_use]
 pub fn run_grid_scenario(
     scenario: &Scenario<'_>,
@@ -693,28 +650,25 @@ pub fn run_grid_scenario(
         .collect();
     let geometry = scenario.geometry;
     let total = specs.len() as u64 * episodes;
-    let sink = Replicator::new(scenario.workers)
-        .with_chunk_override(scenario.chunk)
-        .with_forced_steals(scenario.forced_steals)
-        .run_scratch(
-            total,
-            base_seed,
-            || GridSink(vec![CellSink::default(); specs.len()]),
-            CellScratch::default,
-            |g, _rng, scratch, sink| {
-                let c = (g / episodes) as usize;
-                let i = g % episodes;
-                run_episode(
-                    &cfgs[c],
-                    geometry,
-                    &specs[c],
-                    base_seed,
-                    i,
-                    scratch,
-                    &mut sink.0[c],
-                );
-            },
-        );
+    let sink = Replicator::new(scenario.exec).run_scratch(
+        total,
+        base_seed,
+        || GridSink(vec![CellSink::default(); specs.len()]),
+        CellScratch::default,
+        |g, _rng, scratch, sink| {
+            let c = (g / episodes) as usize;
+            let i = g % episodes;
+            run_episode(
+                &cfgs[c],
+                geometry,
+                &specs[c],
+                base_seed,
+                i,
+                scratch,
+                &mut sink.0[c],
+            );
+        },
+    );
     sink.0
         .into_iter()
         .zip(specs)
@@ -858,8 +812,8 @@ mod tests {
             node_failure_rate: 0.2,
             retry_budget: 1,
         };
-        let a = run_cell_fanout(&spec, 60, 7, 1, None);
-        let b = run_cell_fanout(&spec, 60, 7, 1, None);
+        let a = run_cell_fanout(&spec, 60, 7, 1);
+        let b = run_cell_fanout(&spec, 60, 7, 1);
         assert_eq!(a, b);
     }
 
@@ -873,9 +827,9 @@ mod tests {
             node_failure_rate: 0.3,
             retry_budget: 1,
         };
-        let reference = run_cell_fanout(&spec, 120, 11, 1, None);
+        let reference = run_cell_fanout(&spec, 120, 11, 1);
         for workers in [2, 4] {
-            let par = run_cell_fanout(&spec, 120, 11, workers, None);
+            let par = run_cell_fanout(&spec, 120, 11, workers);
             assert_eq!(par, reference);
         }
     }
@@ -887,9 +841,9 @@ mod tests {
             node_failure_rate: 0.2,
             retry_budget: 1,
         };
-        let reference = run_cell_fanout(&spec, 120, 11, 1, None);
+        let reference = run_cell_fanout(&spec, 120, 11, 1);
         for chunk in [1u64, 7, 64, 1000] {
-            let out = run_cell_fanout(&spec, 120, 11, 2, Some(chunk));
+            let out = run_cell_fanout(&spec, 120, 11, Executor::new(2).with_chunk(Some(chunk)));
             assert_eq!(out, reference);
         }
     }
@@ -904,14 +858,17 @@ mod tests {
             node_failure_rate: 0.3,
             retry_budget: 1,
         };
-        let reference = run_cell_fanout(&spec, 120, 11, 1, None);
+        let reference = run_cell_fanout(&spec, 120, 11, 1);
         let base = ProtocolConfig::reference(10, Scheme::Oaq);
         for workers in [2, 4] {
             for chunk in [None, Some(16u64), Some(7)] {
                 let stressed = run_cell_scenario(
-                    &Scenario::new(&base, workers)
-                        .with_chunk(chunk)
-                        .with_forced_steals(true),
+                    &Scenario::new(
+                        &base,
+                        Executor::new(workers)
+                            .with_chunk(chunk)
+                            .with_forced_steals(true),
+                    ),
                     &spec,
                     120,
                     11,
@@ -941,10 +898,13 @@ mod tests {
         let scenario = Scenario::new(&base, 1).with_geometry(&geom);
         let a = run_cell_scenario(&scenario, &spec, 80, 7);
         let b = run_cell_scenario(
-            &Scenario::new(&base, 4)
-                .with_geometry(&geom)
-                .with_chunk(Some(5))
-                .with_forced_steals(true),
+            &Scenario::new(
+                &base,
+                Executor::new(4)
+                    .with_chunk(Some(5))
+                    .with_forced_steals(true),
+            )
+            .with_geometry(&geom),
             &spec,
             80,
             7,
@@ -978,10 +938,10 @@ mod tests {
                 retry_budget: 1,
             },
         ];
-        let grid = run_grid_fanout(&specs, 70, 42, 2, None);
+        let grid = run_grid_fanout(&specs, 70, 42, 2);
         assert_eq!(grid.len(), specs.len());
         for (cell, spec) in grid.iter().zip(&specs) {
-            let solo = run_cell_fanout(spec, 70, 42, 1, None);
+            let solo = run_cell_fanout(spec, 70, 42, 1);
             assert_eq!(cell, &solo);
         }
     }
@@ -993,7 +953,7 @@ mod tests {
             node_failure_rate: 0.4,
             retry_budget: 1,
         };
-        let fast = run_cell_fanout(&spec, 150, 5, 1, None);
+        let fast = run_cell_fanout(&spec, 150, 5, 1);
         let traced = run_cell_traced_baseline(&spec, 150, 5);
         assert_eq!(fast, traced);
     }
@@ -1066,7 +1026,7 @@ mod tests {
             assert_eq!(out_a, out_b);
             assert_eq!(trace_a, trace_b);
         }
-        let cell = run_cell_fanout(&spec, 20, 77, 1, None);
+        let cell = run_cell_fanout(&spec, 20, 77, 1);
         let replayed_detected = (0..20)
             .filter(|&i| {
                 replay_episode_scenario(&scenario, &spec, 77, i)
@@ -1096,7 +1056,7 @@ mod tests {
                     node_failure_rate: 0.25,
                     retry_budget: budget,
                 };
-                let out = run_cell_fanout(&spec, 150, 99, 1, None);
+                let out = run_cell_fanout(&spec, 150, 99, 1);
                 assert!(
                     out.violations.is_empty(),
                     "{}/budget {budget}: {:#?}",
@@ -1120,7 +1080,7 @@ mod tests {
                 node_failure_rate: 0.0,
                 retry_budget: 0,
             };
-            cells.push(run_cell_fanout(&spec, 400, 1234, 1, None));
+            cells.push(run_cell_fanout(&spec, 400, 1234, 1));
         }
         for w in cells.windows(2) {
             assert!(
@@ -1151,7 +1111,6 @@ mod tests {
                 400,
                 55,
                 1,
-                None,
             )
         };
         let plain = cell(0);
@@ -1177,7 +1136,6 @@ mod tests {
             5,
             3,
             1,
-            None,
         );
         out.violations.push(Violation {
             episode: 2,

@@ -5,6 +5,7 @@
 use oaq_core::config::ProtocolConfig;
 use oaq_core::protocol::{Episode, EpisodeScratch};
 use oaq_core::qos_level::QosLevel;
+use oaq_exec::Executor;
 use oaq_sim::par::{Merge, Replicator};
 use oaq_sim::rng::substream_seed;
 
@@ -27,8 +28,8 @@ impl Merge for RecruitSink {
     }
 }
 
-/// Runs `episodes` recruitment episodes of `cfg` under the given
-/// scheduling configuration (`workers` 0 = one per core).
+/// Runs `episodes` recruitment episodes of `cfg` fanned out on `exec` (a
+/// bare worker count converts, `0` = one per core).
 ///
 /// Episode `i` draws its signal birth from substream `(base_seed, i)` and
 /// seeds its protocol run from the same substream value plus one, so
@@ -38,31 +39,26 @@ pub fn run_membership(
     cfg: &ProtocolConfig,
     episodes: u64,
     base_seed: u64,
-    workers: usize,
-    chunk: Option<u64>,
-    forced_steals: bool,
+    exec: impl Into<Executor>,
 ) -> RecruitSink {
-    Replicator::new(workers)
-        .with_chunk_override(chunk)
-        .with_forced_steals(forced_steals)
-        .run_scratch(
-            episodes,
-            base_seed,
-            RecruitSink::default,
-            EpisodeScratch::new,
-            |i, rng, scratch, sink| {
-                let birth = 90.0 + rng.uniform(0.0, 10.0);
-                let seed = substream_seed(base_seed, i).wrapping_add(1);
-                let mut ep = Episode::new(cfg, seed);
-                ep.add_failure(1, 0.0);
-                let out = ep.run_scratch(birth, 15.0, scratch);
-                if out.level >= QosLevel::SequentialDual {
-                    sink.seq += 1;
-                }
-                if out.level == QosLevel::Missed {
-                    sink.missed += 1;
-                }
-                sink.msgs += out.messages_sent;
-            },
-        )
+    Replicator::new(exec).run_scratch(
+        episodes,
+        base_seed,
+        RecruitSink::default,
+        EpisodeScratch::new,
+        |i, rng, scratch, sink| {
+            let birth = 90.0 + rng.uniform(0.0, 10.0);
+            let seed = substream_seed(base_seed, i).wrapping_add(1);
+            let mut ep = Episode::new(cfg, seed);
+            ep.add_failure(1, 0.0);
+            let out = ep.run_scratch(birth, 15.0, scratch);
+            if out.level >= QosLevel::SequentialDual {
+                sink.seq += 1;
+            }
+            if out.level == QosLevel::Missed {
+                sink.missed += 1;
+            }
+            sink.msgs += out.messages_sent;
+        },
+    )
 }

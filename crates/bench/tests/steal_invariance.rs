@@ -14,11 +14,25 @@ use oaq_bench::campaign::{
 };
 use oaq_bench::recruit::run_membership;
 use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
-use oaq_core::experiment::{estimate_conditional_qos_stressed, MonteCarloOptions};
+use oaq_core::experiment::{estimate_conditional_qos_par, MonteCarloOptions};
+use oaq_exec::Executor;
 
 const WORKERS: [usize; 3] = [2, 4, 8];
 const CHUNKS: [Option<u64>; 3] = [None, Some(16), Some(7)];
 const SEED: u64 = 20030622;
+
+/// Every worker count × chunk override × forced-steal combination.
+fn schedules() -> impl Iterator<Item = Executor> {
+    WORKERS.into_iter().flat_map(|workers| {
+        CHUNKS.into_iter().flat_map(move |chunk| {
+            [false, true].map(move |forced| {
+                Executor::new(workers)
+                    .with_chunk(chunk)
+                    .with_forced_steals(forced)
+            })
+        })
+    })
+}
 
 #[test]
 fn campaign_cell_is_steal_schedule_invariant() {
@@ -29,19 +43,9 @@ fn campaign_cell_is_steal_schedule_invariant() {
         retry_budget: 1,
     };
     let serial = run_cell_scenario(&Scenario::new(&cfg, 1), &spec, 160, SEED);
-    for workers in WORKERS {
-        for chunk in CHUNKS {
-            for forced in [false, true] {
-                let scen = Scenario::new(&cfg, workers)
-                    .with_chunk(chunk)
-                    .with_forced_steals(forced);
-                let par = run_cell_scenario(&scen, &spec, 160, SEED);
-                assert_eq!(
-                    par, serial,
-                    "cell drifted at workers={workers} chunk={chunk:?} forced={forced}"
-                );
-            }
-        }
+    for exec in schedules() {
+        let par = run_cell_scenario(&Scenario::new(&cfg, exec), &spec, 160, SEED);
+        assert_eq!(par, serial, "cell drifted at {exec:?}");
     }
 }
 
@@ -53,17 +57,10 @@ fn qos_estimate_is_steal_schedule_invariant() {
         mu: 0.5,
         seed: SEED,
     };
-    let serial = estimate_conditional_qos_stressed(&cfg, &opts, 1, None, false);
-    for workers in WORKERS {
-        for chunk in CHUNKS {
-            for forced in [false, true] {
-                let par = estimate_conditional_qos_stressed(&cfg, &opts, workers, chunk, forced);
-                assert_eq!(
-                    par, serial,
-                    "QoS drifted at workers={workers} chunk={chunk:?} forced={forced}"
-                );
-            }
-        }
+    let serial = estimate_conditional_qos_par(&cfg, &opts, 1);
+    for exec in schedules() {
+        let par = estimate_conditional_qos_par(&cfg, &opts, exec);
+        assert_eq!(par, serial, "QoS drifted at {exec:?}");
     }
 }
 
@@ -72,17 +69,10 @@ fn membership_aggregate_is_steal_schedule_invariant() {
     let mut cfg = ProtocolConfig::reference(9, Scheme::Oaq);
     cfg.tau = 25.0;
     cfg.membership = Some(MembershipHints::default());
-    let serial = run_membership(&cfg, 96, SEED, 1, None, false);
-    for workers in WORKERS {
-        for chunk in CHUNKS {
-            for forced in [false, true] {
-                let par = run_membership(&cfg, 96, SEED, workers, chunk, forced);
-                assert_eq!(
-                    par, serial,
-                    "membership drifted at workers={workers} chunk={chunk:?} forced={forced}"
-                );
-            }
-        }
+    let serial = run_membership(&cfg, 96, SEED, 1);
+    for exec in schedules() {
+        let par = run_membership(&cfg, 96, SEED, exec);
+        assert_eq!(par, serial, "membership drifted at {exec:?}");
     }
 }
 
@@ -102,9 +92,12 @@ fn forced_steals_never_change_a_replay() {
         retry_budget: 1,
     };
     let plain = Scenario::new(&cfg, 1);
-    let stolen = Scenario::new(&cfg, 8)
-        .with_chunk(Some(3))
-        .with_forced_steals(true);
+    let stolen = Scenario::new(
+        &cfg,
+        Executor::new(8)
+            .with_chunk(Some(3))
+            .with_forced_steals(true),
+    );
     for i in [0u64, 5, 42] {
         let (out_a, trace_a) = replay_episode_scenario(&plain, &spec, SEED, i);
         let (out_b, trace_b) = replay_episode_scenario(&stolen, &spec, SEED, i);

@@ -5,7 +5,7 @@
 //! two fully independent derivations of the same quantity (the paper only
 //! has the analytic one).
 
-use oaq_sim::par::{Merge, Replicator};
+use oaq_sim::par::{Executor, Merge, Replicator};
 use oaq_sim::rng::substream_seed;
 
 use crate::config::ProtocolConfig;
@@ -98,14 +98,16 @@ pub fn estimate_conditional_qos(cfg: &ProtocolConfig, opts: &MonteCarloOptions) 
     estimate_conditional_qos_par(cfg, opts, 1)
 }
 
-/// Estimates `P(Y = y | k)`, fanning episodes across `workers` threads
-/// (`0` = one per core).
+/// Estimates `P(Y = y | k)`, fanning episodes out on `exec` (a bare
+/// worker count converts; `0` = one per core).
 ///
 /// Episode `i` draws its birth time and duration from the counter-based
 /// substream `(opts.seed, i)` and seeds its protocol run from the same
 /// substream value (offset by one so the episode's internal stream is
-/// decorrelated from the arrival draws). The estimate is a pure function
-/// of `(cfg, opts)`: any worker count returns the identical value.
+/// decorrelated from the arrival draws). Every tally merges exactly and
+/// latencies are summed once in episode order, so the estimate is a pure
+/// function of `(cfg, opts)`: no worker count, chunk override or steal
+/// schedule changes it.
 ///
 /// # Panics
 ///
@@ -114,78 +116,36 @@ pub fn estimate_conditional_qos(cfg: &ProtocolConfig, opts: &MonteCarloOptions) 
 pub fn estimate_conditional_qos_par(
     cfg: &ProtocolConfig,
     opts: &MonteCarloOptions,
-    workers: usize,
-) -> QosEstimate {
-    estimate_conditional_qos_fanout(cfg, opts, workers, None)
-}
-
-/// [`estimate_conditional_qos_par`] with an explicit chunk-size override
-/// (`None` = adaptive chunking). Chunking only changes episode batching,
-/// never the estimate.
-///
-/// # Panics
-///
-/// Panics if `episodes == 0`, `mu <= 0`, `chunk == Some(0)`, or on
-/// invalid `cfg`.
-#[must_use]
-pub fn estimate_conditional_qos_fanout(
-    cfg: &ProtocolConfig,
-    opts: &MonteCarloOptions,
-    workers: usize,
-    chunk: Option<u64>,
-) -> QosEstimate {
-    estimate_conditional_qos_stressed(cfg, opts, workers, chunk, false)
-}
-
-/// [`estimate_conditional_qos_fanout`] with the scheduler's forced-steal
-/// stressor switched on. Stealing moves episodes between workers but each
-/// episode still runs under its own substream and per-worker
-/// [`EpisodeScratch`], so the estimate is unchanged by construction — this
-/// entry exists so invariance tests and benches can prove that.
-///
-/// # Panics
-///
-/// Panics if `episodes == 0`, `mu <= 0`, `chunk == Some(0)`, or on
-/// invalid `cfg`.
-#[must_use]
-pub fn estimate_conditional_qos_stressed(
-    cfg: &ProtocolConfig,
-    opts: &MonteCarloOptions,
-    workers: usize,
-    chunk: Option<u64>,
-    forced_steals: bool,
+    exec: impl Into<Executor>,
 ) -> QosEstimate {
     assert!(opts.episodes > 0, "need at least one episode");
     assert!(opts.mu.is_finite() && opts.mu > 0.0, "mu must be positive");
     cfg.validate();
-    let sink = Replicator::new(workers)
-        .with_chunk_override(chunk)
-        .with_forced_steals(forced_steals)
-        .run_scratch(
-            opts.episodes as u64,
-            opts.seed,
-            QosSink::default,
-            EpisodeScratch::new,
-            |i, rng, scratch, sink| {
-                // Offset births away from t = 0 so pre-birth coverage history
-                // is well-defined for every satellite.
-                let birth = cfg.theta + rng.uniform(0.0, cfg.tr());
-                let duration = rng.exp(opts.mu);
-                let episode_seed = substream_seed(opts.seed, i).wrapping_add(1);
-                let out = Episode::new(cfg, episode_seed).run_scratch(birth, duration, scratch);
-                sink.counts[out.level.as_y()] += 1;
-                sink.messages += out.messages_sent;
-                if out.level > QosLevel::Missed {
-                    sink.detected += 1;
-                    if out.deadline_met {
-                        sink.timely += 1;
-                    }
-                    if let Some(at) = out.delivered_at {
-                        sink.latencies.push(at - birth);
-                    }
+    let sink = Replicator::new(exec).run_scratch(
+        opts.episodes as u64,
+        opts.seed,
+        QosSink::default,
+        EpisodeScratch::new,
+        |i, rng, scratch, sink| {
+            // Offset births away from t = 0 so pre-birth coverage history
+            // is well-defined for every satellite.
+            let birth = cfg.theta + rng.uniform(0.0, cfg.tr());
+            let duration = rng.exp(opts.mu);
+            let episode_seed = substream_seed(opts.seed, i).wrapping_add(1);
+            let out = Episode::new(cfg, episode_seed).run_scratch(birth, duration, scratch);
+            sink.counts[out.level.as_y()] += 1;
+            sink.messages += out.messages_sent;
+            if out.level > QosLevel::Missed {
+                sink.detected += 1;
+                if out.deadline_met {
+                    sink.timely += 1;
                 }
-            },
-        );
+                if let Some(at) = out.delivered_at {
+                    sink.latencies.push(at - birth);
+                }
+            }
+        },
+    );
     let n = opts.episodes as f64;
     QosEstimate {
         p: [
@@ -303,7 +263,8 @@ mod tests {
         let cfg = ProtocolConfig::reference(9, Scheme::Oaq);
         let serial = estimate_conditional_qos(&cfg, &opts(0.5, 400));
         for chunk in [1u64, 13, 400, 10_000] {
-            let par = estimate_conditional_qos_fanout(&cfg, &opts(0.5, 400), 2, Some(chunk));
+            let exec = Executor::new(2).with_chunk(Some(chunk));
+            let par = estimate_conditional_qos_par(&cfg, &opts(0.5, 400), exec);
             assert_eq!(par, serial, "chunk {chunk}");
         }
     }
@@ -314,8 +275,10 @@ mod tests {
         let serial = estimate_conditional_qos(&cfg, &opts(0.5, 400));
         for workers in [2, 4] {
             for chunk in [None, Some(16u64), Some(7)] {
-                let stressed =
-                    estimate_conditional_qos_stressed(&cfg, &opts(0.5, 400), workers, chunk, true);
+                let exec = Executor::new(workers)
+                    .with_chunk(chunk)
+                    .with_forced_steals(true);
+                let stressed = estimate_conditional_qos_par(&cfg, &opts(0.5, 400), exec);
                 assert_eq!(stressed, serial, "{workers} workers, chunk {chunk:?}");
             }
         }

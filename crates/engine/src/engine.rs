@@ -62,14 +62,11 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The worker count after resolving `0` to the core count.
+    /// The worker count after resolving `0` to the core count
+    /// ([`oaq_exec::effective_workers`]).
     #[must_use]
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
-        }
+        oaq_exec::effective_workers(self.workers)
     }
 
     /// The shard count after resolving `0` to the default and rounding to

@@ -2,7 +2,11 @@
 //!
 //! Every parallel substrate in this workspace (the analytic sweep fan-out,
 //! the Monte-Carlo [`Replicator`](../oaq_sim/par) and the engine worker
-//! pool) runs on the primitives in this crate. The contract, everywhere:
+//! pool) runs on the primitives in this crate, and [`Executor`] is the one
+//! value that says how work is spread: worker count, chunk override and
+//! the forced-steal stressor. Parallel entry points take
+//! `impl Into<Executor>`, so a bare worker count works wherever an
+//! executor does. The contract, everywhere:
 //!
 //! 1. **Indexed slots.** Each task writes its result into a slot addressed
 //!    by its task index, never into a shared accumulator.
@@ -84,54 +88,25 @@ pub fn adaptive_chunk(total: u64) -> u64 {
     total.div_ceil(TARGET_CHUNKS).max(MIN_CHUNK)
 }
 
-/// A worker/chunk fan-out request, convertible from a bare worker count.
-///
-/// Public sweep and replication entry points accept `impl Into<Fanout>`,
-/// so existing `workers: usize` call sites keep compiling while the bench
-/// binaries' `--chunk` override threads through as `Fanout { chunk, .. }`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Fanout {
-    /// Worker threads (`0` = one per core).
-    pub workers: usize,
-    /// Explicit items-per-chunk override (`None` = adaptive).
-    pub chunk: Option<u64>,
-}
-
-impl From<usize> for Fanout {
-    fn from(workers: usize) -> Self {
-        Fanout {
-            workers,
-            chunk: None,
-        }
-    }
-}
-
-impl Fanout {
-    /// Builds the executor this fan-out describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk override is zero.
-    #[must_use]
-    pub fn executor(self) -> Executor {
-        let exec = Executor::new(self.workers);
-        match self.chunk {
-            Some(c) => exec.with_chunk(c),
-            None => exec,
-        }
-    }
-}
-
-/// The deterministic work-stealing executor.
+/// The deterministic work-stealing executor — the one value that says how
+/// work is spread.
 ///
 /// See the [module docs](self) for the three-point contract. Construction
-/// is free — an `Executor` is a worker-count plus an optional chunk
-/// override; threads are scoped to each call.
-#[derive(Debug, Clone)]
+/// is free — an `Executor` is a worker count, an optional chunk override
+/// and the forced-steal stressor; threads are scoped to each call. Every
+/// parallel entry point in the workspace takes `impl Into<Executor>`, so a
+/// bare worker count converts through [`From<usize>`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     workers: usize,
     chunk: Option<u64>,
     forced_steals: bool,
+}
+
+impl From<usize> for Executor {
+    fn from(workers: usize) -> Self {
+        Executor::new(workers)
+    }
 }
 
 impl Executor {
@@ -156,24 +131,16 @@ impl Executor {
         self
     }
 
-    /// `true` when this executor maximizes stealing (see
-    /// [`Executor::with_forced_steals`]).
-    #[must_use]
-    pub fn forced_steals(&self) -> bool {
-        self.forced_steals
-    }
-
-    /// Pins the items-per-chunk granularity used by [`map_indexed`].
-    ///
-    /// [`map_indexed`]: Executor::map_indexed
+    /// Pins the items-per-chunk granularity if `chunk` is `Some` (the
+    /// benches' `--chunk` flag), else restores the adaptive default.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk == 0`.
+    /// Panics if `chunk == Some(0)`.
     #[must_use]
-    pub fn with_chunk(mut self, chunk: u64) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        self.chunk = Some(chunk);
+    pub fn with_chunk(mut self, chunk: Option<u64>) -> Self {
+        assert!(chunk != Some(0), "chunk size must be positive");
+        self.chunk = chunk;
         self
     }
 
@@ -272,10 +239,12 @@ impl Executor {
             let ranges = &ranges;
             let make_scratch = &make_scratch;
             let run = &run;
-            crossbeam::scope(|scope| {
+            // Every handle is joined inside the scope, so a worker panic
+            // comes back as an `Err` payload and is re-raised below.
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut scratch = make_scratch();
                             let mut out: Vec<(u64, S)> = Vec::new();
                             while let Some(i) = claim_task(ranges, w) {
@@ -287,7 +256,6 @@ impl Executor {
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
             })
-            .expect("executor scope failed")
         };
 
         let mut pairs: Vec<(u64, S)> = Vec::with_capacity(usize::try_from(tasks).expect("fits"));
@@ -540,22 +508,19 @@ mod tests {
     }
 
     #[test]
-    fn fanout_converts_from_worker_count() {
-        let f: Fanout = 3usize.into();
-        assert_eq!(
-            f,
-            Fanout {
-                workers: 3,
-                chunk: None
-            }
-        );
-        let exec = Fanout {
-            workers: 2,
-            chunk: Some(5),
-        }
-        .executor();
-        assert_eq!(exec.chunk_override(), Some(5));
-        assert_eq!(exec.resolve_chunk(100), 5);
+    fn effective_workers_resolves_zero_to_cores() {
+        assert!(effective_workers(0) >= 1);
+        assert_eq!(effective_workers(3), 3);
+    }
+
+    #[test]
+    fn executor_converts_from_worker_count() {
+        let exec: Executor = 3usize.into();
+        assert_eq!(exec, Executor::new(3));
+        let pinned = exec.with_chunk(Some(5));
+        assert_eq!(pinned.chunk_override(), Some(5));
+        assert_eq!(pinned.resolve_chunk(100), 5);
+        assert_eq!(pinned.with_chunk(None), exec);
     }
 
     #[test]
@@ -568,7 +533,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_rejected() {
-        let _ = Executor::new(1).with_chunk(0);
+        let _ = Executor::new(1).with_chunk(Some(0));
     }
 
     #[test]

@@ -29,7 +29,10 @@
 
 use oaq_linalg::{SCholesky, SMat};
 
-use crate::wls::{Estimate, Observation, SolveError, WlsSolver, STATE_DIM};
+use crate::wls::{
+    Estimate, Observation, SolveError, WlsSolver, INITIAL_DAMPING, MAX_ITERATIONS, STATE_DIM,
+    STEP_TOLERANCE,
+};
 
 /// An [`Observation`] whose prediction and gradient split into a
 /// per-trial-state part (the "geometry", shared by every observation of a
@@ -129,7 +132,6 @@ pub trait SoaColumns<O>: Clone + Default + std::fmt::Debug {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchSolver<O: BatchObservation> {
-    solver: WlsSolver,
     /// The observations' per-type constants as SoA columns.
     soa: O::Soa,
     /// SoA columns of the observations (len = total observation count).
@@ -155,12 +157,12 @@ impl<O: BatchObservation> Default for BatchSolver<O> {
 }
 
 impl<O: BatchObservation> BatchSolver<O> {
-    /// Creates an empty batch sharing the given solver's configuration
-    /// (iteration budget, tolerance, damping).
+    /// Creates an empty batch that reproduces `WlsSolver`'s solves bit
+    /// for bit (the solver has no settings; both share its iteration
+    /// budget, tolerance and damping constants).
     #[must_use]
-    pub fn new(solver: WlsSolver) -> Self {
+    pub fn new(_: WlsSolver) -> Self {
         BatchSolver {
-            solver,
             soa: O::Soa::default(),
             observed: Vec::new(),
             weight: Vec::new(),
@@ -251,7 +253,6 @@ impl<O: BatchObservation> BatchSolver<O> {
                 observations: hi - lo,
             });
         }
-        let solver = self.solver;
         let soa = &self.soa;
         let observed = &self.observed[lo..hi];
         let weight = &self.weight[lo..hi];
@@ -281,7 +282,7 @@ impl<O: BatchObservation> BatchSolver<O> {
             };
 
         let mut x = self.x0[e];
-        let mut lambda = solver.initial_damping;
+        let mut lambda = INITIAL_DAMPING;
         let mut geom = O::geom(&x);
         let mut cost = cost_into(&x, &geom, resid, pred);
         let mut iterations = 0;
@@ -289,7 +290,7 @@ impl<O: BatchObservation> BatchSolver<O> {
         let mut info = SMat::<STATE_DIM>::zeros();
         let mut last_info: Option<SMat<STATE_DIM>> = None;
 
-        while iterations < solver.max_iterations && !converged {
+        while iterations < MAX_ITERATIONS && !converged {
             iterations += 1;
             // Fill the Jacobian columns (the autovectorizable pass), then
             // accumulate the normal equations in solve_core's
@@ -345,7 +346,7 @@ impl<O: BatchObservation> BatchSolver<O> {
                     std::mem::swap(&mut resid, &mut resid_trial);
                     lambda = (lambda * 0.3).max(1e-12);
                     accepted = true;
-                    if step < solver.step_tolerance {
+                    if step < STEP_TOLERANCE {
                         converged = true;
                     }
                     break;

@@ -269,29 +269,24 @@ pub struct InformationPrior {
     pub anchor: [f64; STATE_DIM],
 }
 
-/// Solver configuration (builder-style setters).
-#[derive(Debug, Clone, Copy)]
-pub struct WlsSolver {
-    pub(crate) max_iterations: u32,
-    pub(crate) step_tolerance: f64,
-    pub(crate) initial_damping: f64,
-}
+/// Levenberg–Marquardt iteration budget per solve.
+pub(crate) const MAX_ITERATIONS: u32 = 50;
+/// Converged once the scaled step norm falls below this.
+pub(crate) const STEP_TOLERANCE: f64 = 1e-10;
+/// Starting Levenberg–Marquardt damping λ.
+pub(crate) const INITIAL_DAMPING: f64 = 1e-3;
 
-impl Default for WlsSolver {
-    fn default() -> Self {
-        WlsSolver {
-            max_iterations: 50,
-            step_tolerance: 1e-10,
-            initial_damping: 1e-3,
-        }
-    }
-}
+/// The damped Gauss–Newton (Levenberg–Marquardt) WLS solver. It has no
+/// settings: the iteration budget, step tolerance and initial damping are
+/// the module constants every solve (and the batched solver) shares.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WlsSolver;
 
 impl WlsSolver {
-    /// Creates a solver with default settings.
+    /// Creates the solver.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        WlsSolver
     }
 
     fn cost(obs: &[&dyn Observation], x: &[f64; STATE_DIM]) -> f64 {
@@ -475,7 +470,7 @@ impl WlsSolver {
         x0: [f64; STATE_DIM],
     ) -> Result<Estimate, SolveError> {
         let mut x = x0;
-        let mut lambda = self.initial_damping;
+        let mut lambda = INITIAL_DAMPING;
         // Reusable scratch: residuals at the current iterate, and a second
         // buffer for trial steps (swapped in on acceptance).
         let mut resid = Vec::with_capacity(observations.len());
@@ -489,7 +484,7 @@ impl WlsSolver {
         let mut info = SMat::<STATE_DIM>::zeros();
         let mut last_info: Option<SMat<STATE_DIM>> = None;
 
-        while iterations < self.max_iterations && !converged {
+        while iterations < MAX_ITERATIONS && !converged {
             iterations += 1;
             // Assemble H = [Λ +] JᵀWJ and g = [Λ(anchor − x) +] JᵀWr,
             // reusing the residuals captured by the last cost evaluation.
@@ -563,7 +558,7 @@ impl WlsSolver {
                     std::mem::swap(&mut resid, &mut resid_trial);
                     lambda = (lambda * 0.3).max(1e-12);
                     accepted = true;
-                    if step < self.step_tolerance {
+                    if step < STEP_TOLERANCE {
                         converged = true;
                     }
                     break;
@@ -606,13 +601,13 @@ impl WlsSolver {
             });
         }
         let mut x = x0;
-        let mut lambda = self.initial_damping;
+        let mut lambda = INITIAL_DAMPING;
         let mut cost = Self::cost(observations, &x);
         let mut iterations = 0;
         let mut converged = false;
         let mut last_jtwj: Option<Matrix> = None;
 
-        while iterations < self.max_iterations && !converged {
+        while iterations < MAX_ITERATIONS && !converged {
             iterations += 1;
             // Assemble JᵀWJ and JᵀWr.
             let mut jtwj = Matrix::zeros(STATE_DIM, STATE_DIM);
@@ -672,7 +667,7 @@ impl WlsSolver {
                     cost = new_cost;
                     lambda = (lambda * 0.3).max(1e-12);
                     accepted = true;
-                    if step < self.step_tolerance {
+                    if step < STEP_TOLERANCE {
                         converged = true;
                     }
                     break;

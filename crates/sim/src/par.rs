@@ -23,8 +23,10 @@
 //! decides *who* computes a chunk, never *what* a chunk contains or the
 //! order chunks are merged in. The fan-out itself runs on the
 //! [`oaq_exec`] deterministic executor (indexed slots, ordered merge,
-//! work-stealing scheduler); this module keeps the Monte-Carlo layer —
-//! substream seeding and the [`Merge`] reduction — on top of it.
+//! work-stealing scheduler): a [`Replicator`] is built from one
+//! [`Executor`] (or a bare worker count) and adds only the Monte-Carlo
+//! layer — substream seeding, the adaptive chunk and the [`Merge`]
+//! reduction — on top of it.
 //!
 //! For sinks whose [`Merge`] is exact — integer counters, histograms,
 //! order-preserving concatenation — the result is additionally
@@ -157,79 +159,26 @@ impl Merge for crate::stats::P2Quantile {
 /// exactly this value and stay bit-identical to pre-adaptive results.
 pub const DEFAULT_CHUNK: u64 = oaq_exec::MIN_CHUNK;
 
-pub use oaq_exec::effective_workers;
+pub use oaq_exec::Executor;
 
 /// A deterministic parallel replication engine.
 ///
 /// See the [module docs](self) for the determinism argument. Constructed
-/// with a worker count (`0` = all cores) and an optional chunk size; the
-/// chunk size is part of the result's "identity" (it fixes the merge
-/// grouping), the worker count is not — which is why the adaptive default
-/// is a function of the replication count alone.
-#[derive(Debug, Clone)]
+/// from an [`Executor`] (or a bare worker count, `0` = all cores); its
+/// chunk override is part of the result's "identity" (it fixes the merge
+/// grouping), the worker count and steal schedule are not — which is why
+/// the adaptive default is a function of the replication count alone.
+#[derive(Debug, Clone, Copy)]
 pub struct Replicator {
-    workers: usize,
-    chunk: Option<u64>,
-    forced_steals: bool,
+    exec: Executor,
 }
 
 impl Replicator {
-    /// An engine with `workers` worker threads (`0` = one per core) and
-    /// adaptive chunking ([`oaq_exec::adaptive_chunk`]).
+    /// An engine fanning chunks out on `exec`; without a chunk override
+    /// it chunks adaptively ([`oaq_exec::adaptive_chunk`]).
     #[must_use]
-    pub fn new(workers: usize) -> Self {
-        Replicator {
-            workers,
-            chunk: None,
-            forced_steals: false,
-        }
-    }
-
-    /// Forwards [`oaq_exec::Executor::with_forced_steals`] — a scheduling
-    /// stressor that makes every worker but one steal its whole workload.
-    /// Cannot change results; exists so invariance tests can prove it.
-    #[must_use]
-    pub fn with_forced_steals(mut self, forced: bool) -> Self {
-        self.forced_steals = forced;
-        self
-    }
-
-    /// Pins the replications-per-chunk granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: u64) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        self.chunk = Some(chunk);
-        self
-    }
-
-    /// Pins the chunk granularity if `chunk` is `Some` (the benches'
-    /// `--chunk` flag), else keeps the adaptive default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == Some(0)`.
-    #[must_use]
-    pub fn with_chunk_override(self, chunk: Option<u64>) -> Self {
-        match chunk {
-            Some(c) => self.with_chunk(c),
-            None => self,
-        }
-    }
-
-    /// The resolved worker count.
-    #[must_use]
-    pub fn effective_workers(&self) -> usize {
-        effective_workers(self.workers)
-    }
-
-    /// The explicit chunk override, if one was pinned.
-    #[must_use]
-    pub fn chunk_override(&self) -> Option<u64> {
-        self.chunk
+    pub fn new(exec: impl Into<Executor>) -> Self {
+        Replicator { exec: exec.into() }
     }
 
     /// The replications-per-chunk a run of `replications` will use: the
@@ -237,7 +186,8 @@ impl Replicator {
     /// `replications`, never the worker count).
     #[must_use]
     pub fn resolved_chunk(&self, replications: u64) -> u64 {
-        self.chunk
+        self.exec
+            .chunk_override()
             .unwrap_or_else(|| oaq_exec::adaptive_chunk(replications))
     }
 
@@ -310,8 +260,8 @@ impl Replicator {
         // any worker count (its one-worker path is the bit-exact serial
         // reference), so the ascending merge below is the whole
         // determinism story at this layer.
-        let sinks = oaq_exec::Executor::new(self.workers)
-            .with_forced_steals(self.forced_steals)
+        let sinks = self
+            .exec
             .run_indexed_scratch(chunks, make_scratch, run_chunk);
         let mut acc = init();
         for sink in &sinks {
@@ -358,16 +308,19 @@ mod tests {
     }
 
     fn run(workers: usize, chunk: u64) -> Sink {
-        Replicator::new(workers)
-            .with_chunk(chunk)
-            .run(500, 99, Sink::empty, |i, rng, sink| {
+        Replicator::new(Executor::new(workers).with_chunk(Some(chunk))).run(
+            500,
+            99,
+            Sink::empty,
+            |i, rng, sink| {
                 let x = rng.exp(0.3);
                 sink.count += 1;
                 sink.sum += x;
                 sink.tally.record(x);
                 sink.hist.record(x);
                 sink.order.push(i);
-            })
+            },
+        )
     }
 
     #[test]
@@ -410,27 +363,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        let _ = Replicator::new(1).with_chunk(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_override_rejected() {
-        let _ = Replicator::new(1).with_chunk_override(Some(0));
-    }
-
-    #[test]
     fn adaptive_chunk_matches_historical_default_for_small_runs() {
         // ≤ 1024 replications resolve to the old fixed chunk of 16, so
         // pre-adaptive float aggregates are reproduced bit for bit.
         let r = Replicator::new(2);
-        assert_eq!(r.chunk_override(), None);
         assert_eq!(r.resolved_chunk(500), DEFAULT_CHUNK);
         assert_eq!(r.resolved_chunk(1024), DEFAULT_CHUNK);
         assert_eq!(r.resolved_chunk(64_000), 1000);
-        assert_eq!(r.with_chunk(7).resolved_chunk(64_000), 7);
+        let pinned = Replicator::new(Executor::new(2).with_chunk(Some(7)));
+        assert_eq!(pinned.resolved_chunk(64_000), 7);
     }
 
     #[test]
@@ -438,26 +379,26 @@ mod tests {
         let reference = run(1, DEFAULT_CHUNK);
         for workers in [2, 4, 8] {
             for forced in [false, true] {
-                let got = Replicator::new(workers)
-                    .with_chunk(DEFAULT_CHUNK)
-                    .with_forced_steals(forced)
-                    .run_scratch(
-                        500,
-                        99,
-                        Sink::empty,
-                        Vec::<f64>::new,
-                        |i, rng, scratch, sink| {
-                            // Stage the draw through the worker scratch to
-                            // prove leftover contents are invisible.
-                            scratch.push(rng.exp(0.3));
-                            let x = *scratch.last().expect("just pushed");
-                            sink.count += 1;
-                            sink.sum += x;
-                            sink.tally.record(x);
-                            sink.hist.record(x);
-                            sink.order.push(i);
-                        },
-                    );
+                let exec = Executor::new(workers)
+                    .with_chunk(Some(DEFAULT_CHUNK))
+                    .with_forced_steals(forced);
+                let got = Replicator::new(exec).run_scratch(
+                    500,
+                    99,
+                    Sink::empty,
+                    Vec::<f64>::new,
+                    |i, rng, scratch, sink| {
+                        // Stage the draw through the worker scratch to
+                        // prove leftover contents are invisible.
+                        scratch.push(rng.exp(0.3));
+                        let x = *scratch.last().expect("just pushed");
+                        sink.count += 1;
+                        sink.sum += x;
+                        sink.tally.record(x);
+                        sink.hist.record(x);
+                        sink.order.push(i);
+                    },
+                );
                 assert_eq!(got, reference, "{workers} workers, forced={forced}");
             }
         }

@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use oaq_sim::par::{Merge, Replicator};
+use oaq_sim::par::{Executor, Merge, Replicator};
 use oaq_sim::rng::substream_seed;
 use oaq_sim::stats::{BatchMeans, Histogram, Tally, TimeWeighted};
 use oaq_sim::{EventQueue, SimRng, SimTime};
@@ -211,10 +211,10 @@ proptest! {
             }
         }
         let run = |workers: usize, chunk: Option<u64>, forced: bool| {
-            Replicator::new(workers)
-                .with_chunk_override(chunk)
-                .with_forced_steals(forced)
-                .run(replications, seed, Sink::default, |i, rng, sink| {
+            let exec = Executor::new(workers)
+                .with_chunk(chunk)
+                .with_forced_steals(forced);
+            Replicator::new(exec).run(replications, seed, Sink::default, |i, rng, sink| {
                     let x = rng.exp(0.4);
                     sink.count += 1;
                     sink.hist

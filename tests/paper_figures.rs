@@ -1,0 +1,90 @@
+//! Tier-1 anchors for the paper's Figures 7–9.
+//!
+//! Each figure is regenerated on the paper's λ grid through the
+//! `analytic::sweep` entry points, once on one worker and once on two; the
+//! two runs must agree exactly. The quoted values the paper states in its
+//! text and figure captions are then pinned against the one-worker rows.
+
+use oaq_analytic::compose::Scheme;
+use oaq_analytic::sweep::{figure7, figure8, figure9, paper_lambda_grid, QosRow};
+
+/// Runs a sweep on one and on two workers and returns the (identical) rows.
+fn on_one_and_two<T: PartialEq + std::fmt::Debug>(sweep: impl Fn(usize) -> T) -> T {
+    let serial = sweep(1);
+    assert_eq!(sweep(2), serial, "worker count changed a figure");
+    serial
+}
+
+#[test]
+fn figure9_matches_the_paper_anchors() {
+    let grid = paper_lambda_grid();
+    let oaq = on_one_and_two(|w| figure9(Scheme::Oaq, &grid, w).unwrap());
+    let baq = on_one_and_two(|w| figure9(Scheme::Baq, &grid, w).unwrap());
+    let (first, last) = (0, grid.len() - 1);
+    for (rows, scheme, at_1e5, at_1e4) in [(&oaq, "OAQ", 0.75, 0.41), (&baq, "BAQ", 0.33, 0.04)] {
+        let near = |row: &QosRow, paper: f64| (row.p_ge_2 - paper).abs() <= 0.01;
+        assert!(
+            near(&rows[first], at_1e5),
+            "{scheme} P(Y>=2) at 1e-5: {:?}",
+            rows[first]
+        );
+        assert!(
+            near(&rows[last], at_1e4),
+            "{scheme} P(Y>=2) at 1e-4: {:?}",
+            rows[last]
+        );
+        for row in rows.iter() {
+            assert!(
+                (row.p_ge_1 - 1.0).abs() <= 1e-9,
+                "{scheme} P(Y>=1) at {}",
+                row.x
+            );
+        }
+    }
+}
+
+#[test]
+fn figure8_oaq_gains_up_to_38_percent_and_baq_ignores_mu() {
+    let grid = paper_lambda_grid();
+    let sweep = |scheme, mu| on_one_and_two(|w| figure8(scheme, mu, &grid, w).unwrap());
+    let (oaq_02, oaq_05) = (sweep(Scheme::Oaq, 0.2), sweep(Scheme::Oaq, 0.5));
+    let (baq_02, baq_05) = (sweep(Scheme::Baq, 0.2), sweep(Scheme::Baq, 0.5));
+    let max_gain = oaq_02
+        .iter()
+        .zip(&oaq_05)
+        .map(|(a, b)| a.p_ge_3 / b.p_ge_3 - 1.0)
+        .fold(f64::NEG_INFINITY, f64::max);
+    assert!(
+        (0.37..=0.39).contains(&max_gain),
+        "paper reports up to 38%, got {:.1}%",
+        max_gain * 100.0
+    );
+    assert_eq!(baq_02, baq_05, "BAQ must not depend on µ");
+}
+
+#[test]
+fn figure7_mode_moves_from_full_capacity_to_the_threshold() {
+    let grid = paper_lambda_grid();
+    let rows = on_one_and_two(|w| figure7(&grid, 30_000.0, 10, w).unwrap());
+    let mode = |p_k: &[f64]| {
+        (0..p_k.len())
+            .max_by(|&a, &b| p_k[a].total_cmp(&p_k[b]))
+            .unwrap()
+    };
+    let (low, high) = (&rows[0], &rows[grid.len() - 1]);
+    assert_eq!(
+        mode(&low.p_k),
+        14,
+        "P(14) dominates at λ = 1e-5: {:?}",
+        low.p_k
+    );
+    assert_eq!(
+        mode(&high.p_k),
+        10,
+        "P(10) dominates at λ = 1e-4: {:?}",
+        high.p_k
+    );
+    for row in &rows {
+        assert_eq!(row.p_k[9], 0.0, "P(9) at λ = {}", row.lambda);
+    }
+}
