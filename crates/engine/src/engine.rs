@@ -1,7 +1,7 @@
 //! The engine facade: configuration, submission, tickets, supervision,
 //! shutdown.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use oaq_exec::{ExitKind, SupervisedPool};
@@ -15,7 +15,7 @@ use crate::shard::{resolve_shards, CacheShardStats, ShardedCache, ShardedFlight}
 use crate::shed::{ShedPolicy, Shedder};
 use crate::singleflight::{Flight, Slot};
 use crate::tenant::{QuotaPolicy, TenantId, TenantSnapshot, TenantTable};
-use crate::worker::{worker_loop, EngineResult, Job, Shared, WorkerExit};
+use crate::worker::{serve_job, worker_loop, EngineResult, Job, Shared, WorkerExit};
 
 /// Engine sizing and serving-policy knobs. `Default` gives a
 /// production-shaped engine with every fault-tolerance limit disabled
@@ -23,7 +23,10 @@ use crate::worker::{worker_loop, EngineResult, Job, Shared, WorkerExit};
 /// backpressure and turn individual policies on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads; `0` means one per available core.
+    /// Worker threads of the pool that serves queued work
+    /// ([`Engine::submit`], [`Engine::run_all`]); `0` means one per
+    /// available core. The pool starts with the first queued job, so an
+    /// engine used only through [`Engine::evaluate`] spawns no thread.
     pub workers: usize,
     /// Bound of the submission queue — the backpressure point.
     pub queue_capacity: usize,
@@ -112,12 +115,18 @@ enum TicketInner {
     Waiting(Arc<Slot<EngineResult>>),
 }
 
+/// Blocks until `slot`'s leader publishes; an abandoned flight is
+/// [`EngineError::WorkerLost`].
+fn await_slot(slot: &Slot<EngineResult>) -> EngineResult {
+    slot.wait().unwrap_or(Err(EngineError::WorkerLost))
+}
+
 impl Ticket {
     /// Blocks until the answer is available.
     pub fn wait(self) -> EngineResult {
         match self.inner {
             TicketInner::Ready(r) => r,
-            TicketInner::Waiting(slot) => slot.wait().unwrap_or(Err(EngineError::WorkerLost)),
+            TicketInner::Waiting(slot) => await_slot(&slot),
         }
     }
 
@@ -138,38 +147,57 @@ impl Ticket {
     }
 }
 
+/// What admission decided for one query.
+enum Admitted {
+    /// A result-cache hit, answered on the spot.
+    Hit(EngineResult),
+    /// An identical query is in flight; its answer lands in this slot.
+    Follower(Arc<Slot<EngineResult>>),
+    /// The caller leads the query's flight and holds a tenant queue slot:
+    /// the job must be queued or run inline, or else unwound.
+    Leader(Job),
+}
+
 /// The in-process QoS query-serving engine.
 ///
-/// Submission flow: validate ([`crate::QuerySpec::build`]) → level-1
-/// result-cache lookup (free for quotas) → per-tenant token bucket →
-/// SLO shed coin → single-flight coalescing with any identical in-flight
-/// query → per-tenant queue fair share → bounded queue admission (typed
-/// [`RejectReason::QueueFull`] when saturated) → supervised batch-draining
-/// worker pool → level-2 `P(k)` cache inside the solve.
+/// Admission, shared by both entry points: validate
+/// ([`crate::QuerySpec::build`]) → level-1 result-cache lookup (free for
+/// quotas) → per-tenant token bucket → SLO shed coin → single-flight
+/// coalescing with any identical in-flight query → per-tenant queue fair
+/// share. Then a flight leader runs in one of two places:
 ///
-/// Workers are supervised: an evaluator panic becomes a typed
-/// [`crate::QueryError::EvalPanicked`] answer for every waiter, and the
-/// supervisor respawns the dead worker so the pool keeps its configured
-/// size. The threads themselves belong to [`oaq_exec::SupervisedPool`];
-/// this crate contributes only the semantics — the respawn predicate
-/// ("work may still be flowing") and the heal metric. Dropping the engine
-/// shuts the queue, drains what was admitted, and joins every worker.
+/// * [`Self::submit`] pushes it onto the bounded queue (typed
+///   [`RejectReason::QueueFull`] when saturated) for the supervised,
+///   batch-draining worker pool;
+/// * [`Self::evaluate`] runs it on the calling thread — the same per-job
+///   code a worker runs, without the hand-off to another thread.
+///
+/// Either way the level-2 `P(k)` cache sits inside the solve.
+///
+/// Every run is supervised: an evaluator panic becomes a typed
+/// [`crate::QueryError::EvalPanicked`] answer for every waiter. A pool
+/// worker that caught one is respawned so the pool keeps its configured
+/// size. The threads belong to [`oaq_exec::SupervisedPool`], started on
+/// the first queued job; this crate contributes only the semantics — the
+/// respawn predicate ("work may still be flowing") and the heal metric.
+/// Dropping the engine shuts the queue, drains what was admitted, and
+/// joins every worker.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
     config: EngineConfig,
-    pool: SupervisedPool,
+    pool: OnceLock<SupervisedPool>,
 }
 
 impl Engine {
-    /// Starts an engine with `config.effective_workers()` worker threads
-    /// and the production evaluator.
+    /// Builds an engine with the production evaluator. No thread starts
+    /// until the first job is queued.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         Engine::with_evaluator(config, Arc::new(DefaultEvaluator))
     }
 
-    /// Starts an engine whose leaf compute is `evaluator` — the hook the
+    /// Builds an engine whose leaf compute is `evaluator` — the hook the
     /// fault-injection harness uses to wrap the real analytic stack with
     /// seeded panics and latency spikes.
     #[must_use]
@@ -188,27 +216,32 @@ impl Engine {
             epoch: Instant::now(),
             batch_size: config.batch_size.max(1),
         });
-        let workers = config.effective_workers();
-        let work_shared = Arc::clone(&shared);
-        let respawn_shared = Arc::clone(&shared);
-        let heal_shared = Arc::clone(&shared);
-        let pool = SupervisedPool::start(
-            workers,
-            move || match worker_loop(&work_shared) {
-                WorkerExit::Drained => ExitKind::Clean,
-                WorkerExit::Panicked => ExitKind::Panicked,
-            },
-            // A worker died with work (potentially) still flowing:
-            // replace it so the pool heals to its configured size. (A
-            // panic during the final drain retires the slot instead.)
-            move || !respawn_shared.queue.is_drained(),
-            move || heal_shared.metrics.on_worker_respawn(),
-        );
         Engine {
             shared,
             config,
-            pool,
+            pool: OnceLock::new(),
         }
+    }
+
+    /// Starts the supervised worker pool unless it already runs.
+    fn start_pool(&self) {
+        self.pool.get_or_init(|| {
+            let work_shared = Arc::clone(&self.shared);
+            let respawn_shared = Arc::clone(&self.shared);
+            let heal_shared = Arc::clone(&self.shared);
+            SupervisedPool::start(
+                self.config.effective_workers(),
+                move || match worker_loop(&work_shared) {
+                    WorkerExit::Drained => ExitKind::Clean,
+                    WorkerExit::Panicked => ExitKind::Panicked,
+                },
+                // A worker died with work (potentially) still flowing:
+                // replace it so the pool heals to its configured size. (A
+                // panic during the final drain retires the slot instead.)
+                move || !respawn_shared.queue.is_drained(),
+                move || heal_shared.metrics.on_worker_respawn(),
+            )
+        });
     }
 
     /// An engine with default sizing.
@@ -217,7 +250,87 @@ impl Engine {
         Engine::new(EngineConfig::default())
     }
 
-    /// Submits a validated query.
+    /// Runs every admission step up to the point where a flight leader
+    /// needs a thread: result cache, quota, shed, single flight, fair
+    /// share. A returned [`Admitted::Leader`] holds a tenant queue slot
+    /// and an open flight; [`Self::unwind_leader`] gives both back.
+    fn admit(&self, query: QosQuery) -> Result<Admitted, EngineError> {
+        let key = query.key();
+        let tenant = query.tenant();
+        let now_s = self.shared.now_s();
+        if let Some(result) = self.shared.results.get(&key) {
+            self.shared.tenants.admit(tenant, now_s, true);
+            self.shared.metrics.on_submitted();
+            self.shared.metrics.on_result_cache_hit();
+            self.shared.metrics.on_served();
+            return Ok(Admitted::Hit(result));
+        }
+        // Quota gate: a cache-missing submission costs one rate token.
+        if !self.shared.tenants.admit(tenant, now_s, false) {
+            self.shared.metrics.on_quota_rejected();
+            self.shared.metrics.on_rejected();
+            return Err(EngineError::Rejected(RejectReason::QuotaExceeded {
+                tenant,
+            }));
+        }
+        // SLO gate: probabilistically shed new work while the end-to-end
+        // p99 breaches the configured target. The p99 read takes the
+        // metrics lock, so it is skipped when shedding is off.
+        if self.shared.shedder.is_enabled()
+            && self
+                .shared
+                .shedder
+                .should_shed(self.shared.metrics.e2e_p99())
+        {
+            self.shared.metrics.on_shed();
+            self.shared.metrics.on_rejected();
+            return Err(EngineError::Rejected(RejectReason::Overloaded));
+        }
+        match self.shared.flight.join(key) {
+            Flight::Follower(slot) => {
+                self.shared.metrics.on_submitted();
+                self.shared.metrics.on_coalesced();
+                self.shared.tenants.on_coalesced(tenant, now_s);
+                Ok(Admitted::Follower(slot))
+            }
+            Flight::Leader(slot) => {
+                // Fair-share gate: the tenant must hold a queue slot
+                // within its weighted share before the job may run.
+                if !self.shared.tenants.try_reserve_queue_slot(tenant, now_s) {
+                    self.shared.flight.abandon(&key, &slot);
+                    self.shared.metrics.on_quota_rejected();
+                    self.shared.metrics.on_rejected();
+                    return Err(EngineError::Rejected(RejectReason::QuotaExceeded {
+                        tenant,
+                    }));
+                }
+                Ok(Admitted::Leader(Job {
+                    query,
+                    key,
+                    slot,
+                    submitted: Instant::now(),
+                }))
+            }
+        }
+    }
+
+    /// Rejects an admitted leader that cannot run: releases its tenant
+    /// queue slot and retires its flight. Any follower that slipped in
+    /// during this window wakes with `WorkerLost` and should resubmit.
+    fn unwind_leader(&self, job: Job, reason: RejectReason) -> EngineError {
+        let tenant = job.query.tenant();
+        let (key, slot) = (job.key, Arc::clone(&job.slot));
+        // The rejected Job abandons the slot on drop, before the table
+        // entry is retired.
+        drop(job);
+        self.shared.tenants.release_queue_slot(tenant);
+        self.shared.flight.abandon(&key, &slot);
+        self.shared.metrics.on_rejected();
+        EngineError::Rejected(reason)
+    }
+
+    /// Submits a validated query to the worker pool, starting the pool if
+    /// this is the first queued job.
     ///
     /// Returns immediately: a [`Ticket`] (possibly already resolved, on a
     /// cache hit) or a typed rejection. Never blocks on a full queue —
@@ -234,93 +347,70 @@ impl Engine {
     /// during teardown. Cache hits are exempt from quotas and shedding —
     /// they cost nothing to serve.
     pub fn submit(&self, query: QosQuery) -> Result<Ticket, EngineError> {
-        let key = query.key();
-        let tenant = query.tenant();
-        let now_s = self.shared.now_s();
-        if let Some(result) = self.shared.results.get(&key) {
-            self.shared.tenants.admit(tenant, now_s, true);
-            self.shared.metrics.on_submitted();
-            self.shared.metrics.on_result_cache_hit();
-            self.shared.metrics.on_served();
-            return Ok(Ticket {
-                inner: TicketInner::Ready(result),
-            });
-        }
-        // Quota gate: a cache-missing submission costs one rate token.
-        if !self.shared.tenants.admit(tenant, now_s, false) {
-            self.shared.metrics.on_quota_rejected();
-            self.shared.metrics.on_rejected();
-            return Err(EngineError::Rejected(RejectReason::QuotaExceeded {
-                tenant,
-            }));
-        }
-        // SLO gate: probabilistically shed new work while the end-to-end
-        // p99 breaches the configured target.
-        if self
-            .shared
-            .shedder
-            .should_shed(self.shared.metrics.e2e_p99())
-        {
-            self.shared.metrics.on_shed();
-            self.shared.metrics.on_rejected();
-            return Err(EngineError::Rejected(RejectReason::Overloaded));
-        }
-        match self.shared.flight.join(key) {
-            Flight::Follower(slot) => {
+        let job = match self.admit(query)? {
+            Admitted::Hit(result) => {
+                return Ok(Ticket {
+                    inner: TicketInner::Ready(result),
+                })
+            }
+            Admitted::Follower(slot) => {
+                return Ok(Ticket {
+                    inner: TicketInner::Waiting(slot),
+                })
+            }
+            Admitted::Leader(job) => job,
+        };
+        let slot = Arc::clone(&job.slot);
+        // Start the pool before the push: a concurrent `shutdown` that
+        // finds the queue closed after a successful push then also finds
+        // the pool, and drains and joins it. A refused push leaves an
+        // idle pool behind, which is harmless.
+        self.start_pool();
+        match self.shared.queue.try_push(job) {
+            Ok(()) => {
                 self.shared.metrics.on_submitted();
-                self.shared.metrics.on_coalesced();
-                self.shared.tenants.on_coalesced(tenant, now_s);
                 Ok(Ticket {
                     inner: TicketInner::Waiting(slot),
                 })
             }
-            Flight::Leader(slot) => {
-                // Fair-share gate: the tenant must hold a queue slot
-                // within its weighted share before the global push.
-                if !self.shared.tenants.try_reserve_queue_slot(tenant, now_s) {
-                    self.shared.flight.abandon(&key, &slot);
-                    self.shared.metrics.on_quota_rejected();
-                    self.shared.metrics.on_rejected();
-                    return Err(EngineError::Rejected(RejectReason::QuotaExceeded {
-                        tenant,
-                    }));
-                }
-                let job = Job {
-                    query,
-                    key,
-                    slot: Arc::clone(&slot),
-                    submitted: Instant::now(),
-                };
-                match self.shared.queue.try_push(job) {
-                    Ok(()) => {
-                        self.shared.metrics.on_submitted();
-                        Ok(Ticket {
-                            inner: TicketInner::Waiting(slot),
-                        })
-                    }
-                    Err((_, reason)) => {
-                        // Retire the flight; any follower that slipped in
-                        // during this window wakes with `WorkerLost` and
-                        // should resubmit. (The rejected Job abandons the
-                        // slot on drop, before we retire the table entry.)
-                        self.shared.tenants.release_queue_slot(tenant);
-                        self.shared.flight.abandon(&key, &slot);
-                        self.shared.metrics.on_rejected();
-                        Err(EngineError::Rejected(reason))
-                    }
-                }
-            }
+            Err((job, reason)) => Err(self.unwind_leader(job, reason)),
         }
     }
 
-    /// Submit-and-wait convenience for embedders that want a synchronous
-    /// call.
+    /// Answers a query synchronously. A cache hit returns at once and a
+    /// follower waits for its flight's leader; a leader runs the job on
+    /// the calling thread — the same supervised per-job code a pool
+    /// worker runs (deadline gates, `catch_unwind`, both cache layers,
+    /// metrics) — so a miss pays no thread hand-off and needs no pool.
+    /// An evaluator panic is returned as a typed error; the calling
+    /// thread carries on.
+    ///
+    /// Inline leaders never enter the submission queue: they are bounded
+    /// by the number of calling threads and, per tenant, by the queue
+    /// fair share, but never see [`RejectReason::QueueFull`].
     ///
     /// # Errors
     ///
-    /// Same as [`Self::submit`], plus any evaluation error.
+    /// Same as [`Self::submit`] except `QueueFull`, plus any evaluation
+    /// error.
     pub fn evaluate(&self, query: QosQuery) -> EngineResult {
-        self.submit(query)?.wait()
+        match self.admit(query)? {
+            Admitted::Hit(result) => result,
+            Admitted::Follower(slot) => await_slot(&slot),
+            Admitted::Leader(job) => {
+                // Where `submit` would push: a shut-down engine starts
+                // no new computation.
+                if self.shared.queue.is_shut_down() {
+                    return Err(self.unwind_leader(job, RejectReason::ShuttingDown));
+                }
+                self.shared.metrics.on_submitted();
+                serve_job(&self.shared, &job);
+                // Held through the solve: concurrent inline misses of one
+                // tenant stay within its fair share.
+                self.shared.tenants.release_queue_slot(job.query.tenant());
+                await_slot(&job.slot)
+            }
+        }
     }
 
     /// Replays a whole batch: submits every query in order — absorbing
@@ -437,12 +527,15 @@ impl Engine {
     }
 
     /// Stops admission, drains already-admitted work, and joins every
-    /// worker. Idempotent; called automatically on drop. Takes `&self` so
-    /// an `Arc<Engine>` shared across connection handlers can still be
-    /// wound down by its owner.
+    /// worker if the pool ever started. Idempotent; called automatically
+    /// on drop. Takes `&self` so an `Arc<Engine>` shared across connection
+    /// handlers can still be wound down by its owner. Inline leaders
+    /// already admitted finish on their own threads.
     pub fn shutdown(&self) {
         self.shared.queue.shutdown();
-        self.pool.join();
+        if let Some(pool) = self.pool.get() {
+            pool.join();
+        }
     }
 }
 
@@ -581,33 +674,28 @@ mod tests {
         assert_eq!(m.result_cache_hits, 0, "all ten results are distinct");
     }
 
-    /// End-to-end supervision: a panicking evaluator yields typed
-    /// `EvalPanicked` answers for every submission, the pool respawns,
-    /// and healthy queries afterwards still get correct answers.
-    #[test]
-    fn panicking_evaluator_heals_and_keeps_serving() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    /// Panics on every odd `P(k)` solve (the 1st, 3rd, …), counts calls.
+    struct FlakyEvaluator {
+        calls: std::sync::atomic::AtomicU64,
+    }
 
-        /// Panics on every odd `P(k)` solve, counts calls.
-        struct FlakyEvaluator {
-            calls: AtomicU64,
-        }
-        impl Evaluator for FlakyEvaluator {
-            fn solve_pk(&self, query: &QosQuery) -> Result<Vec<f64>, EngineError> {
-                let n = self.calls.fetch_add(1, Ordering::SeqCst);
-                assert!(n < 1_000, "runaway respawn loop");
-                if n.is_multiple_of(2) {
-                    std::panic::panic_any(crate::INJECTED_FAULT);
-                }
-                query
-                    .capacity_params()
-                    .distribution()
-                    .map_err(EngineError::from)
+    impl Evaluator for FlakyEvaluator {
+        fn solve_pk(&self, query: &QosQuery) -> Result<Vec<f64>, EngineError> {
+            let n = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            assert!(n < 1_000, "runaway respawn loop");
+            if n.is_multiple_of(2) {
+                std::panic::panic_any(crate::INJECTED_FAULT);
             }
+            query
+                .capacity_params()
+                .distribution()
+                .map_err(EngineError::from)
         }
+    }
 
+    fn flaky_engine() -> Engine {
         crate::silence_injected_panics();
-        let engine = Engine::with_evaluator(
+        Engine::with_evaluator(
             EngineConfig {
                 workers: 2,
                 queue_capacity: 32,
@@ -617,14 +705,22 @@ mod tests {
                 ..EngineConfig::default()
             },
             Arc::new(FlakyEvaluator {
-                calls: AtomicU64::new(0),
+                calls: std::sync::atomic::AtomicU64::new(0),
             }),
-        );
+        )
+    }
+
+    /// End-to-end supervision of queued work: a panicking evaluator
+    /// yields typed `EvalPanicked` answers for every submission, the pool
+    /// respawns, and healthy queries afterwards still get correct answers.
+    #[test]
+    fn panicking_evaluator_heals_and_keeps_serving() {
+        let engine = flaky_engine();
         let mut panicked = 0;
         let mut ok = 0;
         for i in 0..20u32 {
             let q = y2(1e-5 + f64::from(i) * 1e-6);
-            match engine.evaluate(q) {
+            match engine.submit(q).and_then(Ticket::wait) {
                 Ok(v) => {
                     assert_eq!(v, direct_eval(&q).unwrap(), "bit-identical");
                     ok += 1;
@@ -645,6 +741,230 @@ mod tests {
             m.worker_respawns,
             m.eval_panics
         );
+    }
+
+    /// Supervision of inline misses: every injected panic is a typed
+    /// `EvalPanicked` for the `evaluate` caller, whose thread carries on;
+    /// every other answer is bit-identical; no pool worker is involved.
+    #[test]
+    fn panicking_evaluator_inline_answers_typed_and_caller_survives() {
+        let engine = flaky_engine();
+        let mut panicked = 0;
+        let mut ok = 0;
+        for i in 0..20u32 {
+            let q = y2(1e-5 + f64::from(i) * 1e-6);
+            match engine.evaluate(q) {
+                Ok(v) => {
+                    assert_eq!(v, direct_eval(&q).unwrap(), "bit-identical");
+                    ok += 1;
+                }
+                Err(EngineError::Query(QueryError::EvalPanicked)) => panicked += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        // Twenty distinct scenarios, one solve each, alternately panicking.
+        assert_eq!((ok, panicked), (10, 10));
+        let m = engine.metrics();
+        assert_eq!(m.eval_panics, 10, "one typed answer per injected panic");
+        assert_eq!(m.worker_respawns, 0, "no worker ran, none respawned");
+        assert_eq!(m.batch_count, 0);
+        // The caller that absorbed ten panics still serves: a cached
+        // answer, then a fresh scenario whose first solve panics and whose
+        // retry succeeds.
+        let q = y2(1e-5 + 1e-6);
+        assert_eq!(engine.evaluate(q).unwrap(), direct_eval(&q).unwrap());
+        let fresh = y2(4e-5);
+        assert!(matches!(
+            engine.evaluate(fresh),
+            Err(EngineError::Query(QueryError::EvalPanicked))
+        ));
+        assert_eq!(
+            engine.evaluate(fresh).unwrap(),
+            direct_eval(&fresh).unwrap()
+        );
+    }
+
+    /// Eight callers race on one fresh query: one leads and solves inline,
+    /// the rest coalesce or hit the cache, all bit-identically.
+    #[test]
+    fn concurrent_inline_misses_solve_once() {
+        let engine = small_engine(1, 64);
+        let q = y2(6e-5);
+        let direct = direct_eval(&q).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let answers: Vec<EngineResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        engine.evaluate(q)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for a in answers {
+            assert_eq!(a.unwrap(), direct, "bit-identical to direct_eval");
+        }
+        let m = engine.metrics();
+        assert_eq!(m.pk_solves, 1, "one leader, one solve");
+        assert_eq!(m.submitted, 8);
+        assert_eq!(m.submitted, m.served + m.coalesced, "{m:?}");
+    }
+
+    /// After shutdown an inline leader is rejected where `submit`'s push
+    /// would fail, and gives back its flight and tenant queue slot.
+    #[test]
+    fn evaluate_after_shutdown_is_rejected_and_unwound() {
+        let engine = small_engine(1, 64);
+        engine.shutdown();
+        let q = y2(7e-5);
+        assert!(matches!(
+            engine.evaluate(q),
+            Err(EngineError::Rejected(RejectReason::ShuttingDown))
+        ));
+        assert!(engine.shared.flight.is_empty(), "the flight was retired");
+        let t = engine
+            .tenant_metrics()
+            .into_iter()
+            .find(|t| t.tenant == q.tenant())
+            .unwrap();
+        assert_eq!(t.in_queue, 0, "the queue slot was released");
+        assert_eq!(engine.metrics().rejected, 1);
+    }
+
+    /// Inline leaders hold their tenant queue slot for the whole solve:
+    /// with a fair share of `ceil(8 · 0.25) = 2` slots, a third concurrent
+    /// `evaluate` miss from the same tenant is a `QuotaExceeded`, while
+    /// another tenant is still served.
+    #[test]
+    fn inline_misses_are_bounded_by_the_tenant_share() {
+        use std::sync::{Condvar, Mutex};
+
+        /// Parks the first two solves until the gate opens; later solves
+        /// run straight through, so an over-admitted miss cannot hang.
+        #[derive(Default)]
+        struct Gate {
+            /// (solves entered, gate open)
+            state: Mutex<(usize, bool)>,
+            changed: Condvar,
+        }
+        impl Gate {
+            fn wait_until(&self, done: impl Fn(&(usize, bool)) -> bool) {
+                let mut st = self.state.lock().unwrap();
+                while !done(&st) {
+                    st = self.changed.wait(st).unwrap();
+                }
+            }
+            fn open(&self) {
+                self.state.lock().unwrap().1 = true;
+                self.changed.notify_all();
+            }
+        }
+        impl Evaluator for Gate {
+            fn solve_pk(&self, query: &QosQuery) -> Result<Vec<f64>, EngineError> {
+                let parked = {
+                    let mut st = self.state.lock().unwrap();
+                    st.0 += 1;
+                    st.0 <= 2
+                };
+                if parked {
+                    self.changed.notify_all();
+                    self.wait_until(|st| st.1);
+                }
+                DefaultEvaluator.solve_pk(query)
+            }
+        }
+
+        let gate = Arc::new(Gate::default());
+        let engine = Engine::with_evaluator(
+            EngineConfig {
+                queue_capacity: 8,
+                quota: QuotaPolicy {
+                    queue_share: 0.25,
+                    ..QuotaPolicy::default()
+                },
+                ..EngineConfig::default()
+            },
+            Arc::clone(&gate) as Arc<dyn Evaluator>,
+        );
+        let engine = &engine;
+        let flooder = TenantId(1);
+        let q = |i: u32| y2(1e-5 + f64::from(i) * 1e-6).for_tenant(flooder);
+        let in_queue = |t: TenantId| {
+            engine
+                .tenant_metrics()
+                .into_iter()
+                .find(|s| s.tenant == t)
+                .map_or(0, |s| s.in_queue)
+        };
+        let polite = y2(9e-5).for_tenant(TenantId(2));
+        // Observe while the two leaders are parked, open the gate, and
+        // only then assert, so a failure cannot strand the parked threads.
+        let (held, third, other, answers) = std::thread::scope(|s| {
+            let solving: Vec<_> = (0..2)
+                .map(|i| s.spawn(move || engine.evaluate(q(i))))
+                .collect();
+            gate.wait_until(|st| st.0 >= 2);
+            let held = in_queue(flooder);
+            let third = engine.evaluate(q(2));
+            let other = engine.evaluate(polite);
+            gate.open();
+            let answers: Vec<EngineResult> =
+                solving.into_iter().map(|h| h.join().unwrap()).collect();
+            (held, third, other, answers)
+        });
+        assert_eq!(held, 2, "both solving leaders hold a slot");
+        assert!(
+            matches!(
+                third,
+                Err(EngineError::Rejected(RejectReason::QuotaExceeded { tenant }))
+                    if tenant == flooder
+            ),
+            "a miss beyond the share is rejected: {third:?}"
+        );
+        assert_eq!(
+            other.unwrap(),
+            direct_eval(&polite).unwrap(),
+            "another tenant keeps its own share"
+        );
+        for (i, a) in (0..2).zip(answers) {
+            assert_eq!(a.unwrap(), direct_eval(&q(i)).unwrap());
+        }
+        assert_eq!(
+            in_queue(flooder),
+            0,
+            "answered leaders give their slots back"
+        );
+        // The share is free again: the rejected miss now goes through.
+        assert_eq!(engine.evaluate(q(2)).unwrap(), direct_eval(&q(2)).unwrap());
+        assert_eq!(engine.metrics().batch_count, 0);
+    }
+
+    /// An engine used only through `evaluate` starts no pool; a later
+    /// `submit` starts it and is served; the engine then drops cleanly.
+    #[test]
+    fn pool_starts_on_first_queued_job() {
+        let engine = small_engine(2, 64);
+        for i in 0..4u32 {
+            let q = y2(2e-5 + f64::from(i) * 1e-6);
+            assert_eq!(engine.evaluate(q).unwrap(), direct_eval(&q).unwrap());
+        }
+        assert!(
+            engine.pool.get().is_none(),
+            "evaluate alone spawns no thread"
+        );
+        let m = engine.metrics();
+        assert_eq!(m.batch_count, 0);
+        assert_eq!(m.queue_wait.count, 0, "inline misses never queued");
+        assert_eq!(m.solve.count, 4);
+        assert_eq!(m.end_to_end.count, 4);
+        let q = y2(8e-5);
+        let got = engine.submit(q).unwrap().wait().unwrap();
+        assert_eq!(got, direct_eval(&q).unwrap());
+        assert!(engine.pool.get().is_some());
+        assert_eq!(engine.metrics().batch_count, 1);
+        drop(engine);
     }
 
     /// An expired deadline is a typed per-query error; queries without a

@@ -2,23 +2,30 @@
 //! query-serving engine
 //!
 //! Turns the closed-form stack of `oaq-analytic` into an in-process
-//! serving layer: validated [`QosQuery`] requests flow through a bounded,
-//! backpressure-aware submission queue into a supervised worker pool,
-//! with two levels of memoization in between.
+//! serving layer: validated [`QosQuery`] requests pass one admission
+//! path, then run either on the calling thread ([`Engine::evaluate`]) or
+//! through a bounded, backpressure-aware submission queue into a
+//! supervised worker pool ([`Engine::submit`]), with two levels of
+//! memoization in between.
 //!
 //! * **Admission** — [`Engine::submit`] never blocks; when the bounded
 //!   queue is full it returns a typed
 //!   [`RejectReason::QueueFull`] so the caller owns its
-//!   backpressure policy.
+//!   backpressure policy. [`Engine::evaluate`] runs a miss inline, with
+//!   the same supervision, deadlines, caching and metrics as a pool
+//!   worker, and no thread hand-off; the pool starts only when the first
+//!   job is queued.
 //! * **Multi-tenancy** — every query carries a [`TenantId`]; a
 //!   [`QuotaPolicy`] enforces per-tenant token-bucket rates and weighted
-//!   fair shares of the queue, so one flooding tenant collects retryable
+//!   fair shares of the queue (an inline miss holds its share's slot
+//!   while it solves), so one flooding tenant collects retryable
 //!   [`RejectReason::QuotaExceeded`] rejections while the others keep
 //!   their latency.
 //! * **Supervision** — evaluator panics are caught per query and become
 //!   typed [`QueryError::EvalPanicked`] answers for the leader *and*
-//!   every coalesced waiter; the supervisor respawns dead workers so the
-//!   pool heals to its configured size.
+//!   every coalesced waiter; an inline caller's thread carries on, and
+//!   the supervisor respawns dead pool workers so the pool heals to its
+//!   configured size.
 //! * **Deadlines & SLO shedding** — queries may carry a serving deadline
 //!   (checked before and after the solve —
 //!   [`QueryError::DeadlineExceeded`]), and a [`ShedPolicy`] watches the
@@ -44,7 +51,8 @@
 //! ```
 //! use oaq_engine::{Engine, EngineConfig, Measure, QuerySpec, Scheme};
 //!
-//! let engine = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
+//! // `evaluate` solves a miss on this thread: no worker thread starts.
+//! let engine = Engine::new(EngineConfig::default());
 //! let query = QuerySpec::paper_defaults(1e-5, Measure::QosAtLeast { scheme: Scheme::Oaq, y: 2 })
 //!     .build()
 //!     .unwrap();

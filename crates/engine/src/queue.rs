@@ -111,9 +111,8 @@ impl<T> SubmitQueue<T> {
         self.nonempty.notify_all();
     }
 
-    /// Whether [`Self::shutdown`] has been called. Used by the worker
-    /// supervisor to decide between respawning a panicked worker and
-    /// letting the pool wind down.
+    /// Whether [`Self::shutdown`] has been called. An inline leader that
+    /// bypasses the queue checks it where a push would have been refused.
     #[must_use]
     pub fn is_shut_down(&self) -> bool {
         lock_ignore_poison(&self.inner).shutdown

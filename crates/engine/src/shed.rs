@@ -125,6 +125,12 @@ impl Shedder {
         coin.unit() < state.probability
     }
 
+    /// Whether this shedder can ever reject — when not, admission skips
+    /// reading the p99 estimate (and the metrics lock behind it).
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.policy.is_enabled()
+    }
+
     /// The current shed probability (a gauge for metrics snapshots).
     pub(crate) fn probability(&self) -> f64 {
         self.state.lock().probability

@@ -10,7 +10,8 @@
 //!   [`crate::RejectReason::QuotaExceeded`].
 //! * **Queue share** — a tenant may occupy at most
 //!   `ceil(queue_capacity · queue_share · weight)` slots of the bounded
-//!   submission queue, so a flooding tenant exhausts *its* share and hits
+//!   submission queue (an inline `evaluate` miss holds one for its whole
+//!   solve), so a flooding tenant exhausts *its* share and hits
 //!   `QuotaExceeded` while well-behaved tenants still reach the default
 //!   `QueueFull` backpressure only under genuine global overload.
 //!
@@ -137,8 +138,8 @@ pub struct TenantSnapshot {
     pub cache_hits: u64,
     /// Submissions coalesced onto an in-flight identical computation.
     pub coalesced: u64,
-    /// Queries computed by a worker on this tenant's behalf (leader jobs
-    /// dequeued and answered, successfully or not).
+    /// Queries computed on this tenant's behalf, by a worker or inline by
+    /// an `evaluate` caller (leader jobs answered, successfully or not).
     pub completed: u64,
     /// Submissions rejected by the rate or queue-share quota.
     pub quota_rejected: u64,
@@ -234,9 +235,10 @@ impl TenantTable {
         })
     }
 
-    /// Releases a slot reserved by [`Self::try_reserve_queue_slot`] — on
-    /// worker dequeue, or on the submit path when the global queue push
-    /// fails after the reservation.
+    /// Releases a slot reserved by [`Self::try_reserve_queue_slot`] — when
+    /// a worker dequeues the leader job, when an inline leader has
+    /// answered it, or when an admitted leader is rejected after the
+    /// reservation.
     pub(crate) fn release_queue_slot(&self, tenant: TenantId) {
         let mut map = self.tenants.lock();
         if let Some(s) = map.get_mut(&tenant) {
@@ -249,7 +251,7 @@ impl TenantTable {
         self.with_state(tenant, now_s, |s| s.counters.coalesced += 1);
     }
 
-    /// Notes a worker-completed job for `tenant`.
+    /// Notes a completed leader job for `tenant`.
     pub(crate) fn on_completed(&self, tenant: TenantId) {
         let mut map = self.tenants.lock();
         if let Some(s) = map.get_mut(&tenant) {

@@ -6,11 +6,12 @@
 //! Every query evaluation runs under `catch_unwind`: an evaluator panic
 //! is converted into a typed [`QueryError::EvalPanicked`] delivered to
 //! the leader *and* every coalesced follower — no waiter ever hangs on a
-//! dead computation. A worker that caught a panic finishes delivering
-//! its whole batch (so no dequeued job is dropped), then exits with
-//! [`WorkerExit::Panicked`]; the supervisor in [`crate::Engine`]
-//! replaces it so the pool heals back to its configured size. As a last
-//! backstop, [`Job`] abandons its slot on drop — a job discarded without
+//! dead computation. An inline leader (an `evaluate` caller) gets the
+//! typed answer too and its thread carries on. A worker that caught a
+//! panic finishes delivering its whole batch (so no dequeued job is
+//! dropped), then exits with [`WorkerExit::Panicked`]; the supervisor in
+//! [`crate::Engine`] replaces it so the pool heals back to its configured
+//! size. As a last backstop, [`Job`] abandons its slot on drop — a job discarded without
 //! delivery (teardown, an unwinding worker) still wakes its followers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -176,12 +177,15 @@ fn compute(shared: &Shared, query: &QosQuery) -> EngineResult {
     }
 }
 
-/// Delivers one dequeued job: deadline gates, supervised compute, caching
-/// and metrics. Returns `true` if the evaluator panicked underneath.
-fn serve_job(shared: &Shared, job: &Job) -> bool {
-    shared.tenants.release_queue_slot(job.query.tenant());
+/// Delivers one job — dequeued by a worker, or run on the thread of the
+/// [`crate::Engine::evaluate`] caller that leads its flight: deadline
+/// gates, supervised compute, caching and metrics. The tenant queue slot
+/// is the caller's to release: a worker gives it back at dequeue, an
+/// inline leader only once the job is answered, so its solve counts
+/// against the tenant's fair share. Returns `true` if the evaluator
+/// panicked underneath.
+pub(crate) fn serve_job(shared: &Shared, job: &Job) -> bool {
     let waited = job.submitted.elapsed();
-    shared.metrics.record_queue_wait(waited.as_secs_f64());
     let guard = AbandonGuard::new(&shared.flight, job.key, Arc::clone(&job.slot));
 
     // Deadline gate 1: shed already-late work before paying for a solve.
@@ -248,6 +252,11 @@ pub(crate) fn worker_loop(shared: &Shared) -> WorkerExit {
         shared.metrics.on_batch(batch.len());
         let mut panicked = false;
         for job in batch {
+            shared.tenants.release_queue_slot(job.query.tenant());
+            // Only queued work has a queue wait; inline misses never queue.
+            shared
+                .metrics
+                .record_queue_wait(job.submitted.elapsed().as_secs_f64());
             panicked |= serve_job(shared, &job);
         }
         if panicked {

@@ -98,6 +98,64 @@ proptest! {
     }
 }
 
+/// Replays `queries` through `evaluate` from `callers` threads (caller
+/// `c` takes every `callers`-th query), returning answers in workload
+/// order.
+fn replay_inline(engine: &Engine, queries: &[QosQuery], callers: usize) -> Vec<EngineResult> {
+    let mut answers: Vec<Option<EngineResult>> = vec![None; queries.len()];
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..callers)
+            .map(|c| {
+                s.spawn(move || {
+                    (c..queries.len())
+                        .step_by(callers)
+                        .map(|i| (i, engine.evaluate(queries[i])))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().expect("caller panicked") {
+                answers[i] = Some(r);
+            }
+        }
+    });
+    answers
+        .into_iter()
+        .map(|a| a.expect("every query answered"))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    /// The inline path: a seeded workload through `evaluate` — run on the
+    /// callers' own threads — is bit-identical to direct evaluation from
+    /// 1, 2 and 4 concurrent callers, and never touches the pool.
+    #[test]
+    fn evaluate_is_bit_identical_to_direct_eval(seed in any::<u64>()) {
+        let workload = zipf_workload(
+            &WorkloadConfig { scenarios: 10, skew: 1.0, queries: 60 },
+            seed,
+        );
+        for callers in [1, 2, 4] {
+            let eng = engine(2, 32);
+            let served = replay_inline(&eng, &workload, callers);
+            for (i, (q, r)) in workload.iter().zip(&served).enumerate() {
+                let direct = direct_eval(q).expect("in-domain workload");
+                prop_assert_eq!(
+                    r.as_ref().expect("engine must answer in-domain queries"),
+                    &direct,
+                    "query {} diverged at {} callers (seed {})", i, callers, seed
+                );
+            }
+            let m = eng.metrics();
+            prop_assert_eq!(m.submitted, workload.len() as u64);
+            prop_assert_eq!(m.served + m.coalesced, workload.len() as u64);
+            prop_assert_eq!(m.batch_count, 0, "inline misses never queue");
+        }
+    }
+}
+
 #[test]
 fn warm_replay_is_bit_identical_and_solve_free() {
     let cfg = WorkloadConfig {
