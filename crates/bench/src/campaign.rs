@@ -380,8 +380,11 @@ impl CellSink {
 }
 
 /// Per-worker campaign scratch: the core episode buffers plus a recycled
-/// [`Episode`] (keeping its geometry clone and fault-list capacity) and the
-/// drawn fault plan — together they make the cell hot loop allocation-free.
+/// [`Episode`] (keeping its shared geometry and fault-list capacity) and
+/// the drawn fault plan. Each call starts them empty: a worker's first
+/// episode builds the topology and grows the buffers, and later episodes
+/// allocate only when one outgrows them (a longer fault plan, a deeper
+/// event queue) or records a violation.
 #[derive(Default)]
 struct CellScratch {
     scratch: EpisodeScratch,
@@ -411,7 +414,7 @@ fn run_episode(
     } = cell;
     let (seed, birth, duration) = episode_setup_into(cfg, spec, base_seed, i, plan);
     // One `Episode` per worker, re-armed in place each iteration: its
-    // geometry clone and fault lists persist across episodes.
+    // geometry and fault lists persist across episodes.
     let ep = episode.get_or_insert_with(|| build_episode(cfg, geometry, seed));
     ep.reset(cfg, seed);
     for &(sat, from, until) in plan.iter() {
@@ -958,6 +961,116 @@ mod tests {
         assert_eq!(fast, traced);
     }
 
+    /// The Starlink shell-1 protocol configuration matching
+    /// [`starlink_geometry`].
+    fn starlink_base() -> ProtocolConfig {
+        let walker = Preset::Starlink.config();
+        let mut starlink = ProtocolConfig::reference(walker.total_satellites(), Scheme::Oaq);
+        starlink.theta = walker.period.value();
+        starlink.tc = walker.coverage_time.value();
+        starlink
+    }
+
+    /// FNV-1a over the `Debug` rendering (which round-trips every `f64`)
+    /// of each episode outcome of one cell, run serially on one scratch.
+    fn outcome_digest(
+        cfg: &ProtocolConfig,
+        geometry: Option<&CoverageGeometry>,
+        spec: &CellSpec,
+        base_seed: u64,
+        episodes: u64,
+    ) -> u64 {
+        let mut scratch = EpisodeScratch::new();
+        let mut rendered = String::new();
+        for i in 0..episodes {
+            let (seed, birth, duration, plan) = episode_setup(cfg, spec, base_seed, i);
+            let ep = apply_plan(build_episode(cfg, geometry, seed), &plan);
+            rendered.push_str(&format!(
+                "{:?}\n",
+                ep.run_scratch(birth, duration, &mut scratch)
+            ));
+        }
+        oaq_serve::snapshot::fnv1a64(rendered.as_bytes())
+    }
+
+    #[test]
+    fn campaign_grid_matches_golden_values() {
+        // Recorded from the linear-scan coverage kernel, the link-by-link
+        // topology build and per-episode loss-state maps: the range-query
+        // kernel, the row-built topology and the recycled maps must
+        // reproduce every tally and every episode outcome of the 8-cell
+        // campaign grid, at 1 and 2 workers. The Starlink outcomes do not
+        // depend on the loss process (equal digests along the loss axis),
+        // so the paper cells are what exercise the bursty-loss maps.
+        // Columns: detected, timely, quality, live_detector,
+        // live_detector_timely, violations, per-episode outcome digest.
+        type Golden = (u64, u64, u64, u64, u64, usize, u64);
+        const STARLINK: [Golden; 8] = [
+            (50, 50, 50, 50, 50, 0, 677_449_534_033_234_894),
+            (50, 50, 50, 50, 50, 0, 677_449_534_033_234_894),
+            (50, 50, 50, 49, 49, 0, 1_673_358_317_337_853_878),
+            (50, 50, 50, 49, 49, 0, 1_673_358_317_337_853_878),
+            (50, 50, 50, 50, 50, 0, 677_449_534_033_234_894),
+            (50, 50, 50, 50, 50, 0, 677_449_534_033_234_894),
+            (50, 50, 50, 49, 49, 0, 1_673_358_317_337_853_878),
+            (50, 50, 50, 49, 49, 0, 1_673_358_317_337_853_878),
+        ];
+        const PAPER: [Golden; 8] = [
+            (50, 50, 18, 50, 50, 0, 12_344_428_306_689_004_864),
+            (50, 50, 19, 50, 50, 0, 10_739_410_564_053_771_316),
+            (50, 50, 17, 50, 50, 0, 13_615_432_590_722_557_382),
+            (50, 50, 18, 50, 50, 0, 11_335_355_857_393_771_591),
+            (50, 50, 18, 50, 50, 0, 12_344_428_306_689_004_864),
+            (50, 50, 19, 50, 50, 0, 6_665_941_963_615_866_167),
+            (50, 50, 17, 50, 50, 0, 7_222_451_229_895_147_979),
+            (50, 50, 18, 50, 50, 0, 4_220_415_798_229_192_506),
+        ];
+        let starlink = starlink_base();
+        let paper = ProtocolConfig::reference(10, Scheme::Oaq);
+        let geom = starlink_geometry();
+        let mut cells = Vec::new();
+        for loss in [
+            LossAxis::Iid { p: 0.2 },
+            LossAxis::Bursty {
+                marginal: 0.2,
+                burst_len: 4.0,
+            },
+        ] {
+            for node_failure_rate in [0.02, 0.2] {
+                for retry_budget in [0, 2] {
+                    cells.push(CellSpec {
+                        loss,
+                        node_failure_rate,
+                        retry_budget,
+                    });
+                }
+            }
+        }
+        for (base, geometry, golden) in [(&starlink, Some(&geom), STARLINK), (&paper, None, PAPER)]
+        {
+            for (spec, want) in cells.iter().zip(golden) {
+                let cfg = cell_config_from(base, spec);
+                let digest = outcome_digest(&cfg, geometry, spec, 2026, 50);
+                for workers in [1, 2] {
+                    let mut scenario = Scenario::new(base, workers);
+                    scenario.geometry = geometry;
+                    let c = run_cell_scenario(&scenario, spec, 50, 2026);
+                    let got = (
+                        c.detected,
+                        c.timely,
+                        c.quality,
+                        c.live_detector,
+                        c.live_detector_timely,
+                        c.violations.len(),
+                        digest,
+                    );
+                    assert_eq!(c.episodes, 50);
+                    assert_eq!(got, want, "k = {}, {spec:?}, {workers} workers", cfg.k);
+                }
+            }
+        }
+    }
+
     #[test]
     fn recycled_episode_matches_a_fresh_one() {
         // The campaign re-arms one `Episode` per worker in place
@@ -965,10 +1078,7 @@ mod tests {
         // exactly what a freshly built episode returns, at paper scale and
         // at Starlink scale with explicit geometry.
         let paper = ProtocolConfig::reference(9, Scheme::Oaq);
-        let walker = Preset::Starlink.config();
-        let mut starlink = ProtocolConfig::reference(walker.total_satellites(), Scheme::Oaq);
-        starlink.theta = walker.period.value();
-        starlink.tc = walker.coverage_time.value();
+        let starlink = starlink_base();
         let starlink_geom = starlink_geometry();
         for (base, geometry, failure_rate) in
             [(&paper, None, 0.3), (&starlink, Some(&starlink_geom), 0.02)]

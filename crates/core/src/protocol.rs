@@ -8,8 +8,11 @@
 //! specifies — TC-3 (signal stopped) in particular is only ever *inferred*
 //! via the wait timeout `τ − (n−1)δ`.
 
+use std::sync::Arc;
+
 use oaq_net::fault::FaultPlan;
 use oaq_net::link::LinkSpec;
+use oaq_net::network::LossStates;
 use oaq_net::topology::Topology;
 use oaq_net::{Envelope, Network, NodeId, ReliableLink, ReliableOutcome, SendOutcome};
 use oaq_sim::{Context, EventQueue, Model, SimDuration, SimTime, Simulation};
@@ -179,7 +182,7 @@ const COVERAGE_EPS: f64 = 1e-6;
 #[derive(Debug)]
 struct EpisodeModel {
     cfg: ProtocolConfig,
-    geom: CoverageGeometry,
+    geom: Arc<CoverageGeometry>,
     net: Network<CoordMessage>,
     reliable: ReliableLink,
     /// δ_eff = `cfg.delta_eff()`, cached: every δ in the TC arithmetic.
@@ -719,7 +722,8 @@ impl Model for EpisodeModel {
 
 /// Identity of a cached geometry + topology pair: the evenly-phased
 /// reference construction is keyed by its parameters; a caller-supplied
-/// geometry is compared by value on reuse.
+/// geometry is matched by `Arc` identity, and by value only when the
+/// pointers differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum GeomKey {
     Reference { k: usize, theta: u64, tc: u64 },
@@ -730,7 +734,7 @@ enum GeomKey {
 struct EpisodeStatics {
     key: GeomKey,
     max_skip: usize,
-    geom: CoverageGeometry,
+    geom: Arc<CoverageGeometry>,
     topology: Topology,
 }
 
@@ -748,6 +752,7 @@ pub struct EpisodeScratch {
     tried: Vec<Vec<usize>>,
     deliveries: Vec<Delivery>,
     faults: FaultPlan,
+    loss_states: LossStates,
     queue: EventQueue<Ev>,
 }
 
@@ -769,7 +774,9 @@ pub struct Episode {
     failures: Vec<(usize, f64)>,
     failure_windows: Vec<(usize, f64, f64)>,
     outages: Vec<(usize, usize, f64, f64)>,
-    geometry: Option<CoverageGeometry>,
+    /// Shared with the scratch's cached statics, so reuse is a pointer
+    /// comparison.
+    geometry: Option<Arc<CoverageGeometry>>,
 }
 
 impl Episode {
@@ -805,7 +812,7 @@ impl Episode {
             self.cfg.k,
             "geometry must describe exactly k satellites"
         );
-        self.geometry = Some(geometry);
+        self.geometry = Some(Arc::new(geometry));
         self
     }
 
@@ -942,58 +949,55 @@ impl Episode {
         (outcome, trace.expect("trace requested"))
     }
 
-    /// The geometry + topology for this episode: recycled from the scratch
-    /// when its cached pair was built from identical inputs, else built
-    /// fresh. Both are immutable during a run, so a cache hit is
-    /// value-identical to a rebuild.
-    fn statics(
-        &self,
-        scratch: &mut EpisodeScratch,
-        max_skip: usize,
-    ) -> (CoverageGeometry, Topology) {
-        let key = match &self.geometry {
+    /// The cache key of this episode's geometry (see [`GeomKey`]).
+    fn geom_key(&self) -> GeomKey {
+        match &self.geometry {
             Some(_) => GeomKey::Custom,
             None => GeomKey::Reference {
                 k: self.cfg.k,
                 theta: self.cfg.theta.to_bits(),
                 tc: self.cfg.tc.to_bits(),
             },
-        };
+        }
+    }
+
+    /// The geometry + topology for this episode: recycled from the scratch
+    /// when its cached pair was built from identical inputs, else built
+    /// fresh. Both are immutable during a run, so a cache hit is
+    /// value-identical to a rebuild. An `Episode` re-armed with `reset`
+    /// keeps its geometry `Arc`, so its reuse check is O(1).
+    fn statics(
+        &self,
+        scratch: &mut EpisodeScratch,
+        max_skip: usize,
+    ) -> (Arc<CoverageGeometry>, Topology) {
         if let Some(st) = scratch.statics.take() {
-            let usable = st.max_skip == max_skip
-                && match &self.geometry {
-                    Some(g) => st.key == GeomKey::Custom && st.geom == *g,
-                    None => st.key == key,
-                };
-            if usable {
+            let same_geometry = match &self.geometry {
+                Some(g) => Arc::ptr_eq(&st.geom, g) || st.geom == *g,
+                None => true,
+            };
+            if st.max_skip == max_skip && st.key == self.geom_key() && same_geometry {
                 return (st.geom, st.topology);
             }
         }
-        let geom = self
-            .geometry
-            .clone()
-            .unwrap_or_else(|| CoverageGeometry::new(self.cfg.k, self.cfg.theta, self.cfg.tc));
+        let geom = self.geometry.clone().unwrap_or_else(|| {
+            Arc::new(CoverageGeometry::new(
+                self.cfg.k,
+                self.cfg.theta,
+                self.cfg.tc,
+            ))
+        });
         // Crosslinks follow *visit order* (identical to index order for the
         // evenly-phased single plane): each satellite links to the peers it
         // hands coordination to and receives it from, plus chords when
-        // membership-assisted recruitment may skip dead peers.
-        let topology = if self.cfg.k < 2 {
-            // A degenerate single-node "ring": no links.
-            Topology::new()
-        } else {
-            let order = geom.visit_order();
-            let k = self.cfg.k;
-            let mut t = Topology::new();
-            for i in 0..k {
-                for skip in 1..=max_skip {
-                    t.link(
-                        NodeId(order[i] as u32),
-                        NodeId(order[(i + skip) % k] as u32),
-                    );
-                }
-            }
-            t
-        };
+        // membership-assisted recruitment may skip dead peers. A
+        // single-node "ring" (`max_skip == 0`) has no links.
+        let order: Vec<NodeId> = geom
+            .visit_order()
+            .iter()
+            .map(|&sat| NodeId(sat as u32))
+            .collect();
+        let topology = Topology::chorded_ring(&order, max_skip);
         (geom, topology)
     }
 
@@ -1026,14 +1030,6 @@ impl Episode {
                 .map_or(1, |h| h.max_skip.min(self.cfg.k - 1))
         };
         let (geom, topology) = self.statics(scratch, max_skip);
-        let statics_key = match &self.geometry {
-            Some(_) => GeomKey::Custom,
-            None => GeomKey::Reference {
-                k: self.cfg.k,
-                theta: self.cfg.theta.to_bits(),
-                tc: self.cfg.tc.to_bits(),
-            },
-        };
         // The fault plan is recycled from the scratch: cleared (keeping its
         // buffers) and repopulated from this episode's schedule.
         let mut faults = std::mem::take(&mut scratch.faults);
@@ -1052,7 +1048,9 @@ impl Episode {
                 SimTime::new(until),
             );
         }
-        let net = Network::new(topology, link).with_faults(faults);
+        let net = Network::new(topology, link)
+            .with_faults(faults)
+            .with_loss_states(std::mem::take(&mut scratch.loss_states));
         // Per-satellite vectors recycled from the scratch: cleared and
         // re-initialized in place, keeping their capacity.
         let mut sats = std::mem::take(&mut scratch.sats);
@@ -1103,10 +1101,11 @@ impl Episode {
         // episode (deliveries follow once the outcome is computed).
         scratch.sats = sats;
         scratch.tried = tried;
-        let (topology, faults) = net.into_parts();
+        let (topology, faults, loss_states) = net.into_parts();
         scratch.faults = faults;
+        scratch.loss_states = loss_states;
         scratch.statics = Some(EpisodeStatics {
-            key: statics_key,
+            key: self.geom_key(),
             max_skip,
             geom,
             topology,

@@ -13,6 +13,18 @@
 //! `new` constructor is the evenly-phased single-plane special case the
 //! analytic model evaluates.
 
+use std::ops::Range;
+
+/// `x mod θ` in `[0, θ)` (up to the rounding of the negative-side wrap).
+fn wrap(x: f64, theta: f64) -> f64 {
+    let raw = x % theta;
+    if raw < 0.0 {
+        raw + theta
+    } else {
+        raw
+    }
+}
+
 /// Center-line coverage geometry of the satellites sweeping one target.
 ///
 /// Satellite `j` covers the target during `[offset_j + n·θ, offset_j +
@@ -29,6 +41,9 @@ pub struct CoverageGeometry {
     order: Vec<usize>,
     /// Inverse of `order`: `pos[sat]` is `sat`'s rank in the sweep.
     pos: Vec<usize>,
+    /// The longest window duration: only satellites whose offset lies
+    /// within this much before `t mod θ` can cover the target at `t`.
+    max_dur: f64,
 }
 
 impl CoverageGeometry {
@@ -71,6 +86,7 @@ impl CoverageGeometry {
     pub fn with_windows(windows: Vec<(f64, f64)>, theta: f64) -> Self {
         assert!(!windows.is_empty(), "need at least one satellite");
         assert!(theta.is_finite() && theta > 0.0, "theta must be positive");
+        let mut max_dur = 0.0f64;
         let windows: Vec<(f64, f64)> = windows
             .into_iter()
             .map(|(o, d)| {
@@ -79,12 +95,13 @@ impl CoverageGeometry {
                     d.is_finite() && d > 0.0 && d < theta,
                     "window durations must be in (0, θ)"
                 );
-                let w = o % theta;
-                (if w < 0.0 { w + theta } else { w }, d)
+                max_dur = max_dur.max(d);
+                (wrap(o, theta), d)
             })
             .collect();
         let mut order: Vec<usize> = (0..windows.len()).collect();
-        order.sort_by(|&a, &b| {
+        // (offset, index) is a total order, so the unstable sort is exact.
+        order.sort_unstable_by(|&a, &b| {
             windows[a]
                 .0
                 .partial_cmp(&windows[b].0)
@@ -100,6 +117,7 @@ impl CoverageGeometry {
             theta,
             order,
             pos,
+            max_dur,
         }
     }
 
@@ -131,12 +149,7 @@ impl CoverageGeometry {
     /// Phase of satellite `j`'s coverage pattern at time `t`:
     /// `(t − offset_j) mod θ`, in `[0, θ)`.
     fn phase(&self, sat: usize, t: f64) -> f64 {
-        let raw = (t - self.windows[sat].0) % self.theta;
-        if raw < 0.0 {
-            raw + self.theta
-        } else {
-            raw
-        }
+        wrap(t - self.windows[sat].0, self.theta)
     }
 
     /// `true` when satellite `j`'s footprint covers the target at `t`.
@@ -151,7 +164,9 @@ impl CoverageGeometry {
     }
 
     /// Satellites covering the target at `t`, in arrival order (most
-    /// recently arrived last).
+    /// recently arrived last). Tests every satellite: the reference the
+    /// range query in [`covering_summary`](CoverageGeometry::covering_summary)
+    /// is checked against.
     #[must_use]
     pub fn covering_at(&self, t: f64) -> Vec<usize> {
         let mut sats: Vec<(f64, usize)> = (0..self.k())
@@ -170,6 +185,10 @@ impl CoverageGeometry {
     /// taking `(len, last)`, but without allocating. "Freshest" is the most
     /// recently arrived satellite: smallest phase, ties resolved to the
     /// highest index (matching `covering_at`'s stable descending sort).
+    ///
+    /// Costs O(log k + c), where c is the number of satellites whose
+    /// window start lies within the longest window duration before `t`:
+    /// only those are tested, and `keep` is called only for covering ones.
     #[must_use]
     pub fn covering_summary<F: Fn(usize) -> bool>(
         &self,
@@ -178,20 +197,51 @@ impl CoverageGeometry {
     ) -> (usize, Option<usize>) {
         let mut count = 0usize;
         let mut best: Option<(f64, usize)> = None;
-        for j in 0..self.k() {
-            // Geometry first: it is cheaper than a typical `keep` (fault
-            // query), and only covering satellites pay for the filter.
-            if !self.is_covering(j, t) || !keep(j) {
-                continue;
+        for ranks in self.candidate_ranks(t) {
+            for &j in &self.order[ranks] {
+                // Geometry first: it is cheaper than a typical `keep`
+                // (fault query), and only covering satellites pay for the
+                // filter.
+                let p = self.phase(j, t);
+                if p >= self.windows[j].1 || !keep(j) {
+                    continue;
+                }
+                count += 1;
+                // Candidates arrive in rank order, not index order, so the
+                // tie-break is spelled out rather than left to the loop.
+                if best.is_none_or(|(bp, bj)| p < bp || (p == bp && j > bj)) {
+                    best = Some((p, j));
+                }
             }
-            count += 1;
-            let p = self.phase(j, t);
-            best = match best {
-                Some((bp, bj)) if p > bp => Some((bp, bj)),
-                _ => Some((p, j)),
-            };
         }
         (count, best.map(|(_, j)| j))
+    }
+
+    /// At most two ranges of `order` that together hold every satellite
+    /// covering the target at `t`: the ranks whose offset lies in the
+    /// circular window `(t mod θ − D − m, t mod θ + m]`, D the longest
+    /// window duration. The margin m covers the rounding of `phase`
+    /// (`t − offset` loses up to an ulp of `t`), so widening the window by
+    /// it only adds candidates that the exact `phase` test rejects. A
+    /// window that spans the whole ring is returned as the whole ring.
+    fn candidate_ranks(&self, t: f64) -> [Range<usize>; 2] {
+        let k = self.order.len();
+        let margin = 1e-6 * self.theta + 4.0 * f64::EPSILON * t.abs();
+        if self.max_dur + 2.0 * margin >= self.theta {
+            return [0..k, 0..0];
+        }
+        let now = wrap(t, self.theta);
+        let (lo, hi) = (now - self.max_dur - margin, now + margin);
+        // Ranks whose offset is `<= x`: offsets ascend along `order`.
+        let upto = |x: f64| self.order.partition_point(|&j| self.windows[j].0 <= x);
+        let wrapped = if lo < 0.0 {
+            upto(lo + self.theta)..k
+        } else if hi >= self.theta {
+            0..upto(hi - self.theta)
+        } else {
+            0..0
+        };
+        [upto(lo)..upto(hi), wrapped]
     }
 
     /// The start of satellite `j`'s first coverage window at or after `t`.

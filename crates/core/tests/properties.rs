@@ -5,6 +5,7 @@ use oaq_core::config::{ProtocolConfig, Scheme};
 use oaq_core::protocol::Episode;
 use oaq_core::qos_level::QosLevel;
 use oaq_core::signal::CoverageGeometry;
+use oaq_orbit::Preset;
 use proptest::prelude::*;
 
 fn any_cfg() -> impl Strategy<Value = ProtocolConfig> {
@@ -164,5 +165,123 @@ proptest! {
         if let Some(at) = out.delivered_at {
             prop_assert!(at >= birth, "delivered before the signal existed");
         }
+    }
+}
+
+/// The nudge the protocol adds to coverage queries made at window edges.
+const COVERAGE_EPS: f64 = 1e-6;
+
+/// A random geometry of 1 to ~2000 satellites whose durations share one
+/// scale (short, medium or close to θ, the last forcing whole-ring
+/// queries). Offsets mix 0, just below θ, a tiny negative that wraps to
+/// exactly θ, a few shared values (phase ties), large multiples of θ and
+/// uniform draws.
+fn any_geometry() -> impl Strategy<Value = CoverageGeometry> {
+    (
+        10.0f64..200.0,
+        (0u8..3, 0.0f64..1.0).prop_map(|(class, u)| match class {
+            0 => 0.001 + 0.099 * u,
+            1 => 0.1 + 0.5 * u,
+            _ => 0.6 + 0.399 * u,
+        }),
+        prop::collection::vec((0u8..8, 0.0f64..1.0, 0.01f64..1.0), 1..2000),
+    )
+        .prop_map(|(theta, scale, sats)| {
+            let windows = sats
+                .into_iter()
+                .map(|(kind, u, d)| {
+                    let offset = match kind {
+                        0 => 0.0,
+                        1 => theta * (1.0 - f64::EPSILON),
+                        2 => -1e-300,
+                        3 => (u * 8.0).floor() * theta / 8.0,
+                        4 => u * theta + 1e4 * theta,
+                        _ => u * theta,
+                    };
+                    (offset, d * scale * theta)
+                })
+                .collect();
+            CoverageGeometry::with_windows(windows, theta)
+        })
+}
+
+/// The Starlink shell-1 sweep: 72 planes × 22 satellites, Walker-phased.
+fn walker_geometry() -> CoverageGeometry {
+    let w = Preset::Starlink.config();
+    let total = w.total_satellites() as f64;
+    let theta = w.period.value();
+    let offsets = (0..w.planes)
+        .flat_map(|p| (0..w.satellites_per_plane).map(move |s| (p, s)))
+        .map(|(p, s)| {
+            let turns =
+                (w.phasing_factor * p) as f64 / total + s as f64 / w.satellites_per_plane as f64;
+            theta * turns.fract()
+        })
+        .collect();
+    CoverageGeometry::with_offsets(offsets, theta, w.coverage_time.value())
+}
+
+/// Probe instants at satellite window edges: the start or end of a
+/// window, exactly or ± [`COVERAGE_EPS`], after 0, 1, 37 or 10⁶ periods.
+fn any_edges() -> impl Strategy<Value = Vec<(usize, u8, u8)>> {
+    prop::collection::vec((any::<usize>(), 0u8..6, 0u8..4), 1..24)
+}
+
+/// Asserts that the range-query summary equals the linear oracle,
+/// `covering_at` filtered by `keep`, at every edge probe and at `t`.
+fn check_summary(
+    g: &CoverageGeometry,
+    edges: &[(usize, u8, u8)],
+    t: f64,
+    mask: u64,
+) -> Result<(), TestCaseError> {
+    let keep = |j: usize| {
+        mask.is_multiple_of(4) || (j as u64 ^ mask).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 != 0
+    };
+    let theta = g.k() as f64 * g.tr();
+    let probes = edges.iter().map(|(sat, edge, periods)| {
+        let (offset, dur) = g.windows()[sat % g.k()];
+        let base = offset + [0.0, 1.0, 37.0, 1e6][usize::from(*periods)] * theta;
+        base + [
+            0.0,
+            dur,
+            -COVERAGE_EPS,
+            COVERAGE_EPS,
+            dur - COVERAGE_EPS,
+            dur + COVERAGE_EPS,
+        ][usize::from(*edge)]
+    });
+    for t in probes.chain([t]) {
+        let filtered: Vec<usize> = g.covering_at(t).into_iter().filter(|&j| keep(j)).collect();
+        prop_assert_eq!(
+            g.covering_summary(t, keep),
+            (filtered.len(), filtered.last().copied()),
+            "t = {}",
+            t
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn covering_summary_matches_the_linear_oracle(
+        g in any_geometry(),
+        edges in any_edges(),
+        t in 0.0f64..1e5,
+        mask in any::<u64>(),
+    ) {
+        check_summary(&g, &edges, t, mask)?;
+    }
+
+    #[test]
+    fn covering_summary_matches_the_linear_oracle_on_a_walker_shell(
+        edges in any_edges(),
+        t in 0.0f64..1e5,
+        mask in any::<u64>(),
+    ) {
+        check_summary(&walker_geometry(), &edges, t, mask)?;
     }
 }

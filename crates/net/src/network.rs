@@ -76,6 +76,10 @@ impl NetworkStats {
     }
 }
 
+/// Per-edge loss-channel state (burst chains), keyed by the normalized
+/// undirected edge `(min, max)`.
+pub type LossStates = HashMap<(NodeId, NodeId), LossState>;
+
 /// A simulated crosslink network.
 ///
 /// See the [crate-level example](crate) for usage. The type parameter `P` is
@@ -86,9 +90,9 @@ pub struct Network<P> {
     link: LinkSpec,
     faults: FaultPlan,
     stats: NetworkStats,
-    /// Per-edge loss-channel state (burst chains), keyed by the normalized
-    /// undirected edge. Empty until an edge first carries traffic.
-    loss_states: HashMap<(NodeId, NodeId), LossState>,
+    /// Per-edge loss-channel state. Empty until an edge first carries
+    /// traffic, and only ever looked up by key.
+    loss_states: LossStates,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -131,11 +135,21 @@ impl<P> Network<P> {
         self.topology
     }
 
-    /// Consumes the network, returning the topology *and* the fault plan so
-    /// callers can recycle both sets of buffers across episodes.
+    /// Installs a recycled loss-state map. It is cleared first, so every
+    /// edge's channel still starts fresh; only its capacity carries over.
     #[must_use]
-    pub fn into_parts(self) -> (Topology, FaultPlan) {
-        (self.topology, self.faults)
+    pub fn with_loss_states(mut self, mut states: LossStates) -> Self {
+        states.clear();
+        self.loss_states = states;
+        self
+    }
+
+    /// Consumes the network, returning the topology, the fault plan and
+    /// the loss-state map so callers can recycle all three sets of buffers
+    /// across episodes.
+    #[must_use]
+    pub fn into_parts(self) -> (Topology, FaultPlan, LossStates) {
+        (self.topology, self.faults, self.loss_states)
     }
 
     /// The link model shared by all links.
@@ -509,6 +523,36 @@ mod tests {
         }
         let cond = f64::from(after_lost) / f64::from(after);
         assert!(cond > 1.5 * marginal, "cond {cond} vs marginal {marginal}");
+    }
+
+    #[test]
+    fn recycled_loss_states_start_every_edge_fresh() {
+        // A map handed back by `into_parts` still holds the burst chains
+        // it ended in; installing it must not carry them into the next
+        // network.
+        let ge = crate::link::GilbertElliott::bursts(0.3, 8.0, 1.0).unwrap();
+        let link = LinkSpec::new(0.02, 0.1)
+            .unwrap()
+            .with_bursty_loss(ge)
+            .unwrap();
+        // Sends until the first loss, so the edge ends in its bad state.
+        let run = |n: &mut Network<u32>| -> Vec<bool> {
+            let mut rng = SimRng::seed_from(23);
+            let mut outcomes = Vec::new();
+            while outcomes.last() != Some(&false) {
+                let sent = n.send(NodeId(0), NodeId(1), 0, SimTime::ZERO, &mut rng);
+                outcomes.push(sent.is_delivered());
+            }
+            outcomes
+        };
+        let mut first: Network<u32> = Network::new(Topology::ring(6), link);
+        let fresh = run(&mut first);
+        let (topology, faults, states) = first.into_parts();
+        assert!(!states.is_empty(), "the edge left a burst chain behind");
+        let mut recycled: Network<u32> = Network::new(topology, link)
+            .with_faults(faults)
+            .with_loss_states(states);
+        assert_eq!(run(&mut recycled), fresh);
     }
 
     #[test]

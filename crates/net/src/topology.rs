@@ -44,12 +44,7 @@ impl Topology {
     /// Panics if `n < 2`.
     #[must_use]
     pub fn ring(n: u32) -> Self {
-        assert!(n >= 2, "a ring needs at least two nodes");
-        let mut t = Topology::new();
-        for i in 0..n {
-            t.link(NodeId(i), NodeId((i + 1) % n));
-        }
-        t
+        Topology::ring_with_chords(n, 1)
     }
 
     /// A ring of `n` nodes where each node also links to peers up to
@@ -64,13 +59,53 @@ impl Topology {
     pub fn ring_with_chords(n: u32, max_skip: u32) -> Self {
         assert!(n >= 2, "a ring needs at least two nodes");
         assert!(max_skip >= 1, "need at least adjacent links");
-        let mut t = Topology::new();
-        for i in 0..n {
-            for skip in 1..=max_skip.min(n - 1) {
-                t.link(NodeId(i), NodeId((i + skip) % n));
-            }
+        let order: Vec<NodeId> = (0..n).map(NodeId).collect();
+        Topology::chorded_ring(&order, max_skip as usize)
+    }
+
+    /// The ring that visits `order` in sequence (wrapping around), each
+    /// node linked to the peers up to `max_skip` positions ahead of and
+    /// behind it — the same links as calling [`Topology::link`] for every
+    /// `(order[r], order[(r + s) % n])`, `s = 1..=max_skip`, built row by
+    /// row in O(n·max_skip) instead. Fewer than two nodes or `max_skip ==
+    /// 0` give an empty topology; `max_skip ≥ n/2` gives the clique.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` repeats a node.
+    #[must_use]
+    pub fn chorded_ring(order: &[NodeId], max_skip: usize) -> Self {
+        let n = order.len();
+        // Skips past n/2 only repeat the backward links of shorter ones.
+        let reach = max_skip.min(n / 2);
+        if reach == 0 {
+            return Topology::new();
         }
-        t
+        // Each node's rank packed under its id: sorting by id hands out
+        // the slots in order, with the rank to build each slot's row from.
+        let mut by_id: Vec<u64> = order
+            .iter()
+            .enumerate()
+            .map(|(rank, id)| u64::from(id.0) << 32 | rank as u64)
+            .collect();
+        by_id.sort_unstable();
+        let mut ids = Vec::with_capacity(n);
+        let mut adj = Vec::with_capacity(n);
+        for key in by_id {
+            let id = NodeId((key >> 32) as u32);
+            assert!(ids.last() != Some(&id), "a ring visits each node once");
+            let r = (key & u64::from(u32::MAX)) as usize;
+            let mut row = Vec::with_capacity(2 * reach);
+            for s in 1..=reach {
+                row.push(order[(r + s) % n]);
+                row.push(order[(r + n - s) % n]);
+            }
+            row.sort_unstable();
+            row.dedup();
+            ids.push(id);
+            adj.push(row);
+        }
+        Topology { ids, adj }
     }
 
     /// A constellation grid: `planes` rings of `per_plane` nodes each, with
@@ -407,6 +442,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The link-by-link construction `chorded_ring` replaces.
+    fn linked_ring(order: &[NodeId], max_skip: usize) -> Topology {
+        let mut t = Topology::new();
+        let n = order.len();
+        for r in 0..n {
+            for s in 1..=max_skip {
+                t.link(order[r], order[(r + s) % n]);
+            }
+        }
+        t
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn chorded_ring_matches_the_link_by_link_build(
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..200),
+            skip in proptest::prelude::any::<usize>(),
+        ) {
+            // A random visit order over sparse ids: the rank of each key.
+            let mut ranked: Vec<(u64, u32)> =
+                keys.iter().enumerate().map(|(i, &key)| (key, 3 * i as u32 + 1)).collect();
+            ranked.sort_unstable();
+            let order: Vec<NodeId> = ranked.iter().map(|&(_, id)| NodeId(id)).collect();
+            // Up to n + 1, so the clique case (max_skip ≥ n/2) is common.
+            let max_skip = skip % (order.len() + 2);
+            let rows = Topology::chorded_ring(&order, max_skip);
+            let links = linked_ring(&order, max_skip);
+            proptest::prop_assert_eq!(rows.nodes(), links.nodes());
+            for &id in links.nodes() {
+                proptest::prop_assert_eq!(rows.neighbors(id), links.neighbors(id));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a ring visits each node once")]
+    fn chorded_ring_rejects_a_repeated_node() {
+        let _ = Topology::chorded_ring(&[NodeId(1), NodeId(2), NodeId(1)], 1);
     }
 
     #[test]
