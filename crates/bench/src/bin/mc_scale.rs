@@ -78,7 +78,8 @@ fn main() {
     let serial = Scenario::new(&base, 1);
     let reference = run_cell_scenario(&serial, &spec, episodes, seed);
     // Minimum over single calls, after a warm-up call that fills the
-    // per-worker scratch (geometry, topology, buffers), so the timed calls
+    // per-worker scratch (geometry, topology, buffers). The campaign keeps
+    // that scratch across calls, so the timed calls borrow it warm and
     // measure the steady state the campaign runs in.
     let gate_secs = measure::per_call(reps, 1, || {
         run_cell_scenario(&serial, &spec, episodes, seed)

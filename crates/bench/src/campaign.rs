@@ -13,12 +13,13 @@
 //! coverage) alert by τ*, whatever the fault mix does to quality.
 
 use std::f64::consts::TAU;
+use std::sync::{Mutex, PoisonError};
 
 use oaq_core::config::{ProtocolConfig, Scheme};
 use oaq_core::protocol::{Episode, EpisodeScratch};
 use oaq_core::qos_level::{EpisodeOutcome, QosLevel};
 use oaq_core::signal::CoverageGeometry;
-use oaq_exec::Executor;
+use oaq_exec::{Executor, TARGET_CHUNKS};
 use oaq_net::GilbertElliott;
 use oaq_orbit::Preset;
 use oaq_sim::par::{Merge, Replicator};
@@ -381,15 +382,67 @@ impl CellSink {
 
 /// Per-worker campaign scratch: the core episode buffers plus a recycled
 /// [`Episode`] (keeping its shared geometry and fault-list capacity) and
-/// the drawn fault plan. Each call starts them empty: a worker's first
-/// episode builds the topology and grows the buffers, and later episodes
-/// allocate only when one outgrows them (a longer fault plan, a deeper
-/// event queue) or records a violation.
+/// the drawn fault plan. A worker borrows one from [`SCRATCH_POOL`] for
+/// the length of a call, so only the first calls of a process build the
+/// topology and grow the buffers; later episodes allocate only when one
+/// outgrows them (a longer fault plan, a deeper event queue) or records a
+/// violation.
 #[derive(Default)]
 struct CellScratch {
     scratch: EpisodeScratch,
     episode: Option<Episode>,
     plan: FailurePlan,
+    /// The satellite count of the last cell this scratch ran, so a
+    /// borrower can prefer a scratch whose cached topology fits.
+    k: usize,
+}
+
+/// Most spare [`CellScratch`]es kept between calls: two cell shapes (a
+/// paper-scale and a mega-constellation cell, say) on up to four workers.
+const POOL_CAP: usize = 8;
+
+/// Spare cell scratch, oldest first, returned by each worker's
+/// [`PooledScratch`] when its call ends. Scratch is capacity, not state
+/// (the `EpisodeScratch` statics check decides whether a cached topology
+/// is reused), so which spare a worker gets never shows in an outcome.
+/// Every update is one `remove` or `push`, so a lock poisoned by a
+/// panicking holder still guards a valid list and is recovered.
+static SCRATCH_POOL: Mutex<Vec<CellScratch>> = Mutex::new(Vec::new());
+
+/// One worker's borrowed [`CellScratch`]; dropping it hands the scratch
+/// back to [`SCRATCH_POOL`].
+struct PooledScratch(CellScratch);
+
+impl PooledScratch {
+    /// Borrows the newest spare whose last cell had `k` satellites, else
+    /// a fresh scratch: taking another shape's spare would only make the
+    /// next call of that shape rebuild its topology in turn.
+    fn borrow(k: usize) -> Self {
+        let mut pool = SCRATCH_POOL.lock().unwrap_or_else(PoisonError::into_inner);
+        let spare = pool.iter().rposition(|c| c.k == k).map(|i| pool.remove(i));
+        drop(pool);
+        let mut cell = spare.unwrap_or_default();
+        cell.k = k;
+        PooledScratch(cell)
+    }
+}
+
+impl Drop for PooledScratch {
+    fn drop(&mut self) {
+        // A scratch unwinding from a panic may be mid-episode: drop it.
+        if std::thread::panicking() {
+            return;
+        }
+        let mut cell = std::mem::take(&mut self.0);
+        // The episode holds this call's scenario geometry; the next call
+        // builds its own.
+        cell.episode = None;
+        let mut pool = SCRATCH_POOL.lock().unwrap_or_else(PoisonError::into_inner);
+        if pool.len() == POOL_CAP {
+            pool.remove(0);
+        }
+        pool.push(cell);
+    }
 }
 
 /// Runs episode `i` of a cell on the untraced fast path and tallies it.
@@ -411,6 +464,7 @@ fn run_episode(
         scratch,
         episode,
         plan,
+        ..
     } = cell;
     let (seed, birth, duration) = episode_setup_into(cfg, spec, base_seed, i, plan);
     // One `Episode` per worker, re-armed in place each iteration: its
@@ -524,9 +578,14 @@ pub fn run_cell_fanout(
 
 /// Runs one campaign cell against an arbitrary [`Scenario`] — any base
 /// configuration and coverage geometry (Walker presets included), any
-/// worker/chunk/forced-steal mix. Per-worker [`EpisodeScratch`] keeps the
-/// episode hot loop allocation-free; the outcome is bit-identical across
-/// every scheduling configuration.
+/// worker/chunk/forced-steal mix. Per-worker [`EpisodeScratch`], kept
+/// across calls, keeps the episode hot loop allocation-free; the outcome
+/// is bit-identical across every scheduling configuration.
+///
+/// Without a pinned chunk the cell is cut into about
+/// [`TARGET_CHUNKS`] chunks with no floor: the sink's merge is exact, so
+/// the chunk size cannot change the outcome, and a short cell of long
+/// episodes (50 Starlink episodes) still splits evenly across workers.
 ///
 /// # Panics
 ///
@@ -540,17 +599,23 @@ pub fn run_cell_scenario(
 ) -> CellOutcome {
     let cfg = cell_config_from(scenario.base, spec);
     let geometry = scenario.geometry;
+    let exec = match scenario.exec.chunk_override() {
+        Some(_) => scenario.exec,
+        None => scenario
+            .exec
+            .with_chunk(Some(episodes.div_ceil(TARGET_CHUNKS).max(1))),
+    };
     // The engine's substream rng is deliberately unused: the campaign's
     // episode-seed scheme predates the replication engine and recorded
     // violation seeds must stay replayable, so episodes re-derive their
     // streams from `episode_seed` (the same mixing function) instead.
-    let sink = Replicator::new(scenario.exec).run_scratch(
+    let sink = Replicator::new(exec).run_scratch(
         episodes,
         base_seed,
         CellSink::default,
-        CellScratch::default,
+        || PooledScratch::borrow(cfg.k),
         |i, _rng, scratch, sink| {
-            run_episode(&cfg, geometry, spec, base_seed, i, scratch, sink);
+            run_episode(&cfg, geometry, spec, base_seed, i, &mut scratch.0, sink);
         },
     );
     sink.into_outcome(spec, episodes)
@@ -657,7 +722,7 @@ pub fn run_grid_scenario(
         total,
         base_seed,
         || GridSink(vec![CellSink::default(); specs.len()]),
-        CellScratch::default,
+        || PooledScratch::borrow(scenario.base.k),
         |g, _rng, scratch, sink| {
             let c = (g / episodes) as usize;
             let i = g % episodes;
@@ -667,7 +732,7 @@ pub fn run_grid_scenario(
                 &specs[c],
                 base_seed,
                 i,
-                scratch,
+                &mut scratch.0,
                 &mut sink.0[c],
             );
         },
@@ -1110,6 +1175,106 @@ mod tests {
                 failed += u32::from(!plan.is_empty());
             }
             assert!(detected > 0 && failed > 0, "k = {}: vacuous probe", cfg.k);
+        }
+    }
+
+    /// One cell rebuilt from fresh `Episode`s, each run on its own fresh
+    /// scratch: the oracle the pooled, recycled path must reproduce.
+    fn fresh_cell(
+        cfg: &ProtocolConfig,
+        geometry: Option<&CoverageGeometry>,
+        spec: &CellSpec,
+        base_seed: u64,
+        episodes: u64,
+    ) -> CellOutcome {
+        let mut sink = CellSink::default();
+        for i in 0..episodes {
+            let (seed, birth, duration, plan) = episode_setup(cfg, spec, base_seed, i);
+            let result = apply_plan(build_episode(cfg, geometry, seed), &plan).run(birth, duration);
+            let (Some(t0), Some(detector)) = (result.detected_at, result.detector) else {
+                continue;
+            };
+            sink.detected += 1;
+            sink.timely += u64::from(result.deadline_met);
+            sink.quality += u64::from(result.level >= QosLevel::SequentialDual);
+            if stays_alive(&plan, detector, t0, cfg.tau) {
+                sink.live_detector += 1;
+                if result.deadline_met && result.level >= QosLevel::Single {
+                    sink.live_detector_timely += 1;
+                } else {
+                    sink.violations.push(Violation {
+                        episode: i,
+                        seed,
+                        detector,
+                        outcome: format!("{result:?}"),
+                        trace: replay_with(cfg, geometry, spec, base_seed, i).1,
+                    });
+                }
+            }
+        }
+        sink.into_outcome(spec, episodes)
+    }
+
+    #[test]
+    fn pooled_scratch_across_calls_matches_fresh_episodes() {
+        // Worker scratch outlives each call, so consecutive calls hand it
+        // paper cells, the Starlink cell and a second 1584-node geometry
+        // (same k, offsets shifted into eight clusters with short
+        // footprints, so some signals escape: its statics must
+        // be rebuilt, not reused). Every call must equal the fresh-episode
+        // oracle, at 1 and 2 workers, in either order.
+        let paper = ProtocolConfig::reference(10, Scheme::Oaq);
+        let starlink = starlink_base();
+        let geom = starlink_geometry();
+        let theta = geom.k() as f64 * geom.tr();
+        let shifted = CoverageGeometry::with_offsets(
+            (0..geom.k())
+                .map(|j| (j % 8) as f64 * theta / 8.0 + (j / 8) as f64 * 1e-3)
+                .collect(),
+            theta,
+            3.0,
+        );
+        assert_ne!(shifted, geom);
+        let specs = [
+            CellSpec {
+                loss: LossAxis::Iid { p: 0.2 },
+                node_failure_rate: 0.2,
+                retry_budget: 2,
+            },
+            CellSpec {
+                loss: LossAxis::Bursty {
+                    marginal: 0.3,
+                    burst_len: 4.0,
+                },
+                node_failure_rate: 0.02,
+                retry_budget: 0,
+            },
+        ];
+        let cells = [
+            (&paper, None, &specs[0], 60),
+            (&starlink, Some(&geom), &specs[0], 16),
+            (&starlink, Some(&shifted), &specs[1], 16),
+            (&paper, None, &specs[1], 60),
+            (&starlink, Some(&geom), &specs[1], 16),
+            (&starlink, Some(&shifted), &specs[0], 16),
+        ];
+        let oracles: Vec<CellOutcome> = cells
+            .iter()
+            .map(|&(base, geometry, spec, episodes)| {
+                fresh_cell(&cell_config_from(base, spec), geometry, spec, 31, episodes)
+            })
+            .collect();
+        assert!(oracles.iter().all(|c| c.detected > 0 && c.quality > 0));
+        for sparse in [&oracles[2], &oracles[5]] {
+            assert!(sparse.detected < sparse.episodes, "{sparse:?}");
+        }
+        for workers in [1, 2, 1, 2] {
+            for (&(base, geometry, spec, episodes), want) in cells.iter().zip(&oracles) {
+                let mut scenario = Scenario::new(base, workers);
+                scenario.geometry = geometry;
+                let got = run_cell_scenario(&scenario, spec, episodes, 31);
+                assert_eq!(&got, want, "k = {}, {spec:?}, {workers} workers", base.k);
+            }
         }
     }
 

@@ -190,6 +190,10 @@ struct EpisodeModel {
     sats: Vec<SatelliteState>,
     /// Recruits each satellite has already requested (never re-tried).
     tried: Vec<Vec<usize>>,
+    /// Every satellite given a chain position, in order. Only these rows
+    /// of `sats` and `tried` leave the episode changed, so the next run on
+    /// the same scratch resets just them.
+    involved: Vec<usize>,
     t_start: f64,
     t_end: f64,
     detection: Option<(f64, usize)>,
@@ -239,6 +243,7 @@ impl EpisodeModel {
             return;
         };
         self.detection = Some((now, s1));
+        self.involved.push(s1);
         let simultaneous = covering_count >= 2;
         self.record(
             now,
@@ -550,6 +555,7 @@ impl EpisodeModel {
             return; // already involved (ring wrap); ignore
         }
         self.sats[sat].chain_pos = Some(requester_pos + 1);
+        self.involved.push(sat);
         self.sats[sat].requester = Some(env.src.0 as usize);
         self.sats[sat].passes = passes;
         self.sats[sat].reported_error_km = Some(reported_error_km);
@@ -745,11 +751,17 @@ struct EpisodeStatics {
 /// vectors, all recycled across episodes instead of reallocated. Results
 /// are bit-identical with or without scratch reuse — the buffers are
 /// capacity, not state.
+///
+/// A run leaves only the satellites it involved changed and records them,
+/// so the next run at the same k resets those rows alone: an episode's
+/// cost beyond its coverage queries is O(involved + failures), not O(k).
 #[derive(Debug, Default)]
 pub struct EpisodeScratch {
     statics: Option<EpisodeStatics>,
     sats: Vec<SatelliteState>,
     tried: Vec<Vec<usize>>,
+    /// The satellites the last run involved (see `EpisodeModel::involved`).
+    involved: Vec<usize>,
     deliveries: Vec<Delivery>,
     faults: FaultPlan,
     loss_states: LossStates,
@@ -977,7 +989,11 @@ impl Episode {
                 None => true,
             };
             if st.max_skip == max_skip && st.key == self.geom_key() && same_geometry {
-                return (st.geom, st.topology);
+                // Keep this episode's `Arc`, so a value-equal geometry (a
+                // recycled scratch meeting a new episode) costs one
+                // comparison, and every later run a pointer test.
+                let geom = self.geometry.clone().unwrap_or(st.geom);
+                return (geom, st.topology);
             }
         }
         let geom = self.geometry.clone().unwrap_or_else(|| {
@@ -1034,12 +1050,14 @@ impl Episode {
         // buffers) and repopulated from this episode's schedule.
         let mut faults = std::mem::take(&mut scratch.faults);
         faults.clear();
-        for &(sat, time) in &self.failures {
-            faults.fail_at(NodeId(sat as u32), SimTime::new(time));
-        }
-        for &(sat, from, until) in &self.failure_windows {
-            faults.fail_between(NodeId(sat as u32), SimTime::new(from), SimTime::new(until));
-        }
+        faults.fail_all(
+            self.failures
+                .iter()
+                .map(|&(sat, time)| (NodeId(sat as u32), SimTime::new(time))),
+            self.failure_windows.iter().map(|&(sat, from, until)| {
+                (NodeId(sat as u32), SimTime::new(from), SimTime::new(until))
+            }),
+        );
         for &(a, b, from, until) in &self.outages {
             faults.outage_between(
                 NodeId(a as u32),
@@ -1051,16 +1069,27 @@ impl Episode {
         let net = Network::new(topology, link)
             .with_faults(faults)
             .with_loss_states(std::mem::take(&mut scratch.loss_states));
-        // Per-satellite vectors recycled from the scratch: cleared and
-        // re-initialized in place, keeping their capacity.
+        // Per-satellite vectors recycled from the scratch. A run at the same
+        // k changed only the rows it involved, so only those are reset; any
+        // other length (a fresh scratch, another k, or one abandoned
+        // mid-run, which still holds the taken, empty vectors) is rebuilt.
         let mut sats = std::mem::take(&mut scratch.sats);
-        sats.clear();
-        sats.resize(self.cfg.k, SatelliteState::new());
         let mut tried = std::mem::take(&mut scratch.tried);
-        for v in &mut tried {
-            v.clear();
+        let mut involved = std::mem::take(&mut scratch.involved);
+        if sats.len() == self.cfg.k && tried.len() == self.cfg.k {
+            for &i in &involved {
+                sats[i] = SatelliteState::new();
+                tried[i].clear();
+            }
+        } else {
+            sats.clear();
+            sats.resize(self.cfg.k, SatelliteState::new());
+            for v in &mut tried {
+                v.clear();
+            }
+            tried.resize_with(self.cfg.k, Vec::new);
         }
-        tried.resize_with(self.cfg.k, Vec::new);
+        involved.clear();
         let mut deliveries = std::mem::take(&mut scratch.deliveries);
         deliveries.clear();
 
@@ -1071,6 +1100,7 @@ impl Episode {
             delta_eff: self.cfg.delta_eff(),
             sats,
             tried,
+            involved,
             t_start: t_birth,
             t_end: t_birth + duration,
             detection: None,
@@ -1089,6 +1119,7 @@ impl Episode {
             net,
             sats,
             tried,
+            involved,
             detection,
             mut deliveries,
             s1_released_at,
@@ -1097,10 +1128,16 @@ impl Episode {
         } = model;
 
         let messages = net.stats().attempts;
+        debug_assert!(
+            (0..self.cfg.k).all(|i| involved.contains(&i)
+                || (sats[i] == SatelliteState::new() && tried[i].is_empty())),
+            "a satellite outside `involved` was changed, so a sparse reset would miss it"
+        );
         // Hand the long-lived buffers back to the scratch for the next
         // episode (deliveries follow once the outcome is computed).
         scratch.sats = sats;
         scratch.tried = tried;
+        scratch.involved = involved;
         let (topology, faults, loss_states) = net.into_parts();
         scratch.faults = faults;
         scratch.loss_states = loss_states;

@@ -23,7 +23,7 @@ pub enum SatellitePhase {
 }
 
 /// The mutable per-satellite record the protocol keeps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SatelliteState {
     /// Protocol phase.
     pub phase: SatellitePhase,

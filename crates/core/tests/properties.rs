@@ -1,8 +1,8 @@
 //! Property-based tests of protocol-level invariants, across randomized
 //! capacities, timings, signals and fault injections.
 
-use oaq_core::config::{ProtocolConfig, Scheme};
-use oaq_core::protocol::Episode;
+use oaq_core::config::{MembershipHints, ProtocolConfig, Scheme};
+use oaq_core::protocol::{Episode, EpisodeScratch};
 use oaq_core::qos_level::QosLevel;
 use oaq_core::signal::CoverageGeometry;
 use oaq_orbit::Preset;
@@ -283,5 +283,154 @@ proptest! {
         mask in any::<u64>(),
     ) {
         check_summary(&walker_geometry(), &edges, t, mask)?;
+    }
+}
+
+/// One episode of a recycled-scratch sequence: satellite count class
+/// (1, 2..40 or 1584), geometry kind (reference, random windows, or the
+/// Walker shell at 1584), membership reach (0 = no hints), retry budget,
+/// loss, seed, signal, and faults whose satellites are indices into the
+/// target's covering set when even, into all k satellites when odd.
+#[derive(Debug, Clone)]
+struct Step {
+    k_class: u8,
+    small_k: usize,
+    geometry: u8,
+    max_skip: usize,
+    retry_budget: u32,
+    loss: f64,
+    seed: u64,
+    birth: f64,
+    duration: f64,
+    failures: Vec<(usize, f64)>,
+    windows: Vec<(usize, f64, f64)>,
+    outages: Vec<(usize, f64, f64)>,
+}
+
+fn any_step() -> impl Strategy<Value = Step> {
+    (
+        (0u8..3, 2usize..41, 0u8..3, 0usize..5),
+        (0u32..3, 0.0f64..0.5, any::<u64>()),
+        (0.0f64..200.0, 0.0f64..30.0),
+        prop::collection::vec((any::<usize>(), 0.0f64..200.0), 0..10),
+        prop::collection::vec((any::<usize>(), 0.0f64..200.0, 0.01f64..20.0), 0..10),
+        prop::collection::vec((any::<usize>(), 0.0f64..200.0, 0.01f64..20.0), 0..4),
+    )
+        .prop_map(
+            |(
+                (k_class, small_k, geometry, max_skip),
+                (retry_budget, loss, seed),
+                (birth, duration),
+                failures,
+                windows,
+                outages,
+            )| Step {
+                k_class,
+                small_k,
+                geometry,
+                max_skip,
+                retry_budget,
+                loss,
+                seed,
+                birth,
+                duration,
+                failures,
+                windows,
+                outages,
+            },
+        )
+}
+
+impl Step {
+    /// The episode this step describes.
+    fn episode(&self) -> Episode {
+        let k = match self.k_class {
+            0 => 1,
+            1 => self.small_k,
+            _ => 1584,
+        };
+        let mut cfg = ProtocolConfig::reference(k, Scheme::Oaq);
+        cfg.message_loss = self.loss;
+        cfg.retry_budget = self.retry_budget;
+        cfg.retry_timeout = 0.25;
+        if self.max_skip > 0 {
+            cfg.membership = Some(MembershipHints {
+                detection_latency: 2.0,
+                max_skip: self.max_skip,
+            });
+        }
+        let geometry = match self.geometry {
+            0 => None,
+            1 => {
+                let mut h = self.seed;
+                let mut unit = || {
+                    h = h.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (h >> 11) as f64 / (1u64 << 53) as f64
+                };
+                let windows = (0..k)
+                    .map(|_| {
+                        let tr = cfg.theta / k as f64;
+                        (
+                            unit() * cfg.theta,
+                            (tr * (0.3 + 1.4 * unit())).min(0.9 * cfg.theta),
+                        )
+                    })
+                    .collect();
+                Some(CoverageGeometry::with_windows(windows, cfg.theta))
+            }
+            _ if k == 1584 => {
+                let g = walker_geometry();
+                cfg.theta = g.k() as f64 * g.tr();
+                cfg.tc = g.windows()[0].1;
+                Some(g)
+            }
+            _ => None,
+        };
+        let g = geometry
+            .clone()
+            .unwrap_or_else(|| CoverageGeometry::new(k, cfg.theta, cfg.tc));
+        let covering = g.covering_at(self.birth);
+        let pick = |raw: usize| {
+            if raw.is_multiple_of(2) && !covering.is_empty() {
+                covering[raw / 2 % covering.len()]
+            } else {
+                raw / 2 % k
+            }
+        };
+        let mut ep = Episode::new(&cfg, self.seed);
+        if let Some(g) = geometry {
+            ep = ep.with_geometry(g);
+        }
+        for &(raw, at) in &self.failures {
+            ep.add_failure(pick(raw), at);
+        }
+        for &(raw, from, len) in &self.windows {
+            ep.add_failure_window(pick(raw), from, from + len);
+        }
+        for &(raw, from, len) in &self.outages {
+            let a = pick(raw);
+            ep.add_link_outage(a, g.next_visitor(a), from, from + len);
+        }
+        ep
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // One scratch recycled across a random interleaving of satellite
+    // counts, geometries, membership reach, faults and retry budgets must
+    // return what a fresh scratch returns, episode by episode. Run in
+    // debug, every episode also asserts that the satellites it did not
+    // involve were left pristine, which is what the sparse reset relies on.
+    #[test]
+    fn recycled_scratch_matches_a_fresh_one(steps in prop::collection::vec(any_step(), 1..10)) {
+        let mut scratch = EpisodeScratch::new();
+        for (i, step) in steps.iter().enumerate() {
+            let ep = step.episode();
+            let fresh = ep.run(step.birth, step.duration);
+            let recycled = ep.run_scratch(step.birth, step.duration, &mut scratch);
+            prop_assert_eq!(recycled, fresh, "step {}: {:?}", i, step);
+        }
     }
 }

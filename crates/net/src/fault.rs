@@ -112,6 +112,9 @@ impl FaultPlan {
 
     /// Schedules `node` to go fail-silent at `at`, permanently. If the node
     /// already has a permanent failure the earlier one wins.
+    ///
+    /// Each call inserts into the sorted vector; to schedule many failures
+    /// at once use [`FaultPlan::fail_all`].
     pub fn fail_at(&mut self, node: NodeId, at: SimTime) {
         let range = self.node_range(node);
         let end = range.end;
@@ -150,6 +153,66 @@ impl FaultPlan {
                 },
             ),
         );
+    }
+
+    /// Schedules every `permanent` fail-silent onset and every `windows`
+    /// crash-recovery window `(node, from, until)` in one pass. The plan
+    /// then answers every query exactly as after [`FaultPlan::fail_at`] for
+    /// each permanent failure followed by [`FaultPlan::fail_between`] for
+    /// each window, without one mid-vector insert per failure.
+    ///
+    /// Each list is merged in by node, permanent first on ties; when both
+    /// are in node order (as a plan drawn satellite by satellite is) the
+    /// build is O(f) appends, otherwise one in-place sort follows; either
+    /// way it needs no buffer beyond the plan's own.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every window has `from < until`.
+    pub fn fail_all<P, W>(&mut self, permanent: P, windows: W)
+    where
+        P: IntoIterator<Item = (NodeId, SimTime)>,
+        W: IntoIterator<Item = (NodeId, SimTime, SimTime)>,
+    {
+        let mut permanent = permanent.into_iter().peekable();
+        let mut windows = windows.into_iter().peekable();
+        loop {
+            let take_permanent = match (permanent.peek(), windows.peek()) {
+                (Some(p), Some(w)) => p.0 .0 <= w.0 .0,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let entry = if take_permanent {
+                let (node, from) = permanent.next().expect("peeked");
+                (node, FailureWindow { from, until: None })
+            } else {
+                let (node, from, until) = windows.next().expect("peeked");
+                assert!(from < until, "failure window must have from < until");
+                (
+                    node,
+                    FailureWindow {
+                        from,
+                        until: Some(until),
+                    },
+                )
+            };
+            self.windows.push(entry);
+        }
+        // Node order is what `node_range` needs; permanent failures first
+        // within a node make duplicates adjacent for the merge below.
+        let key = |e: &(NodeId, FailureWindow)| (e.0 .0, e.1.until.is_some());
+        if !self.windows.is_sorted_by_key(key) {
+            self.windows.sort_unstable_by_key(key);
+        }
+        // One permanent failure per node, the earliest, as `fail_at` keeps.
+        self.windows.dedup_by(|later, kept| {
+            let merge = later.0 == kept.0 && later.1.until.is_none() && kept.1.until.is_none();
+            if merge {
+                kept.1.from = kept.1.from.min(later.1.from);
+            }
+            merge
+        });
     }
 
     /// Schedules a transient outage of the undirected edge `{a, b}` during

@@ -162,3 +162,89 @@ proptest! {
         }
     }
 }
+
+/// Schedules `prefix` with `fail_at`, then the permanent failures and
+/// windows either one call at a time (every `fail_at`, then every
+/// `fail_between`) or through one `fail_all`.
+fn build_plan(
+    prefix: &[(u32, f64)],
+    permanent: &[(u32, f64)],
+    windows: &[(u32, f64, f64)],
+    bulk: bool,
+) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for &(node, t) in prefix {
+        plan.fail_at(NodeId(node), SimTime::new(t));
+    }
+    let permanent = permanent
+        .iter()
+        .map(|&(node, t)| (NodeId(node), SimTime::new(t)));
+    let windows = windows
+        .iter()
+        .map(|&(node, from, until)| (NodeId(node), SimTime::new(from), SimTime::new(until)));
+    if bulk {
+        plan.fail_all(permanent, windows);
+    } else {
+        for (node, at) in permanent {
+            plan.fail_at(node, at);
+        }
+        for (node, from, until) in windows {
+            plan.fail_between(node, from, until);
+        }
+    }
+    plan
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The bulk build must answer exactly as the call-at-a-time sequence,
+    // for lists in node order (the campaign's draw) and for unsorted lists
+    // with duplicate permanent failures, on an empty or a seeded plan.
+    #[test]
+    fn bulk_failure_build_matches_one_call_at_a_time(
+        prefix in prop::collection::vec((0u32..12, 0.0f64..50.0), 0..3),
+        permanent in prop::collection::vec((0u32..12, 0.0f64..50.0), 0..24),
+        windows in prop::collection::vec((0u32..12, 0.0f64..50.0, 0.001f64..20.0), 0..24),
+        sorted in any::<bool>(),
+        latency in 0.0f64..10.0,
+    ) {
+        let mut permanent = permanent;
+        let mut windows: Vec<(u32, f64, f64)> = windows
+            .into_iter()
+            .map(|(node, from, len)| (node, from, from + len))
+            .collect();
+        if sorted {
+            permanent.sort_by_key(|p| p.0);
+            windows.sort_by_key(|w| w.0);
+        }
+        let want = build_plan(&prefix, &permanent, &windows, false);
+        let got = build_plan(&prefix, &permanent, &windows, true);
+        prop_assert_eq!(got.len(), want.len());
+        let edges: Vec<f64> = prefix
+            .iter()
+            .chain(&permanent)
+            .map(|p| p.1)
+            .chain(windows.iter().flat_map(|w| [w.1, w.2]))
+            .chain([0.0, 1e9])
+            .collect();
+        for node in 0..13 {
+            let n = NodeId(node);
+            prop_assert_eq!(got.failure_time(n), want.failure_time(n), "node {}", node);
+            for &edge in &edges {
+                for t in [edge - 1e-9, edge, edge + 1e-9] {
+                    let t = SimTime::new(t.max(0.0));
+                    prop_assert_eq!(got.is_failed(n, t), want.is_failed(n, t), "node {} t {:?}", node, t);
+                    let probe = SimTime::new(t.as_minutes() + latency);
+                    prop_assert_eq!(
+                        got.detected_failed(n, probe, latency),
+                        want.detected_failed(n, probe, latency),
+                        "node {} t {:?}",
+                        node,
+                        probe
+                    );
+                }
+            }
+        }
+    }
+}

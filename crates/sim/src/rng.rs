@@ -19,6 +19,7 @@ use rand::{Rng, RngCore, SeedableRng};
 /// matter which worker thread — or how many worker threads — the
 /// replication engine ([`crate::par::Replicator`]) schedules it on.
 #[must_use]
+#[inline]
 pub fn substream_seed(base_seed: u64, stream_id: u64) -> u64 {
     let mut z = base_seed
         .wrapping_add(stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -46,6 +47,7 @@ pub struct SimRng {
 impl SimRng {
     /// Creates a stream from a 64-bit seed.
     #[must_use]
+    #[inline]
     pub fn seed_from(seed: u64) -> Self {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
@@ -78,11 +80,13 @@ impl SimRng {
     /// assert_eq!(a.unit(), b.unit());
     /// ```
     #[must_use]
+    #[inline]
     pub fn substream(base_seed: u64, stream_id: u64) -> SimRng {
         SimRng::seed_from(substream_seed(base_seed, stream_id))
     }
 
     /// A uniform draw in `[0, 1)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         self.inner.random::<f64>()
     }
@@ -92,6 +96,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is non-finite.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "bad range");
         if lo == hi {
@@ -106,6 +111,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `rate` is not strictly positive and finite.
+    #[inline]
     pub fn exp(&mut self, rate: f64) -> f64 {
         assert!(rate.is_finite() && rate > 0.0, "rate must be > 0");
         let u: f64 = self.unit();
@@ -136,6 +142,7 @@ impl SimRng {
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p.clamp(0.0, 1.0)
     }
@@ -145,6 +152,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index range must be non-empty");
         self.inner.random_range(0..n)
