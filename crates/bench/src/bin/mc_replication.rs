@@ -15,6 +15,11 @@
 //!    float) across worker counts.
 //! 3. **grid** — the two-level cells × episodes fan-out vs per-cell runs.
 //!
+//! Each worker count's progress line also prints the executor's own
+//! breakdown of those timed calls (`oaq_exec::stats`): helpers spawned,
+//! tasks, steals, the caller's spawn, own work, wait and merge per call,
+//! and how late the helpers started.
+//!
 //! Parallel *speedup* here is honest wall-clock on whatever hardware runs
 //! the bench (the `cores` field says how many cores that was); on a
 //! single-core container the curve is flat and only the determinism
@@ -73,8 +78,10 @@ fn main() {
         run_cell_traced_baseline(&spec, episodes, seed)
     });
     // Timed once: the 1-worker row of the curve below is this same call.
+    let before = oaq_exec::stats();
     let fastpath_secs =
         measure::per_call(rounds, 1, || run_cell_fanout(&spec, episodes, seed, on(1)));
+    let fastpath_exec = oaq_exec::stats().since(&before);
     eprintln!(
         "# campaign_cell ({episodes} episodes): traced {:.1} ms, fastpath {:.1} ms, {:.2}x",
         traced_secs * 1e3,
@@ -91,13 +98,16 @@ fn main() {
             if !identical {
                 eprintln!("# DIVERGENCE: {w} workers disagree with the serial cell");
             }
-            let secs = if w == 1 {
-                fastpath_secs
+            let (secs, exec) = if w == 1 {
+                (fastpath_secs, fastpath_exec)
             } else {
-                measure::per_call(rounds, 1, || run_cell_fanout(&spec, episodes, seed, on(w)))
+                let before = oaq_exec::stats();
+                let secs =
+                    measure::per_call(rounds, 1, || run_cell_fanout(&spec, episodes, seed, on(w)));
+                (secs, oaq_exec::stats().since(&before))
             };
             eprintln!(
-                "#   {w} workers: {:.1} ms, {:.2}x vs serial, identical={identical}",
+                "#   {w} workers: {:.1} ms, {:.2}x vs serial, identical={identical}; executor: {exec}",
                 secs * 1e3,
                 fastpath_secs / secs,
             );

@@ -384,9 +384,9 @@ impl CellSink {
 /// [`Episode`] (keeping its shared geometry and fault-list capacity) and
 /// the drawn fault plan. A worker borrows one from [`SCRATCH_POOL`] for
 /// the length of a call, so only the first calls of a process build the
-/// topology and grow the buffers; later episodes allocate only when one
-/// outgrows them (a longer fault plan, a deeper event queue) or records a
-/// violation.
+/// topology, attach the geometry and grow the buffers; later episodes
+/// allocate only when one outgrows them (a longer fault plan, a deeper
+/// event queue) or records a violation.
 #[derive(Default)]
 struct CellScratch {
     scratch: EpisodeScratch,
@@ -416,13 +416,23 @@ struct PooledScratch(CellScratch);
 impl PooledScratch {
     /// Borrows the newest spare whose last cell had `k` satellites, else
     /// a fresh scratch: taking another shape's spare would only make the
-    /// next call of that shape rebuild its topology in turn.
-    fn borrow(k: usize) -> Self {
+    /// next call of that shape rebuild its topology in turn. The spare
+    /// keeps its episode only if that episode's geometry equals
+    /// `geometry`, so a later call on the same geometry neither clones it
+    /// nor builds a new episode.
+    fn borrow(k: usize, geometry: Option<&CoverageGeometry>) -> Self {
         let mut pool = SCRATCH_POOL.lock().unwrap_or_else(PoisonError::into_inner);
         let spare = pool.iter().rposition(|c| c.k == k).map(|i| pool.remove(i));
         drop(pool);
         let mut cell = spare.unwrap_or_default();
         cell.k = k;
+        if cell
+            .episode
+            .as_ref()
+            .is_some_and(|ep| ep.geometry() != geometry)
+        {
+            cell.episode = None;
+        }
         PooledScratch(cell)
     }
 }
@@ -433,10 +443,7 @@ impl Drop for PooledScratch {
         if std::thread::panicking() {
             return;
         }
-        let mut cell = std::mem::take(&mut self.0);
-        // The episode holds this call's scenario geometry; the next call
-        // builds its own.
-        cell.episode = None;
+        let cell = std::mem::take(&mut self.0);
         let mut pool = SCRATCH_POOL.lock().unwrap_or_else(PoisonError::into_inner);
         if pool.len() == POOL_CAP {
             pool.remove(0);
@@ -613,7 +620,7 @@ pub fn run_cell_scenario(
         episodes,
         base_seed,
         CellSink::default,
-        || PooledScratch::borrow(cfg.k),
+        || PooledScratch::borrow(cfg.k, geometry),
         |i, _rng, scratch, sink| {
             run_episode(&cfg, geometry, spec, base_seed, i, &mut scratch.0, sink);
         },
@@ -722,7 +729,7 @@ pub fn run_grid_scenario(
         total,
         base_seed,
         || GridSink(vec![CellSink::default(); specs.len()]),
-        || PooledScratch::borrow(scenario.base.k),
+        || PooledScratch::borrow(scenario.base.k, geometry),
         |g, _rng, scratch, sink| {
             let c = (g / episodes) as usize;
             let i = g % episodes;
@@ -1221,8 +1228,9 @@ mod tests {
         // paper cells, the Starlink cell and a second 1584-node geometry
         // (same k, offsets shifted into eight clusters with short
         // footprints, so some signals escape: its statics must
-        // be rebuilt, not reused). Every call must equal the fresh-episode
-        // oracle, at 1 and 2 workers, in either order.
+        // be rebuilt, not reused, and its pooled episode dropped). Every
+        // call must equal the fresh-episode oracle, under every scheduling
+        // mix, in either order.
         let paper = ProtocolConfig::reference(10, Scheme::Oaq);
         let starlink = starlink_base();
         let geom = starlink_geometry();
@@ -1268,12 +1276,20 @@ mod tests {
         for sparse in [&oracles[2], &oracles[5]] {
             assert!(sparse.detected < sparse.episodes, "{sparse:?}");
         }
-        for workers in [1, 2, 1, 2] {
+        let execs = [
+            Executor::new(1),
+            Executor::new(2),
+            Executor::new(3)
+                .with_chunk(Some(1))
+                .with_forced_steals(true),
+            Executor::new(2).with_chunk(Some(5)),
+        ];
+        for exec in execs.into_iter().chain(execs) {
             for (&(base, geometry, spec, episodes), want) in cells.iter().zip(&oracles) {
-                let mut scenario = Scenario::new(base, workers);
+                let mut scenario = Scenario::new(base, exec);
                 scenario.geometry = geometry;
                 let got = run_cell_scenario(&scenario, spec, episodes, 31);
-                assert_eq!(&got, want, "k = {}, {spec:?}, {workers} workers", base.k);
+                assert_eq!(&got, want, "k = {}, {spec:?}, {exec:?}", base.k);
             }
         }
     }

@@ -194,6 +194,9 @@ struct EpisodeModel {
     /// of `sats` and `tried` leave the episode changed, so the next run on
     /// the same scratch resets just them.
     involved: Vec<usize>,
+    /// Liveness of every satellite at one instant, refilled in place by
+    /// `fill_alive` whenever a coverage scan needs it.
+    alive: Vec<bool>,
     t_start: f64,
     t_end: f64,
     detection: Option<(f64, usize)>,
@@ -220,6 +223,15 @@ impl EpisodeModel {
             .net
             .faults()
             .is_failed(NodeId(sat as u32), SimTime::new(t))
+    }
+
+    /// Every satellite's liveness at `t`, written into the reused buffer
+    /// the caller hands back with `self.alive = flags` when done.
+    fn fill_alive(&mut self, t: f64) -> Vec<bool> {
+        let mut flags = std::mem::take(&mut self.alive);
+        flags.clear();
+        flags.extend((0..self.cfg.k).map(|j| self.alive(j, t)));
+        flags
     }
 
     fn deadline(&self) -> f64 {
@@ -590,13 +602,14 @@ impl EpisodeModel {
                 self.detect(ctx);
             } else if now < self.t_end {
                 // Spurious wake-up (e.g. raced a failure); rescan.
-                let alive: Vec<bool> = (0..self.cfg.k).map(|j| self.alive(j, now)).collect();
+                let alive = self.fill_alive(now);
                 if let Some(t) = self.geom.earliest_coverage(&alive, now, self.t_end) {
                     let covering_next = self.alive_covering_summary(t).1;
                     if let Some(s) = covering_next {
                         ctx.schedule_at(SimTime::new(t), Ev::Arrival { sat: s });
                     }
                 }
+                self.alive = alive;
             }
             return;
         }
@@ -698,7 +711,7 @@ impl Model for EpisodeModel {
                 if self.alive_covering_summary(now).0 > 0 {
                     self.detect(ctx);
                 } else {
-                    let alive: Vec<bool> = (0..self.cfg.k).map(|j| self.alive(j, now)).collect();
+                    let alive = self.fill_alive(now);
                     if let Some(t) = self.geom.earliest_coverage(&alive, now, self.t_end) {
                         // Identify which satellite arrives at t to tag the event.
                         let sat = (0..self.cfg.k)
@@ -712,6 +725,7 @@ impl Model for EpisodeModel {
                         ctx.schedule_at(SimTime::new(t), Ev::Arrival { sat });
                     }
                     // No coverage before the signal dies: the target escapes.
+                    self.alive = alive;
                 }
             }
             Ev::Arrival { sat } => self.on_arrival(sat, ctx),
@@ -762,6 +776,7 @@ pub struct EpisodeScratch {
     tried: Vec<Vec<usize>>,
     /// The satellites the last run involved (see `EpisodeModel::involved`).
     involved: Vec<usize>,
+    alive: Vec<bool>,
     deliveries: Vec<Delivery>,
     faults: FaultPlan,
     loss_states: LossStates,
@@ -826,6 +841,13 @@ impl Episode {
         );
         self.geometry = Some(Arc::new(geometry));
         self
+    }
+
+    /// The geometry attached by [`with_geometry`](Episode::with_geometry),
+    /// if any.
+    #[must_use]
+    pub fn geometry(&self) -> Option<&CoverageGeometry> {
+        self.geometry.as_deref()
     }
 
     /// Re-arms the episode under a (possibly different) config and seed,
@@ -1101,6 +1123,7 @@ impl Episode {
             sats,
             tried,
             involved,
+            alive: std::mem::take(&mut scratch.alive),
             t_start: t_birth,
             t_end: t_birth + duration,
             detection: None,
@@ -1120,6 +1143,7 @@ impl Episode {
             sats,
             tried,
             involved,
+            alive,
             detection,
             mut deliveries,
             s1_released_at,
@@ -1138,6 +1162,7 @@ impl Episode {
         scratch.sats = sats;
         scratch.tried = tried;
         scratch.involved = involved;
+        scratch.alive = alive;
         let (topology, faults, loss_states) = net.into_parts();
         scratch.faults = faults;
         scratch.loss_states = loss_states;

@@ -17,6 +17,16 @@
 //!    consumed in — so any worker count (including one) produces
 //!    bit-identical output.
 //!
+//! A call runs on scoped threads, and the caller is one of them: worker
+//! 0's claim loop runs on the calling thread, and only workers
+//! `1..workers` are spawned as helpers, each handing its results back
+//! before the call returns. There is no pool parked between calls:
+//! lending a call's borrowed closures to long-lived threads would need
+//! lifetime erasure, which this crate's `forbid(unsafe_code)` rules out.
+//! [`stats`] reports what every call spent: helpers spawned, tasks,
+//! steals, how late the helpers started, and the caller's time in spawn,
+//! its own share of the work, join wait and merge.
+//!
 //! Scheduling is work-stealing over packed atomic range cursors: each
 //! worker owns one `AtomicU64` holding `(cursor, end)` — a contiguous
 //! range of unclaimed task indices. The owner claims the front with a
@@ -52,10 +62,11 @@
 #![warn(missing_docs)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Adaptive chunking targets this many chunks regardless of worker count —
 /// ≈ 4 chunks per worker at up to 16 workers.
@@ -64,6 +75,11 @@ pub const TARGET_CHUNKS: u64 = 64;
 /// Floor on the adaptive chunk size: below this, per-chunk scheduling
 /// overhead dominates the work.
 pub const MIN_CHUNK: u64 = 16;
+
+/// How long a caller whose own claims ran dry yields in a loop, waiting
+/// for its helpers, before it parks: about one campaign chunk's length,
+/// so the usual wait ends without a parked thread's wake-up latency.
+const WAIT_SPIN: Duration = Duration::from_micros(100);
 
 /// Resolves a worker-count request: `0` means one worker per available
 /// core, anything else is taken literally.
@@ -88,14 +104,144 @@ pub fn adaptive_chunk(total: u64) -> u64 {
     total.div_ceil(TARGET_CHUNKS).max(MIN_CHUNK)
 }
 
+/// What the executor has spent, summed over every `run_indexed*` call in
+/// the process (serial calls included), read through [`stats`].
+///
+/// A call adds its counts up in locals and publishes them once when it
+/// returns, so the counters cost a few relaxed atomic adds per call and
+/// nothing per task. Each field is exact on its own; a snapshot taken
+/// while calls run may hold part of one call's counts. `spawn_ns`,
+/// `caller_work_ns`, `join_wait_ns` and `merge_ns` split each call's wall
+/// time on the caller's thread (a serial call spends all of it in
+/// `caller_work_ns`); `helper_start_ns` is measured from the helpers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Completed calls.
+    pub calls: u64,
+    /// Helper threads spawned: a call on `w` workers spawns `w − 1`, since
+    /// the caller runs worker 0.
+    pub helpers: u64,
+    /// Tasks run.
+    pub tasks: u64,
+    /// Of those, tasks the caller ran as worker 0.
+    pub caller_tasks: u64,
+    /// Claims that stole the back half of another worker's range.
+    pub steals: u64,
+    /// Nanoseconds the caller spent seeding ranges and spawning helpers.
+    pub spawn_ns: u64,
+    /// Nanoseconds from the start of the call to each helper's first
+    /// claim, summed over helpers: how late the helpers join the work.
+    pub helper_start_ns: u64,
+    /// Nanoseconds the caller spent as worker 0: building its scratch and
+    /// running the tasks it claimed or stole.
+    pub caller_work_ns: u64,
+    /// Nanoseconds the caller waited for helpers still working after its
+    /// own claims ran dry.
+    pub join_wait_ns: u64,
+    /// Nanoseconds merging the workers' outputs into ascending order.
+    pub merge_ns: u64,
+}
+
+/// The process-wide sums behind [`stats`], in `ExecStats::to_array`
+/// order.
+static COUNTERS: [AtomicU64; 10] = [const { AtomicU64::new(0) }; 10];
+
+/// A snapshot of the process-wide executor counters. Take one before and
+/// one after a piece of work and [`ExecStats::since`] gives what the work
+/// spent.
+#[must_use]
+pub fn stats() -> ExecStats {
+    ExecStats::from_array(COUNTERS.each_ref().map(|c| c.load(Ordering::Relaxed)))
+}
+
+impl ExecStats {
+    /// What was counted between `earlier` and this snapshot.
+    #[must_use]
+    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
+        let (now, then) = (self.to_array(), earlier.to_array());
+        ExecStats::from_array(std::array::from_fn(|f| now[f].wrapping_sub(then[f])))
+    }
+
+    fn to_array(self) -> [u64; 10] {
+        [
+            self.calls,
+            self.helpers,
+            self.tasks,
+            self.caller_tasks,
+            self.steals,
+            self.spawn_ns,
+            self.helper_start_ns,
+            self.caller_work_ns,
+            self.join_wait_ns,
+            self.merge_ns,
+        ]
+    }
+
+    fn from_array(a: [u64; 10]) -> Self {
+        let [calls, helpers, tasks, caller_tasks, steals, spawn_ns, helper_start_ns, caller_work_ns, join_wait_ns, merge_ns] =
+            a;
+        ExecStats {
+            calls,
+            helpers,
+            tasks,
+            caller_tasks,
+            steals,
+            spawn_ns,
+            helper_start_ns,
+            caller_work_ns,
+            join_wait_ns,
+            merge_ns,
+        }
+    }
+
+    /// Adds one call's counts to the process-wide sums. The counters
+    /// publish no other data, so relaxed adds suffice.
+    fn publish(self) {
+        for (counter, v) in COUNTERS.iter().zip(self.to_array()) {
+            counter.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One line: the counts, then each time field as microseconds per call.
+impl std::fmt::Display for ExecStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let per_call = |ns: u64| ns as f64 / 1e3 / self.calls.max(1) as f64;
+        write!(
+            f,
+            "{} calls, {} helpers, {} tasks ({} on the caller), {} steals; per call: \
+             spawn {:.1} us, caller work {:.1} us, join wait {:.1} us, merge {:.1} us; \
+             helper start {:.1} us per helper",
+            self.calls,
+            self.helpers,
+            self.tasks,
+            self.caller_tasks,
+            self.steals,
+            per_call(self.spawn_ns),
+            per_call(self.caller_work_ns),
+            per_call(self.join_wait_ns),
+            per_call(self.merge_ns),
+            self.helper_start_ns as f64 / 1e3 / self.helpers.max(1) as f64,
+        )
+    }
+}
+
+/// Nanoseconds from `from` to `to`, saturating.
+fn nanos(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// The deterministic work-stealing executor — the one value that says how
 /// work is spread.
 ///
 /// See the [module docs](self) for the three-point contract. Construction
 /// is free — an `Executor` is a worker count, an optional chunk override
-/// and the forced-steal stressor; threads are scoped to each call. Every
-/// parallel entry point in the workspace takes `impl Into<Executor>`, so a
-/// bare worker count converts through [`From<usize>`].
+/// and the forced-steal stressor. Threads are scoped to each call, and
+/// the caller is worker 0: a call on `w` workers spawns `w − 1` helper
+/// threads, runs worker 0's claims on the calling thread, then waits for
+/// the helpers' results. Every parallel entry point in the workspace takes
+/// `impl Into<Executor>`, so a bare worker count converts through
+/// [`From<usize>`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     workers: usize,
@@ -177,7 +323,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Propagates panics from `run` (the pool observes the first one).
+    /// Propagates panics from `run`, as
+    /// [`run_indexed_scratch`](Executor::run_indexed_scratch) does.
     pub fn run_indexed<S, F>(&self, tasks: u64, run: F) -> Vec<S>
     where
         S: Send,
@@ -187,8 +334,8 @@ impl Executor {
     }
 
     /// [`run_indexed`](Executor::run_indexed) with a per-worker scratch
-    /// value built once per worker thread and lent to every task that
-    /// worker claims — reusable buffers without per-task allocation.
+    /// value built once per worker and lent to every task that worker
+    /// claims — reusable buffers without per-task allocation.
     ///
     /// Determinism contract: `run(i, scratch)`'s *result* must not depend
     /// on what earlier tasks left in the scratch (treat it as
@@ -196,20 +343,43 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Propagates panics from `run` (the pool observes the first one).
+    /// Propagates panics from `run`: the caller's own (worker 0's) first,
+    /// else the lowest-numbered helper's, with the original payload.
     pub fn run_indexed_scratch<S, C, I, F>(&self, tasks: u64, make_scratch: I, run: F) -> Vec<S>
     where
         S: Send,
         I: Fn() -> C + Sync,
         F: Fn(u64, &mut C) -> S + Sync,
     {
+        let (out, call) = self.run_counted(tasks, make_scratch, run);
+        call.publish();
+        out
+    }
+
+    /// The body of [`run_indexed_scratch`](Executor::run_indexed_scratch):
+    /// the ordered results and this call's own counts, not yet published.
+    fn run_counted<S, C, I, F>(&self, tasks: u64, make_scratch: I, run: F) -> (Vec<S>, ExecStats)
+    where
+        S: Send,
+        I: Fn() -> C + Sync,
+        F: Fn(u64, &mut C) -> S + Sync,
+    {
+        let start = Instant::now();
+        let mut call = ExecStats {
+            calls: 1,
+            ..ExecStats::default()
+        };
         let workers = self
             .effective_workers()
             .min(usize::try_from(tasks).unwrap_or(usize::MAX))
             .max(1);
         if workers <= 1 {
             let mut scratch = make_scratch();
-            return (0..tasks).map(|i| run(i, &mut scratch)).collect();
+            let out: Vec<S> = (0..tasks).map(|i| run(i, &mut scratch)).collect();
+            call.tasks = out.len() as u64;
+            call.caller_tasks = call.tasks;
+            call.caller_work_ns = nanos(start, Instant::now());
+            return (out, call);
         }
 
         // Packed (cursor, end) range per worker; ranges partition the
@@ -220,8 +390,8 @@ impl Executor {
         let ranges: Vec<AtomicU64> = (0..workers as u32)
             .map(|w| {
                 if self.forced_steals {
-                    // Everything starts on worker 0: all other workers
-                    // must steal their entire workload.
+                    // Everything starts on worker 0 (the caller): every
+                    // helper must steal its entire workload.
                     if w == 0 {
                         AtomicU64::new(pack_range(0, tasks32))
                     } else {
@@ -235,39 +405,76 @@ impl Executor {
             })
             .collect();
 
-        let worker_outputs = {
-            let ranges = &ranges;
-            let make_scratch = &make_scratch;
-            let run = &run;
-            // Every handle is joined inside the scope, so a worker panic
-            // comes back as an `Err` payload and is re-raised below.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut scratch = make_scratch();
-                            let mut out: Vec<(u64, S)> = Vec::new();
-                            while let Some(i) = claim_task(ranges, w) {
-                                out.push((u64::from(i), run(u64::from(i), &mut scratch)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            })
+        // One worker's claim loop: when it started, its `(index, result)`
+        // pairs and how many of its claims were steals.
+        let work = |w: usize| {
+            let started = Instant::now();
+            let mut scratch = make_scratch();
+            let mut out: Vec<(u64, S)> = Vec::with_capacity(per_worker as usize);
+            let mut steals = 0;
+            while let Some(i) = claim_task(&ranges, w, &mut steals) {
+                out.push((u64::from(i), run(u64::from(i), &mut scratch)));
+            }
+            (started, out, steals)
         };
+        // Worker 0 runs on the caller's thread, so a call spawns only the
+        // helpers. A helper hands its outcome (panic payload included)
+        // back through its slot and wakes the caller, so the caller never
+        // waits for a helper thread to exit; it spins briefly before
+        // parking, since a helper usually has at most one task left when
+        // the caller's claims run dry. A panic in the caller's own share
+        // unwinds out of the scope once every helper has finished.
+        let finished = AtomicUsize::new(0);
+        let caller = std::thread::current();
+        let slots: Vec<Mutex<Option<std::thread::Result<_>>>> =
+            (1..workers).map(|_| Mutex::new(None)).collect();
+        let (own, spawned, worked, joined) = std::thread::scope(|scope| {
+            let (work, slots, finished, caller) = (&work, &slots, &finished, &caller);
+            for w in 1..workers {
+                scope.spawn(move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| work(w)));
+                    *slots[w - 1].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+                    finished.fetch_add(1, Ordering::Release);
+                    caller.unpark();
+                });
+            }
+            let spawned = Instant::now();
+            let own = work(0);
+            let worked = Instant::now();
+            while finished.load(Ordering::Acquire) < workers - 1 {
+                if worked.elapsed() < WAIT_SPIN {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::park();
+                }
+            }
+            (own, spawned, worked, Instant::now())
+        });
 
         let mut pairs: Vec<(u64, S)> = Vec::with_capacity(usize::try_from(tasks).expect("fits"));
-        for joined in worker_outputs {
-            match joined {
-                Ok(out) => pairs.extend(out),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+        call.helpers = slots.len() as u64;
+        let (_, own, own_steals) = own;
+        call.caller_tasks = own.len() as u64;
+        call.steals = own_steals;
+        pairs.extend(own);
+        for slot in slots {
+            let outcome = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            let (started, out, steals) = outcome
+                .expect("every helper fills its slot before the scope ends")
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            call.helper_start_ns += nanos(start, started);
+            call.steals += steals;
+            pairs.extend(out);
         }
+        call.tasks = pairs.len() as u64;
         debug_assert_eq!(pairs.len() as u64, tasks, "every task claimed exactly once");
         pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs.into_iter().map(|(_, s)| s).collect()
+        let out = pairs.into_iter().map(|(_, s)| s).collect();
+        call.spawn_ns = nanos(start, spawned);
+        call.caller_work_ns = nanos(spawned, worked);
+        call.join_wait_ns = nanos(worked, joined);
+        call.merge_ns = nanos(joined, Instant::now());
+        (out, call)
     }
 
     /// Maps `f` over `items`, slicing them into chunks of
@@ -318,12 +525,13 @@ fn unpack_range(word: u64) -> (u32, u32) {
 /// an end-lowering CAS (the stolen window becomes `w`'s new range).
 /// Returns `None` only when every visible range is empty — safe because
 /// tasks are claimed before they run and nothing enqueues new tasks.
+/// Each successful steal bumps `steals`.
 ///
 /// ABA is harmless here: a successful CAS means the victim's range held
 /// exactly the snapshotted `(cursor, end)` window at that instant, and
 /// ranges only ever contain unclaimed indices, so the stolen window is
 /// valid regardless of interleaving history.
-fn claim_task(ranges: &[AtomicU64], w: usize) -> Option<u32> {
+fn claim_task(ranges: &[AtomicU64], w: usize, steals: &mut u64) -> Option<u32> {
     // Fast path: pop the front of our own range.
     let own = &ranges[w];
     let mut word = own.load(Ordering::SeqCst);
@@ -376,6 +584,7 @@ fn claim_task(ranges: &[AtomicU64], w: usize) -> Option<u32> {
             // ranges, so nobody else writes our slot: a plain store
             // installs the stolen window, minus the task we run now.
             own.store(pack_range(split + 1, end), Ordering::SeqCst);
+            *steals += 1;
             return Some(split);
         }
         // Lost the race to the victim's own claims (or another thief);
@@ -496,7 +705,7 @@ impl Drop for SupervisedPool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn adaptive_chunk_is_worker_independent_and_floored() {
@@ -582,26 +791,147 @@ mod tests {
         );
     }
 
-    #[test]
-    fn worker_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
-            Executor::new(4).run_indexed(32, |i| {
-                assert!(i != 17, "poisoned task");
-                i
-            })
-        });
-        assert!(caught.is_err());
+    /// Runs `tasks` tasks on `exec`, forcing a schedule where the caller
+    /// (worker 0) and at least one helper both run tasks: a helper's task
+    /// waits until the caller has started one, and the caller's tasks wait
+    /// until a helper has started one. Helpers block holding at most one
+    /// task each, so with `tasks > workers` the caller always finds one.
+    fn mixed_schedule<T: Send>(
+        exec: Executor,
+        tasks: u64,
+        on_caller: impl Fn(u64) -> T + Sync,
+        on_helper: impl Fn(u64) -> T + Sync,
+    ) -> (Vec<T>, ExecStats) {
+        let caller = std::thread::current().id();
+        let (caller_ran, helper_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        let wait_for = |flag: &AtomicBool| {
+            while !flag.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        };
+        exec.run_counted(
+            tasks,
+            || (),
+            |i, ()| {
+                if std::thread::current().id() == caller {
+                    caller_ran.store(true, Ordering::SeqCst);
+                    wait_for(&helper_ran);
+                    on_caller(i)
+                } else {
+                    wait_for(&caller_ran);
+                    helper_ran.store(true, Ordering::SeqCst);
+                    on_helper(i)
+                }
+            },
+        )
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Payload(&'static str);
+
+    fn payload_of(run: impl FnOnce()) -> Payload {
+        let err = catch_unwind(AssertUnwindSafe(run)).expect_err("the call must panic");
+        *err.downcast::<Payload>().expect("the original payload")
     }
 
     #[test]
-    fn forced_steals_cannot_change_results() {
-        let reference: Vec<u64> = (0u64..137).map(|i| i.wrapping_mul(i) ^ 0xABCD).collect();
-        for workers in [2, 4, 8] {
-            let got = Executor::new(workers)
-                .with_forced_steals(true)
-                .run_indexed(137, |i| i.wrapping_mul(i) ^ 0xABCD);
-            assert_eq!(got, reference, "{workers} workers, forced steals");
+    fn caller_and_helper_panics_reraise_the_original_payload() {
+        for workers in [2, 3] {
+            let exec = Executor::new(workers);
+            let caller = payload_of(|| {
+                let _ = mixed_schedule(
+                    exec,
+                    64,
+                    |_| std::panic::panic_any(Payload("caller")),
+                    |i| i,
+                );
+            });
+            assert_eq!(caller, Payload("caller"), "{workers} workers");
+            let helper = payload_of(|| {
+                let _ = mixed_schedule(
+                    exec,
+                    64,
+                    |i| i,
+                    |_| std::panic::panic_any(Payload("helper")),
+                );
+            });
+            assert_eq!(helper, Payload("helper"), "{workers} workers");
         }
+    }
+
+    #[test]
+    fn forced_steals_from_the_caller_cannot_change_results() {
+        let work = |i: u64| (i as f64).sqrt().sin().to_bits() ^ 0xABCD;
+        let reference: Vec<u64> = (0u64..137).map(work).collect();
+        for workers in [2, 3, 8] {
+            // Everything is seeded on the caller, and it waits in its first
+            // task until a helper runs one, so some helper must steal.
+            let exec = Executor::new(workers).with_forced_steals(true);
+            let (got, call) = mixed_schedule(exec, 137, work, work);
+            assert_eq!(got, reference, "{workers} workers, forced steals");
+            assert!(call.steals >= 1, "{workers} workers: {call}");
+            assert!(
+                (1..137).contains(&call.caller_tasks),
+                "the caller and its helpers both ran tasks: {call}"
+            );
+            assert_eq!(exec.run_indexed(137, work), reference);
+        }
+    }
+
+    #[test]
+    fn counters_count_helpers_and_tasks_exactly() {
+        let (out, serial) = Executor::new(1).run_counted(50, || (), |i, ()| i);
+        assert_eq!(out.len(), 50);
+        assert_eq!(
+            (
+                serial.calls,
+                serial.helpers,
+                serial.tasks,
+                serial.caller_tasks,
+                serial.steals
+            ),
+            (1, 0, 50, 50, 0)
+        );
+        assert_eq!(
+            (
+                serial.spawn_ns,
+                serial.helper_start_ns,
+                serial.join_wait_ns,
+                serial.merge_ns
+            ),
+            (0, 0, 0, 0)
+        );
+        for workers in [2usize, 3, 8] {
+            for tasks in [workers as u64, 100] {
+                for forced in [false, true] {
+                    let exec = Executor::new(workers).with_forced_steals(forced);
+                    let (_, call) = exec.run_counted(tasks, || (), |i, ()| i);
+                    assert_eq!(call.calls, 1);
+                    assert_eq!(call.helpers, workers as u64 - 1, "{workers} workers");
+                    assert_eq!(call.tasks, tasks, "{workers} workers");
+                    assert!(call.caller_tasks <= tasks && call.steals <= tasks);
+                    eprintln!("{workers} workers, {tasks} tasks, forced {forced}: {call}");
+                }
+            }
+        }
+        // Fewer tasks than workers: one worker per task, caller included.
+        let (_, few) = Executor::new(8).run_counted(3, || (), |i, ()| i);
+        assert_eq!((few.helpers, few.tasks), (2, 3));
+        let (_, one) = Executor::new(8).run_counted(1, || (), |i, ()| i);
+        assert_eq!((one.helpers, one.tasks), (0, 1));
+    }
+
+    #[test]
+    fn published_counters_cover_every_call() {
+        // Other tests run executors concurrently, so the process-wide
+        // window holds at least this test's calls.
+        let before = stats();
+        let _ = Executor::new(3).run_indexed(40, |i| i);
+        let _ = Executor::new(1).run_indexed(7, |i| i);
+        let window = stats().since(&before);
+        assert!(window.calls >= 2, "{window}");
+        assert!(window.helpers >= 2, "{window}");
+        assert!(window.tasks >= 47, "{window}");
     }
 
     #[test]

@@ -73,11 +73,15 @@ struct Outage {
 /// the lookup is a couple of comparisons, with no per-query hashing cost.
 /// Flat storage also lets [`FaultPlan::clear`] keep every buffer's capacity,
 /// so a recycled plan schedules a fresh episode's faults without touching
-/// the allocator.
+/// the allocator. A bit per node marks the nodes that have any window, so
+/// a query about a node that never fails (most of a mega-constellation's
+/// coverage scans) skips the search.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     windows: Vec<(NodeId, FailureWindow)>,
     outages: Vec<((NodeId, NodeId), Outage)>,
+    /// Bit `n` is set once node `n` has a window; never set otherwise.
+    scheduled: Vec<u64>,
 }
 
 /// Normalizes an undirected edge key.
@@ -101,6 +105,23 @@ impl FaultPlan {
     pub fn clear(&mut self) {
         self.windows.clear();
         self.outages.clear();
+        self.scheduled.fill(0);
+    }
+
+    /// Marks `node` as having a window.
+    fn mark(&mut self, node: NodeId) {
+        let word = node.0 as usize / 64;
+        if word >= self.scheduled.len() {
+            self.scheduled.resize(word + 1, 0);
+        }
+        self.scheduled[word] |= 1 << (node.0 % 64);
+    }
+
+    /// `false` only if `node` has no window at all.
+    fn may_fail(&self, node: NodeId) -> bool {
+        self.scheduled
+            .get(node.0 as usize / 64)
+            .is_some_and(|word| word >> (node.0 % 64) & 1 == 1)
     }
 
     /// The index range of `node`'s windows in the sorted flat vector.
@@ -116,6 +137,7 @@ impl FaultPlan {
     /// Each call inserts into the sorted vector; to schedule many failures
     /// at once use [`FaultPlan::fail_all`].
     pub fn fail_at(&mut self, node: NodeId, at: SimTime) {
+        self.mark(node);
         let range = self.node_range(node);
         let end = range.end;
         if let Some(e) = self.windows[range].iter_mut().find(|e| e.1.until.is_none()) {
@@ -142,6 +164,7 @@ impl FaultPlan {
     /// Panics unless `from < until`.
     pub fn fail_between(&mut self, node: NodeId, from: SimTime, until: SimTime) {
         assert!(from < until, "failure window must have from < until");
+        self.mark(node);
         let at = self.node_range(node).end;
         self.windows.insert(
             at,
@@ -197,6 +220,7 @@ impl FaultPlan {
                     },
                 )
             };
+            self.mark(entry.0);
             self.windows.push(entry);
         }
         // Node order is what `node_range` needs; permanent failures first
@@ -234,8 +258,10 @@ impl FaultPlan {
     /// `true` if any of `node`'s failure windows covers `now`.
     #[must_use]
     pub fn is_failed(&self, node: NodeId, now: SimTime) -> bool {
-        let range = self.node_range(node);
-        self.windows[range].iter().any(|e| e.1.covers(now))
+        self.may_fail(node) && {
+            let range = self.node_range(node);
+            self.windows[range].iter().any(|e| e.1.covers(now))
+        }
     }
 
     /// `true` if the undirected edge `{a, b}` is in an outage at `now`.

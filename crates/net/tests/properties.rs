@@ -248,3 +248,30 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // `is_failed` answers from the node's windows alone, whatever the node
+    // index (its per-node marks span several words) and after a recycled
+    // plan is cleared and refilled with other nodes.
+    #[test]
+    fn is_failed_matches_the_windows_after_clear(
+        first in prop::collection::vec((0u32..200, 0.0f64..50.0), 0..20),
+        second in prop::collection::vec((0u32..200, 0.0f64..50.0, 0.001f64..20.0), 0..20),
+        at in 0.0f64..80.0,
+    ) {
+        let mut plan = FaultPlan::new();
+        plan.fail_all(first.iter().map(|&(n, t)| (NodeId(n), SimTime::new(t))), []);
+        for _ in 0..2 {
+            for node in (0..200).map(NodeId) {
+                let want = plan.failure_windows(node).any(|w| w.covers(SimTime::new(at)));
+                prop_assert_eq!(plan.is_failed(node, SimTime::new(at)), want);
+            }
+            plan.clear();
+            for &(n, from, len) in &second {
+                plan.fail_between(NodeId(n), SimTime::new(from), SimTime::new(from + len));
+            }
+        }
+    }
+}
