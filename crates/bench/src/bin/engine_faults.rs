@@ -5,19 +5,21 @@
 //! per-call rates, panics mid-solve or stalls (a latency spike), then
 //! drives two campaigns and reports JSON on stdout (progress on stderr):
 //!
-//! 1. **Fault sweep** — fault rate × worker count grid over a
+//! 1. **Fault sweep** — fault rate × caller count grid over a
 //!    multi-tenant Zipf workload with per-query deadlines and the SLO
-//!    shedder armed. Every cell checks the two serving invariants
-//!    in-process:
-//!    * every submission reaches **exactly one** terminal outcome — an
+//!    shedder armed. A cell answers the workload with `Engine::run_all`,
+//!    which fans `evaluate` out to that many concurrent callers on the
+//!    executor. Every cell checks the two serving invariants in-process:
+//!    * every query reaches **exactly one** terminal outcome — an
 //!      answer, a typed per-query error (`EvalPanicked`,
 //!      `DeadlineExceeded`, `WorkerLost`) or a typed rejection — never a
 //!      hang, never a double delivery;
 //!    * every `Ok` answer is **bit-identical** to the naive
 //!      `direct_eval` of the same query — supervision and shedding must
 //!      never perturb a value.
-//! 2. **Tenant flood** — one tenant submits a 10× cache-busting burst
-//!    while two polite closed-loop tenants keep working. The per-tenant
+//! 2. **Tenant flood** — one tenant fires a 10× cache-busting burst from
+//!    several concurrent callers while two polite closed-loop tenants
+//!    keep working. The per-tenant
 //!    quotas must absorb the overload (the flooder collects
 //!    `QuotaExceeded`), and the polite tenants' observed p99 must stay
 //!    within the SLO.
@@ -39,8 +41,8 @@ use oaq_bench::args::CliSpec;
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_engine::{
     direct_eval, eval_cheap, eval_with_pk, multi_tenant_workload, silence_injected_panics,
-    zipf_workload, Engine, EngineConfig, EngineError, Evaluator, QosQuery, QosValue, QueryError,
-    QuotaPolicy, RejectReason, RobustQuantile, ShedPolicy, TenantId, WorkloadConfig,
+    zipf_workload, Engine, EngineConfig, EngineError, EngineResult, Evaluator, QosQuery, QosValue,
+    QueryError, QuotaPolicy, RejectReason, RobustQuantile, ShedPolicy, TenantId, WorkloadConfig,
     INJECTED_FAULT,
 };
 use oaq_sim::SimRng;
@@ -139,14 +141,13 @@ impl Evaluator for FaultyEvaluator {
 }
 
 /// Terminal-outcome tally for one campaign. Exactly one field increments
-/// per submission.
+/// per query.
 #[derive(Debug, Default, Clone, Copy)]
 struct Outcomes {
     ok: u64,
     eval_panicked: u64,
     worker_lost: u64,
     deadline_exceeded: u64,
-    backpressure: u64,
     quota: u64,
     shed: u64,
 }
@@ -157,34 +158,47 @@ impl Outcomes {
             + self.eval_panicked
             + self.worker_lost
             + self.deadline_exceeded
-            + self.backpressure
             + self.quota
             + self.shed
+    }
+
+    /// Tallies one answer; `Err` hands back an outcome no campaign
+    /// expects.
+    fn record(&mut self, answer: &EngineResult) -> Result<(), EngineError> {
+        match answer {
+            Ok(_) => self.ok += 1,
+            Err(EngineError::Query(QueryError::EvalPanicked)) => self.eval_panicked += 1,
+            Err(EngineError::Query(QueryError::DeadlineExceeded { .. })) => {
+                self.deadline_exceeded += 1;
+            }
+            Err(EngineError::WorkerLost) => self.worker_lost += 1,
+            Err(EngineError::Rejected(RejectReason::QuotaExceeded { .. })) => self.quota += 1,
+            Err(EngineError::Rejected(RejectReason::Overloaded)) => self.shed += 1,
+            Err(e) => return Err(e.clone()),
+        }
+        Ok(())
     }
 
     fn json(&self) -> String {
         format!(
             "{{\"ok\": {}, \"eval_panicked\": {}, \"worker_lost\": {}, \
-             \"deadline_exceeded\": {}, \"backpressure_rejected\": {}, \
-             \"quota_rejected\": {}, \"shed\": {}}}",
+             \"deadline_exceeded\": {}, \"quota_rejected\": {}, \"shed\": {}}}",
             self.ok,
             self.eval_panicked,
             self.worker_lost,
             self.deadline_exceeded,
-            self.backpressure,
             self.quota,
             self.shed,
         )
     }
 }
 
-/// One fault-sweep cell: fresh engine, open-loop replay, invariant checks.
-/// Returns the JSON row; pushes violations into `violations`.
-#[allow(clippy::too_many_lines)]
+/// One fault-sweep cell: fresh engine, the workload answered by
+/// `workers` concurrent `evaluate` callers, invariant checks. Returns the
+/// JSON row; pushes violations into `violations`.
 fn run_cell(
     workload: &[QosQuery],
     workers: usize,
-    batch_size: usize,
     fault_rate: f64,
     slo_s: f64,
     seed: u64,
@@ -201,7 +215,6 @@ fn run_cell(
         EngineConfig {
             workers,
             queue_capacity: 64,
-            batch_size,
             result_cache: 1024,
             pk_cache: 64,
             shed: ShedPolicy::with_slo(slo_s),
@@ -212,49 +225,32 @@ fn run_cell(
     );
 
     let t0 = Instant::now();
-    let mut outcomes = Outcomes::default();
-    let mut tickets = Vec::new();
-    for (i, q) in workload.iter().enumerate() {
-        match engine.submit(*q) {
-            Ok(t) => tickets.push((i, t)),
-            Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {
-                outcomes.backpressure += 1;
-            }
-            Err(EngineError::Rejected(RejectReason::QuotaExceeded { .. })) => outcomes.quota += 1,
-            Err(EngineError::Rejected(RejectReason::Overloaded)) => outcomes.shed += 1,
-            Err(e) => violations.push(format!("{label}: unexpected submit error: {e}")),
-        }
-    }
-    for (i, t) in tickets {
-        match t.wait() {
-            Ok(v) => {
-                outcomes.ok += 1;
-                // Bit-identity: supervision must never perturb a value.
-                if v != direct_eval(&workload[i]).expect("in-domain workload") {
-                    violations.push(format!("{label}: query {i} diverged from direct_eval"));
-                }
-            }
-            Err(EngineError::Query(QueryError::EvalPanicked)) => outcomes.eval_panicked += 1,
-            Err(EngineError::Query(QueryError::DeadlineExceeded { .. })) => {
-                outcomes.deadline_exceeded += 1;
-            }
-            Err(EngineError::WorkerLost) => outcomes.worker_lost += 1,
-            Err(e) => violations.push(format!("{label}: unexpected terminal error: {e}")),
-        }
-    }
+    let answers = engine.run_all(workload);
     let wall_s = t0.elapsed().as_secs_f64();
-    engine.shutdown();
     let m = engine.metrics();
+    let mut outcomes = Outcomes::default();
+    for (i, (q, answer)) in workload.iter().zip(&answers).enumerate() {
+        if let Err(e) = outcomes.record(answer) {
+            violations.push(format!("{label}: unexpected terminal error: {e}"));
+        }
+        // Bit-identity: supervision must never perturb a value.
+        if answer
+            .as_ref()
+            .is_ok_and(|v| *v != direct_eval(q).expect("in-domain workload"))
+        {
+            violations.push(format!("{label}: query {i} diverged from direct_eval"));
+        }
+    }
 
-    // Invariant: exactly one terminal outcome per submission.
+    // Invariant: exactly one terminal outcome per query.
     if outcomes.total() != workload.len() as u64 {
         violations.push(format!(
-            "{label}: {} outcomes for {} submissions",
+            "{label}: {} outcomes for {} queries",
             outcomes.total(),
             workload.len()
         ));
     }
-    // Drained-engine accounting: nothing lost inside the engine either.
+    // Answered-batch accounting: nothing lost inside the engine either.
     if m.submitted != m.served + m.coalesced {
         violations.push(format!(
             "{label}: submitted {} != served {} + coalesced {}",
@@ -275,18 +271,17 @@ fn run_cell(
     let goodput = outcomes.ok as f64 / wall_s;
     eprintln!(
         "#   {label}: ok {} / {} in {wall_s:.3}s ({goodput:.0} good q/s), \
-         panics {}, respawns {}, deadline {}, shed {}",
+         panics {}, deadline {}, shed {}",
         outcomes.ok,
         workload.len(),
         m.eval_panics,
-        m.worker_respawns,
         m.deadline_expired,
         m.shed,
     );
     format!(
         "{{\"fault_rate\": {}, \"workers\": {workers}, \"queries\": {}, \
          \"outcomes\": {}, \"wall_s\": {}, \"goodput_qps\": {}, \
-         \"eval_panics\": {}, \"worker_respawns\": {}, \"deadline_expired\": {}, \
+         \"eval_panics\": {}, \"deadline_expired\": {}, \
          \"shed\": {}, \"shed_probability\": {}, \"pk_solves\": {}, \"e2e_p99_s\": {}}}",
         fmt_f64(fault_rate),
         workload.len(),
@@ -294,7 +289,6 @@ fn run_cell(
         fmt_f64(wall_s),
         fmt_f64(goodput),
         m.eval_panics,
-        m.worker_respawns,
         m.deadline_expired,
         m.shed,
         fmt_f64(m.shed_probability),
@@ -303,12 +297,12 @@ fn run_cell(
     )
 }
 
-/// The tenant-flood campaign: one 10× cache-busting flooder vs two
-/// polite closed-loop tenants, quotas armed, faults off.
+/// The tenant-flood campaign: one 10× cache-busting flooder on `workers`
+/// concurrent callers vs two polite closed-loop tenants, quotas armed,
+/// faults off.
 fn run_flood(
     base_queries: usize,
     workers: usize,
-    batch_size: usize,
     slo_s: f64,
     seed: u64,
     violations: &mut Vec<String>,
@@ -316,7 +310,7 @@ fn run_flood(
     const FLOODER: TenantId = TenantId(1);
     let flood_n = base_queries * 10;
     // Cache-busting flood: a near-distinct scenario pool, so almost every
-    // flood submission misses the result cache and is charged quota.
+    // flood query misses the result cache and is charged quota.
     let flood: Vec<QosQuery> = zipf_workload(
         &WorkloadConfig {
             scenarios: flood_n,
@@ -348,7 +342,6 @@ fn run_flood(
     let engine = Engine::new(EngineConfig {
         workers,
         queue_capacity: 64,
-        batch_size,
         result_cache: 1024,
         pk_cache: 128,
         quota: QuotaPolicy {
@@ -363,35 +356,22 @@ fn run_flood(
     let engine_ref = &engine;
     let (flood_outcomes, polite) = std::thread::scope(|s| {
         let flooder = s.spawn(|| {
-            // Open-loop: fire the whole burst, collect tickets, wait after.
+            // Open-loop: the whole burst, `workers` callers at once.
             let mut out = Outcomes::default();
-            let mut tickets = Vec::new();
-            for (i, q) in flood.iter().enumerate() {
-                match engine_ref.submit(*q) {
-                    Ok(t) => tickets.push((i, t)),
+            for (q, answer) in flood.iter().zip(engine_ref.run_all(&flood)) {
+                match &answer {
+                    Ok(v) => assert_eq!(
+                        *v,
+                        direct_eval(q).expect("in-domain flood"),
+                        "flood answers stay bit-identical"
+                    ),
                     Err(EngineError::Rejected(RejectReason::QuotaExceeded { tenant })) => {
-                        assert_eq!(tenant, FLOODER);
-                        out.quota += 1;
+                        assert_eq!(*tenant, FLOODER);
                     }
-                    Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {
-                        out.backpressure += 1;
-                    }
-                    Err(e) => panic!("unexpected flood submit error: {e}"),
-                }
-            }
-            for (i, t) in tickets {
-                match t.wait() {
-                    Ok(v) => {
-                        out.ok += 1;
-                        assert_eq!(
-                            v,
-                            direct_eval(&flood[i]).expect("in-domain flood"),
-                            "flood answers stay bit-identical"
-                        );
-                    }
-                    Err(EngineError::WorkerLost) => out.worker_lost += 1,
+                    Err(EngineError::WorkerLost) => {}
                     Err(e) => panic!("unexpected flood outcome: {e}"),
                 }
+                out.record(&answer).expect("outcome matched above");
             }
             out
         });
@@ -405,36 +385,21 @@ fn run_flood(
                     let mut out = Outcomes::default();
                     for q in stream {
                         let t0 = Instant::now();
-                        loop {
-                            match engine_ref.submit(*q) {
-                                Ok(t) => {
-                                    match t.wait() {
-                                        Ok(v) => {
-                                            out.ok += 1;
-                                            assert_eq!(
-                                                v,
-                                                direct_eval(q).expect("in-domain"),
-                                                "polite answers stay bit-identical"
-                                            );
-                                        }
-                                        Err(EngineError::WorkerLost) => out.worker_lost += 1,
-                                        Err(e) => panic!("unexpected polite outcome: {e}"),
-                                    }
-                                    p99.record(t0.elapsed().as_secs_f64());
-                                    break;
-                                }
-                                Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {
-                                    std::thread::yield_now();
-                                }
-                                Err(EngineError::Rejected(RejectReason::QuotaExceeded {
-                                    ..
-                                })) => {
-                                    out.quota += 1;
-                                    break;
-                                }
-                                Err(e) => panic!("unexpected polite submit error: {e}"),
-                            }
+                        let answer = engine_ref.evaluate(*q);
+                        p99.record(t0.elapsed().as_secs_f64());
+                        match &answer {
+                            Ok(v) => assert_eq!(
+                                *v,
+                                direct_eval(q).expect("in-domain"),
+                                "polite answers stay bit-identical"
+                            ),
+                            Err(
+                                EngineError::WorkerLost
+                                | EngineError::Rejected(RejectReason::QuotaExceeded { .. }),
+                            ) => {}
+                            Err(e) => panic!("unexpected polite outcome: {e}"),
                         }
+                        out.record(&answer).expect("outcome matched above");
                     }
                     (out, p99)
                 })
@@ -449,13 +414,12 @@ fn run_flood(
         )
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    engine.shutdown();
 
     // Invariants: the quota absorbed the flood; polite tenants were
     // never quota-rejected and their observed p99 stayed within the SLO.
     if flood_outcomes.quota * 2 < flood_n as u64 {
         violations.push(format!(
-            "flood: only {} of {flood_n} flood submissions were quota-rejected",
+            "flood: only {} of {flood_n} flood queries were quota-rejected",
             flood_outcomes.quota
         ));
     }
@@ -486,7 +450,7 @@ fn run_flood(
     }
     if flood_outcomes.total() != flood_n as u64 {
         violations.push(format!(
-            "flood: {} outcomes for {flood_n} flood submissions",
+            "flood: {} outcomes for {flood_n} flood queries",
             flood_outcomes.total()
         ));
     }
@@ -503,7 +467,7 @@ fn run_flood(
         })
         .collect();
     eprintln!(
-        "#   flood: {}/{flood_n} flooder submissions quota-rejected, {} served; \
+        "#   flood: {}/{flood_n} flooder queries quota-rejected, {} served; \
          polite p99 {polite_p99:.4}s vs SLO {slo_s:.4}s ({wall_s:.3}s wall)",
         flood_outcomes.quota, flood_outcomes.ok,
     );
@@ -524,11 +488,10 @@ fn main() {
         .switch("--quick", "smaller grid and workloads (CI size)")
         .option("--seed", "N", "base seed (default 2003)")
         .option("--queries", "N", "base workload length (default 400)")
-        .option("--workers", "N", "pin the sweep to one worker count")
         .option(
-            "--chunk",
+            "--workers",
             "N",
-            "queries drained per worker batch (default 8)",
+            "pin the sweep to one count of concurrent callers",
         )
         .option("--fault-rate", "X", "pin the sweep to one fault rate")
         .option(
@@ -545,9 +508,6 @@ fn main() {
     let quick = cli.has("--quick");
     let seed = cli.get_u64("--seed", 2003);
     let queries = cli.get_usize("--queries", if quick { 120 } else { 400 });
-    let batch_size = cli
-        .get_chunk("--chunk")
-        .map_or(8, |c| usize::try_from(c).expect("chunk fits usize"));
     let deadline_ms = cli.get_f64_nonneg("--deadline-ms", 25.0);
     let slo_ms = cli.get_f64_nonneg("--slo-ms", 50.0);
     let slo_s = slo_ms / 1e3;
@@ -601,15 +561,7 @@ fn main() {
     let mut cells = Vec::new();
     for &rate in &fault_rates {
         for &w in &worker_counts {
-            cells.push(run_cell(
-                &workload,
-                w,
-                batch_size,
-                rate,
-                slo_s,
-                seed,
-                &mut violations,
-            ));
+            cells.push(run_cell(&workload, w, rate, slo_s, seed, &mut violations));
         }
     }
 
@@ -617,7 +569,6 @@ fn main() {
     let flood_json = run_flood(
         queries,
         if quick { 2 } else { 4 },
-        batch_size,
         slo_s,
         seed,
         &mut violations,

@@ -5,7 +5,8 @@
 //!
 //! 1. **naive** — a sequential loop calling `direct_eval` per query, the
 //!    recompute-everything baseline;
-//! 2. **engine_cold** — a fresh engine (empty caches), worker pool on;
+//! 2. **engine_cold** — a fresh engine (empty caches), `run_all` fanned
+//!    out on the executor's workers;
 //! 3. **engine_warm** — the same engine replaying the same workload with
 //!    hot caches.
 //!
@@ -59,9 +60,8 @@ fn metrics_json(m: &MetricsSnapshot) -> String {
     format!(
         "{{\"submitted\":{},\"served\":{},\"rejected\":{},\"result_cache_hits\":{},\
          \"coalesced\":{},\"pk_solves\":{},\"pk_cache_hits\":{},\"eval_panics\":{},\
-         \"worker_respawns\":{},\"deadline_expired\":{},\"quota_rejected\":{},\"shed\":{},\
-         \"shed_probability\":{},\"batch_count\":{},\
-         \"mean_batch_size\":{},\"queue_wait\":{},\"solve\":{},\"end_to_end\":{}}}",
+         \"deadline_expired\":{},\"quota_rejected\":{},\"shed\":{},\
+         \"shed_probability\":{},\"solve\":{},\"end_to_end\":{}}}",
         m.submitted,
         m.served,
         m.rejected,
@@ -70,14 +70,10 @@ fn metrics_json(m: &MetricsSnapshot) -> String {
         m.pk_solves,
         m.pk_cache_hits,
         m.eval_panics,
-        m.worker_respawns,
         m.deadline_expired,
         m.quota_rejected,
         m.shed,
         fmt_f64(m.shed_probability),
-        m.batch_count,
-        fmt_f64(m.mean_batch_size),
-        latency_json(&m.queue_wait),
         latency_json(&m.solve),
         latency_json(&m.end_to_end),
     )
@@ -98,19 +94,11 @@ fn main() {
         .option("--seed", "N", "workload seed (default 2003)")
         .option("--queries", "N", "workload length (default 10000)")
         .option("--workers", "N", "engine workers (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "queries drained per worker batch (default 32)",
-        )
         .parse();
     let quick = cli.has("--quick");
     let seed = cli.get_u64("--seed", 2003);
     let queries = cli.get_usize("--queries", if quick { 1000 } else { 10_000 });
     let workers = cli.get_usize("--workers", 0);
-    let batch_size = cli
-        .get_chunk("--chunk")
-        .map_or(32, |c| usize::try_from(c).expect("chunk fits usize"));
 
     let workload_cfg = WorkloadConfig {
         scenarios: if quick { 40 } else { 200 },
@@ -120,7 +108,6 @@ fn main() {
     let workload: Vec<QosQuery> = zipf_workload(&workload_cfg, seed);
     let engine_cfg = EngineConfig {
         workers,
-        batch_size,
         ..EngineConfig::default()
     };
     eprintln!(

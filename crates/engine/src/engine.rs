@@ -1,37 +1,35 @@
-//! The engine facade: configuration, submission, tickets, supervision,
-//! shutdown.
+//! The engine facade: configuration, admission, batch replay, shutdown.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use oaq_exec::{ExitKind, SupervisedPool};
+use oaq_exec::Executor;
 
 use crate::error::{EngineError, RejectReason};
 use crate::eval::{DefaultEvaluator, Evaluator, QosValue};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::query::{CapacityKey, QosQuery, QueryKey};
-use crate::queue::SubmitQueue;
 use crate::shard::{resolve_shards, CacheShardStats, ShardedCache, ShardedFlight};
 use crate::shed::{ShedPolicy, Shedder};
 use crate::singleflight::{Flight, Slot};
 use crate::tenant::{QuotaPolicy, TenantId, TenantSnapshot, TenantTable};
-use crate::worker::{serve_job, worker_loop, EngineResult, Job, Shared, WorkerExit};
+use crate::worker::{serve_job, EngineResult, Job, Shared};
 
 /// Engine sizing and serving-policy knobs. `Default` gives a
 /// production-shaped engine with every fault-tolerance limit disabled
-/// (no quotas, no SLO shedding); tests shrink the queue to exercise
-/// backpressure and turn individual policies on.
+/// (no quotas, no SLO shedding); tests shrink the fair share and turn
+/// individual policies on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads of the pool that serves queued work
-    /// ([`Engine::submit`], [`Engine::run_all`]); `0` means one per
-    /// available core. The pool starts with the first queued job, so an
-    /// engine used only through [`Engine::evaluate`] spawns no thread.
+    /// Concurrent callers [`Engine::run_all`] fans [`Engine::evaluate`]
+    /// out to on the [`oaq_exec::Executor`]; `0` means one per available
+    /// core. [`Engine::evaluate`] itself always runs on its caller.
     pub workers: usize,
-    /// Bound of the submission queue — the backpressure point.
+    /// Base of the per-tenant fair share: a tenant may have at most
+    /// `ceil(queue_capacity · queue_share · weight)` flight leaders
+    /// solving at once (see [`QuotaPolicy::queue_share`]).
     pub queue_capacity: usize,
-    /// Maximum queries a worker drains per wakeup.
-    pub batch_size: usize,
     /// Capacity of the completed-result LRU (level 1).
     pub result_cache: usize,
     /// Capacity of the `P(k)` capacity-solve LRU (level 2).
@@ -53,7 +51,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             queue_capacity: 1024,
-            batch_size: 32,
             result_cache: 4096,
             pk_cache: 256,
             cache_shards: 0,
@@ -65,8 +62,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The worker count after resolving `0` to the core count
-    /// ([`oaq_exec::effective_workers`]).
+    /// The [`Engine::run_all`] worker count after resolving `0` to the
+    /// core count ([`oaq_exec::effective_workers`]).
     #[must_use]
     pub fn effective_workers(&self) -> usize {
         oaq_exec::effective_workers(self.workers)
@@ -103,48 +100,10 @@ impl CacheStatsSnapshot {
     }
 }
 
-/// A handle to a submitted query's eventual answer.
-#[derive(Debug)]
-pub struct Ticket {
-    inner: TicketInner,
-}
-
-#[derive(Debug)]
-enum TicketInner {
-    Ready(EngineResult),
-    Waiting(Arc<Slot<EngineResult>>),
-}
-
 /// Blocks until `slot`'s leader publishes; an abandoned flight is
 /// [`EngineError::WorkerLost`].
 fn await_slot(slot: &Slot<EngineResult>) -> EngineResult {
     slot.wait().unwrap_or(Err(EngineError::WorkerLost))
-}
-
-impl Ticket {
-    /// Blocks until the answer is available.
-    pub fn wait(self) -> EngineResult {
-        match self.inner {
-            TicketInner::Ready(r) => r,
-            TicketInner::Waiting(slot) => await_slot(&slot),
-        }
-    }
-
-    /// Non-blocking poll: `Some` once the answer is in.
-    #[must_use]
-    pub fn try_get(&self) -> Option<EngineResult> {
-        match &self.inner {
-            TicketInner::Ready(r) => Some(r.clone()),
-            TicketInner::Waiting(slot) => slot.try_get(),
-        }
-    }
-
-    /// Whether the answer was already available at submission (a result
-    /// cache hit).
-    #[must_use]
-    pub fn was_immediate(&self) -> bool {
-        matches!(self.inner, TicketInner::Ready(_))
-    }
 }
 
 /// What admission decided for one query.
@@ -154,44 +113,32 @@ enum Admitted {
     /// An identical query is in flight; its answer lands in this slot.
     Follower(Arc<Slot<EngineResult>>),
     /// The caller leads the query's flight and holds a tenant queue slot:
-    /// the job must be queued or run inline, or else unwound.
+    /// the job must run on the caller, or else be unwound.
     Leader(Job),
 }
 
 /// The in-process QoS query-serving engine.
 ///
-/// Admission, shared by both entry points: validate
-/// ([`crate::QuerySpec::build`]) → level-1 result-cache lookup (free for
-/// quotas) → per-tenant token bucket → SLO shed coin → single-flight
-/// coalescing with any identical in-flight query → per-tenant queue fair
-/// share. Then a flight leader runs in one of two places:
+/// One admission path: validate ([`crate::QuerySpec::build`]) → level-1
+/// result-cache lookup (free for quotas) → per-tenant token bucket → SLO
+/// shed coin → single-flight coalescing with any identical in-flight
+/// query → per-tenant fair share. A flight leader then solves on the
+/// thread that called [`Self::evaluate`], with the level-2 `P(k)` cache
+/// inside the solve; [`Self::run_all`] fans a batch of such calls out on
+/// the [`oaq_exec::Executor`], the workspace's one thread primitive. The
+/// engine owns no thread.
 ///
-/// * [`Self::submit`] pushes it onto the bounded queue (typed
-///   [`RejectReason::QueueFull`] when saturated) for the supervised,
-///   batch-draining worker pool;
-/// * [`Self::evaluate`] runs it on the calling thread — the same per-job
-///   code a worker runs, without the hand-off to another thread.
-///
-/// Either way the level-2 `P(k)` cache sits inside the solve.
-///
-/// Every run is supervised: an evaluator panic becomes a typed
-/// [`crate::QueryError::EvalPanicked`] answer for every waiter. A pool
-/// worker that caught one is respawned so the pool keeps its configured
-/// size. The threads belong to [`oaq_exec::SupervisedPool`], started on
-/// the first queued job; this crate contributes only the semantics — the
-/// respawn predicate ("work may still be flowing") and the heal metric.
-/// Dropping the engine shuts the queue, drains what was admitted, and
-/// joins every worker.
+/// Every solve is supervised: an evaluator panic becomes a typed
+/// [`crate::QueryError::EvalPanicked`] answer for every waiter, and the
+/// calling thread carries on.
 #[derive(Debug)]
 pub struct Engine {
-    shared: Arc<Shared>,
+    shared: Shared,
     config: EngineConfig,
-    pool: OnceLock<SupervisedPool>,
 }
 
 impl Engine {
-    /// Builds an engine with the production evaluator. No thread starts
-    /// until the first job is queued.
+    /// Builds an engine with the production evaluator.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         Engine::with_evaluator(config, Arc::new(DefaultEvaluator))
@@ -203,8 +150,8 @@ impl Engine {
     #[must_use]
     pub fn with_evaluator(config: EngineConfig, evaluator: Arc<dyn Evaluator>) -> Self {
         let shards = config.effective_shards();
-        let shared = Arc::new(Shared {
-            queue: SubmitQueue::new(config.queue_capacity),
+        let shared = Shared {
+            shutting_down: AtomicBool::new(false),
             results: ShardedCache::new(config.result_cache, shards),
             flight: ShardedFlight::new(shards),
             pk_cache: ShardedCache::new(config.pk_cache, shards),
@@ -214,34 +161,8 @@ impl Engine {
             shedder: Shedder::new(config.shed, config.shed_seed),
             evaluator,
             epoch: Instant::now(),
-            batch_size: config.batch_size.max(1),
-        });
-        Engine {
-            shared,
-            config,
-            pool: OnceLock::new(),
-        }
-    }
-
-    /// Starts the supervised worker pool unless it already runs.
-    fn start_pool(&self) {
-        self.pool.get_or_init(|| {
-            let work_shared = Arc::clone(&self.shared);
-            let respawn_shared = Arc::clone(&self.shared);
-            let heal_shared = Arc::clone(&self.shared);
-            SupervisedPool::start(
-                self.config.effective_workers(),
-                move || match worker_loop(&work_shared) {
-                    WorkerExit::Drained => ExitKind::Clean,
-                    WorkerExit::Panicked => ExitKind::Panicked,
-                },
-                // A worker died with work (potentially) still flowing:
-                // replace it so the pool heals to its configured size. (A
-                // panic during the final drain retires the slot instead.)
-                move || !respawn_shared.queue.is_drained(),
-                move || heal_shared.metrics.on_worker_respawn(),
-            )
-        });
+        };
+        Engine { shared, config }
     }
 
     /// An engine with default sizing.
@@ -251,8 +172,7 @@ impl Engine {
     }
 
     /// Runs every admission step up to the point where a flight leader
-    /// needs a thread: result cache, quota, shed, single flight, fair
-    /// share. A returned [`Admitted::Leader`] holds a tenant queue slot
+    /// must solve: result cache, quota, shed, single flight, fair share. A returned [`Admitted::Leader`] holds a tenant queue slot
     /// and an open flight; [`Self::unwind_leader`] gives both back.
     fn admit(&self, query: QosQuery) -> Result<Admitted, EngineError> {
         let key = query.key();
@@ -314,10 +234,10 @@ impl Engine {
         }
     }
 
-    /// Rejects an admitted leader that cannot run: releases its tenant
-    /// queue slot and retires its flight. Any follower that slipped in
-    /// during this window wakes with `WorkerLost` and should resubmit.
-    fn unwind_leader(&self, job: Job, reason: RejectReason) -> EngineError {
+    /// Rejects an admitted leader after [`Self::shutdown`]: releases its
+    /// tenant queue slot and retires its flight. Any follower that slipped
+    /// in during this window wakes with `WorkerLost`.
+    fn unwind_leader(&self, job: Job) -> EngineError {
         let tenant = job.query.tenant();
         let (key, slot) = (job.key, Arc::clone(&job.slot));
         // The rejected Job abandons the slot on drop, before the table
@@ -326,82 +246,34 @@ impl Engine {
         self.shared.tenants.release_queue_slot(tenant);
         self.shared.flight.abandon(&key, &slot);
         self.shared.metrics.on_rejected();
-        EngineError::Rejected(reason)
+        EngineError::Rejected(RejectReason::ShuttingDown)
     }
 
-    /// Submits a validated query to the worker pool, starting the pool if
-    /// this is the first queued job.
-    ///
-    /// Returns immediately: a [`Ticket`] (possibly already resolved, on a
-    /// cache hit) or a typed rejection. Never blocks on a full queue —
-    /// backpressure is the caller's to handle.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Rejected`] with
-    /// [`RejectReason::QuotaExceeded`] when the query's tenant is out of
-    /// rate tokens or queue share (retryable after a refill interval),
-    /// [`RejectReason::Overloaded`] when the SLO shedder rejects new work
-    /// during a p99 breach, [`RejectReason::QueueFull`] when the
-    /// submission queue is at capacity, or [`RejectReason::ShuttingDown`]
-    /// during teardown. Cache hits are exempt from quotas and shedding —
-    /// they cost nothing to serve.
-    pub fn submit(&self, query: QosQuery) -> Result<Ticket, EngineError> {
-        let job = match self.admit(query)? {
-            Admitted::Hit(result) => {
-                return Ok(Ticket {
-                    inner: TicketInner::Ready(result),
-                })
-            }
-            Admitted::Follower(slot) => {
-                return Ok(Ticket {
-                    inner: TicketInner::Waiting(slot),
-                })
-            }
-            Admitted::Leader(job) => job,
-        };
-        let slot = Arc::clone(&job.slot);
-        // Start the pool before the push: a concurrent `shutdown` that
-        // finds the queue closed after a successful push then also finds
-        // the pool, and drains and joins it. A refused push leaves an
-        // idle pool behind, which is harmless.
-        self.start_pool();
-        match self.shared.queue.try_push(job) {
-            Ok(()) => {
-                self.shared.metrics.on_submitted();
-                Ok(Ticket {
-                    inner: TicketInner::Waiting(slot),
-                })
-            }
-            Err((job, reason)) => Err(self.unwind_leader(job, reason)),
-        }
-    }
-
-    /// Answers a query synchronously. A cache hit returns at once and a
-    /// follower waits for its flight's leader; a leader runs the job on
-    /// the calling thread — the same supervised per-job code a pool
-    /// worker runs (deadline gates, `catch_unwind`, both cache layers,
-    /// metrics) — so a miss pays no thread hand-off and needs no pool.
+    /// Answers a query on the calling thread. A cache hit returns at
+    /// once and a follower waits for its flight's leader; a leader solves
+    /// here (deadline gates, `catch_unwind`, both cache layers, metrics).
     /// An evaluator panic is returned as a typed error; the calling
-    /// thread carries on.
-    ///
-    /// Inline leaders never enter the submission queue: they are bounded
-    /// by the number of calling threads and, per tenant, by the queue
-    /// fair share, but never see [`RejectReason::QueueFull`].
+    /// thread carries on. Leaders are bounded by the number of calling
+    /// threads and, per tenant, by the fair share.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::submit`] except `QueueFull`, plus any evaluation
+    /// [`EngineError::Rejected`] with [`RejectReason::QuotaExceeded`]
+    /// when the query's tenant is out of rate tokens or fair share
+    /// (retryable after a refill interval), [`RejectReason::Overloaded`]
+    /// when the SLO shedder rejects new work during a p99 breach, or
+    /// [`RejectReason::ShuttingDown`] for a new leader after
+    /// [`Self::shutdown`]. Cache hits are exempt from quotas and
+    /// shedding — they cost nothing to serve. Otherwise any evaluation
     /// error.
     pub fn evaluate(&self, query: QosQuery) -> EngineResult {
         match self.admit(query)? {
             Admitted::Hit(result) => result,
             Admitted::Follower(slot) => await_slot(&slot),
             Admitted::Leader(job) => {
-                // Where `submit` would push: a shut-down engine starts
-                // no new computation.
-                if self.shared.queue.is_shut_down() {
-                    return Err(self.unwind_leader(job, RejectReason::ShuttingDown));
+                // A shut-down engine starts no new computation.
+                if self.shared.shutting_down.load(Ordering::Acquire) {
+                    return Err(self.unwind_leader(job));
                 }
                 self.shared.metrics.on_submitted();
                 serve_job(&self.shared, &job);
@@ -413,34 +285,12 @@ impl Engine {
         }
     }
 
-    /// Replays a whole batch: submits every query in order — absorbing
-    /// queue backpressure by yielding to the workers and retrying — then
-    /// waits for every answer. Answers come back in submission order.
-    /// Quota and shed rejections are terminal here (they are the policy
-    /// speaking, not transient backpressure) and surface in the output.
+    /// Answers a whole batch through [`Self::evaluate`], fanned out on
+    /// [`EngineConfig::workers`] executor workers; answers come back in
+    /// input order. Rejections are answers like any other.
     #[must_use]
     pub fn run_all(&self, queries: &[QosQuery]) -> Vec<EngineResult> {
-        let mut tickets = Vec::with_capacity(queries.len());
-        for &q in queries {
-            loop {
-                match self.submit(q) {
-                    Ok(t) => {
-                        tickets.push(t);
-                        break;
-                    }
-                    Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {
-                        std::thread::yield_now();
-                    }
-                    Err(e) => {
-                        tickets.push(Ticket {
-                            inner: TicketInner::Ready(Err(e)),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-        tickets.into_iter().map(Ticket::wait).collect()
+        Executor::new(self.config.workers).map_indexed(queries, |&q| self.evaluate(q))
     }
 
     /// A consistent snapshot of the engine's counters, including the
@@ -470,12 +320,6 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Queries currently waiting in the submission queue.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
     }
 
     /// Per-shard cache counters for both layers — the diagnosis surface
@@ -526,22 +370,14 @@ impl Engine {
         self.shared.pk_cache.insert(key, Arc::new(pk));
     }
 
-    /// Stops admission, drains already-admitted work, and joins every
-    /// worker if the pool ever started. Idempotent; called automatically
-    /// on drop. Takes `&self` so an `Arc<Engine>` shared across connection
-    /// handlers can still be wound down by its owner. Inline leaders
-    /// already admitted finish on their own threads.
+    /// Stops starting new solves: from now on a query that would lead a
+    /// flight is rejected with [`RejectReason::ShuttingDown`]. Leaders
+    /// already solving finish on their own threads, and cache hits and
+    /// their followers are still served. Idempotent. Takes `&self` so an
+    /// `Arc<Engine>` shared across connection handlers can still be wound
+    /// down by its owner.
     pub fn shutdown(&self) {
-        self.shared.queue.shutdown();
-        if let Some(pool) = self.pool.get() {
-            pool.join();
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.shared.shutting_down.store(true, Ordering::Release);
     }
 }
 
@@ -552,11 +388,54 @@ mod tests {
     use crate::eval::{direct_eval, QosValue};
     use crate::query::{Measure, QuerySpec, Scheme};
 
+    /// Parks the first `parked` solves until the gate opens; later solves
+    /// run straight through, so an over-admitted miss cannot hang.
+    struct Gate {
+        parked: usize,
+        /// (solves entered, gate open)
+        state: std::sync::Mutex<(usize, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn parking(parked: usize) -> Self {
+            Gate {
+                parked,
+                state: std::sync::Mutex::new((0, false)),
+                changed: std::sync::Condvar::new(),
+            }
+        }
+        fn wait_until(&self, done: impl Fn(&(usize, bool)) -> bool) {
+            let mut st = self.state.lock().unwrap();
+            while !done(&st) {
+                st = self.changed.wait(st).unwrap();
+            }
+        }
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl Evaluator for Gate {
+        fn solve_pk(&self, query: &QosQuery) -> Result<Vec<f64>, EngineError> {
+            let parked = {
+                let mut st = self.state.lock().unwrap();
+                st.0 += 1;
+                st.0 <= self.parked
+            };
+            if parked {
+                self.changed.notify_all();
+                self.wait_until(|st| st.1);
+            }
+            DefaultEvaluator.solve_pk(query)
+        }
+    }
+
     fn small_engine(workers: usize, queue: usize) -> Engine {
         Engine::new(EngineConfig {
             workers,
             queue_capacity: queue,
-            batch_size: 4,
             result_cache: 128,
             pk_cache: 16,
             ..EngineConfig::default()
@@ -591,38 +470,14 @@ mod tests {
         assert_eq!(m.pk_solves, 1);
     }
 
-    #[test]
-    fn queue_full_is_a_typed_rejection() {
-        // No workers draining: the supervisor spawns 1 worker, but a full
-        // queue of slow jobs forces rejection of the overflow.
-        let engine = small_engine(1, 2);
-        let mut tickets = Vec::new();
-        let mut rejected = 0;
-        // Distinct lambdas defeat the caches so every job needs a solve.
-        for i in 0..40u32 {
-            match engine.submit(y2(1e-5 + f64::from(i) * 1e-6)) {
-                Ok(t) => tickets.push(t),
-                Err(EngineError::Rejected(RejectReason::QueueFull { capacity })) => {
-                    assert_eq!(capacity, 2);
-                    rejected += 1;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert!(rejected > 0, "a 2-slot queue must reject under a 40-burst");
-        let m = engine.metrics();
-        assert_eq!(m.rejected, rejected);
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
-    }
-
+    /// A batch of eight identical queries on four workers: one solves,
+    /// the rest coalesce onto it or hit the cache, in input order.
     #[test]
     fn identical_inflight_queries_coalesce() {
-        let engine = small_engine(1, 64);
+        let engine = small_engine(4, 64);
         let q = y2(3e-5);
-        let tickets: Vec<Ticket> = (0..8).map(|_| engine.submit(q).unwrap()).collect();
-        let answers: Vec<EngineResult> = tickets.into_iter().map(Ticket::wait).collect();
+        let answers = engine.run_all(&[q; 8]);
+        assert_eq!(answers.len(), 8);
         let first = answers[0].clone().unwrap();
         for a in &answers {
             assert_eq!(a.as_ref().unwrap(), &first);
@@ -636,20 +491,55 @@ mod tests {
         assert_eq!(m.pk_solves, 1);
     }
 
+    /// While a leader is solving, `shutdown` lets it answer correctly;
+    /// a fresh miss is rejected with its flight and tenant slot unwound;
+    /// a cached hit is still served.
     #[test]
-    fn shutdown_drains_admitted_work() {
-        let engine = small_engine(2, 64);
-        let tickets: Vec<Ticket> = (0..6)
-            .map(|i| engine.submit(y2(2e-5 + f64::from(i) * 1e-6)).unwrap())
-            .collect();
-        engine.shutdown();
-        for t in tickets {
-            assert!(t.wait().is_ok(), "admitted work survives shutdown");
-        }
-        assert!(matches!(
-            engine.submit(y2(9e-5)),
-            Err(EngineError::Rejected(RejectReason::ShuttingDown))
-        ));
+    fn shutdown_lets_a_solving_leader_answer() {
+        let gate = Arc::new(Gate::parking(1));
+        let engine = Engine::with_evaluator(
+            EngineConfig::default(),
+            Arc::clone(&gate) as Arc<dyn Evaluator>,
+        );
+        let engine = &engine;
+        let cached = y2(5e-5);
+        engine.preload_result(cached.key(), direct_eval(&cached).unwrap());
+        let leading = y2(2e-5);
+        let fresh = y2(9e-5).for_tenant(TenantId(2));
+        let in_queue = |t: TenantId| {
+            engine
+                .tenant_metrics()
+                .into_iter()
+                .find(|s| s.tenant == t)
+                .map_or(0, |s| s.in_queue)
+        };
+        // Observe while the leader is parked, open the gate, and only
+        // then assert, so a failure cannot strand the parked thread.
+        let (rejected, flights, fresh_slots, hit, answer) = std::thread::scope(|s| {
+            let leader = s.spawn(move || engine.evaluate(leading));
+            gate.wait_until(|st| st.0 >= 1);
+            engine.shutdown();
+            let rejected = engine.evaluate(fresh);
+            let flights = engine.shared.flight.len();
+            let fresh_slots = in_queue(fresh.tenant());
+            let hit = engine.evaluate(cached);
+            gate.open();
+            (rejected, flights, fresh_slots, hit, leader.join().unwrap())
+        });
+        assert!(
+            matches!(
+                rejected,
+                Err(EngineError::Rejected(RejectReason::ShuttingDown))
+            ),
+            "a fresh miss after shutdown is rejected: {rejected:?}"
+        );
+        assert_eq!(flights, 1, "only the solving leader's flight is open");
+        assert_eq!(fresh_slots, 0, "the rejected miss gave its slot back");
+        assert_eq!(hit.unwrap(), direct_eval(&cached).unwrap());
+        assert_eq!(answer.unwrap(), direct_eval(&leading).unwrap());
+        assert!(engine.shared.flight.is_empty());
+        assert_eq!(in_queue(leading.tenant()), 0);
+        assert_eq!(engine.metrics().rejected, 1);
     }
 
     #[test]
@@ -699,7 +589,6 @@ mod tests {
             EngineConfig {
                 workers: 2,
                 queue_capacity: 32,
-                batch_size: 4,
                 result_cache: 64,
                 pk_cache: 16,
                 ..EngineConfig::default()
@@ -710,42 +599,9 @@ mod tests {
         )
     }
 
-    /// End-to-end supervision of queued work: a panicking evaluator
-    /// yields typed `EvalPanicked` answers for every submission, the pool
-    /// respawns, and healthy queries afterwards still get correct answers.
-    #[test]
-    fn panicking_evaluator_heals_and_keeps_serving() {
-        let engine = flaky_engine();
-        let mut panicked = 0;
-        let mut ok = 0;
-        for i in 0..20u32 {
-            let q = y2(1e-5 + f64::from(i) * 1e-6);
-            match engine.submit(q).and_then(Ticket::wait) {
-                Ok(v) => {
-                    assert_eq!(v, direct_eval(&q).unwrap(), "bit-identical");
-                    ok += 1;
-                }
-                Err(EngineError::Query(QueryError::EvalPanicked))
-                | Err(EngineError::WorkerLost) => panicked += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(ok + panicked, 20, "every submit reaches a terminal outcome");
-        assert!(ok >= 9, "even solves succeed: {ok}");
-        assert!(panicked >= 9, "odd solves panic: {panicked}");
-        let m = engine.metrics();
-        assert!(m.eval_panics >= 9);
-        assert!(
-            m.worker_respawns >= m.eval_panics.saturating_sub(2),
-            "the pool heals after panics: {} respawns for {} panics",
-            m.worker_respawns,
-            m.eval_panics
-        );
-    }
-
     /// Supervision of inline misses: every injected panic is a typed
     /// `EvalPanicked` for the `evaluate` caller, whose thread carries on;
-    /// every other answer is bit-identical; no pool worker is involved.
+    /// every other answer is bit-identical.
     #[test]
     fn panicking_evaluator_inline_answers_typed_and_caller_survives() {
         let engine = flaky_engine();
@@ -766,8 +622,6 @@ mod tests {
         assert_eq!((ok, panicked), (10, 10));
         let m = engine.metrics();
         assert_eq!(m.eval_panics, 10, "one typed answer per injected panic");
-        assert_eq!(m.worker_respawns, 0, "no worker ran, none respawned");
-        assert_eq!(m.batch_count, 0);
         // The caller that absorbed ten panics still serves: a cached
         // answer, then a fresh scenario whose first solve panics and whose
         // retry succeeds.
@@ -812,8 +666,8 @@ mod tests {
         assert_eq!(m.submitted, m.served + m.coalesced, "{m:?}");
     }
 
-    /// After shutdown an inline leader is rejected where `submit`'s push
-    /// would fail, and gives back its flight and tenant queue slot.
+    /// After shutdown a new leader is rejected, and gives back its flight
+    /// and tenant queue slot.
     #[test]
     fn evaluate_after_shutdown_is_rejected_and_unwound() {
         let engine = small_engine(1, 64);
@@ -839,44 +693,7 @@ mod tests {
     /// another tenant is still served.
     #[test]
     fn inline_misses_are_bounded_by_the_tenant_share() {
-        use std::sync::{Condvar, Mutex};
-
-        /// Parks the first two solves until the gate opens; later solves
-        /// run straight through, so an over-admitted miss cannot hang.
-        #[derive(Default)]
-        struct Gate {
-            /// (solves entered, gate open)
-            state: Mutex<(usize, bool)>,
-            changed: Condvar,
-        }
-        impl Gate {
-            fn wait_until(&self, done: impl Fn(&(usize, bool)) -> bool) {
-                let mut st = self.state.lock().unwrap();
-                while !done(&st) {
-                    st = self.changed.wait(st).unwrap();
-                }
-            }
-            fn open(&self) {
-                self.state.lock().unwrap().1 = true;
-                self.changed.notify_all();
-            }
-        }
-        impl Evaluator for Gate {
-            fn solve_pk(&self, query: &QosQuery) -> Result<Vec<f64>, EngineError> {
-                let parked = {
-                    let mut st = self.state.lock().unwrap();
-                    st.0 += 1;
-                    st.0 <= 2
-                };
-                if parked {
-                    self.changed.notify_all();
-                    self.wait_until(|st| st.1);
-                }
-                DefaultEvaluator.solve_pk(query)
-            }
-        }
-
-        let gate = Arc::new(Gate::default());
+        let gate = Arc::new(Gate::parking(2));
         let engine = Engine::with_evaluator(
             EngineConfig {
                 queue_capacity: 8,
@@ -938,33 +755,6 @@ mod tests {
         );
         // The share is free again: the rejected miss now goes through.
         assert_eq!(engine.evaluate(q(2)).unwrap(), direct_eval(&q(2)).unwrap());
-        assert_eq!(engine.metrics().batch_count, 0);
-    }
-
-    /// An engine used only through `evaluate` starts no pool; a later
-    /// `submit` starts it and is served; the engine then drops cleanly.
-    #[test]
-    fn pool_starts_on_first_queued_job() {
-        let engine = small_engine(2, 64);
-        for i in 0..4u32 {
-            let q = y2(2e-5 + f64::from(i) * 1e-6);
-            assert_eq!(engine.evaluate(q).unwrap(), direct_eval(&q).unwrap());
-        }
-        assert!(
-            engine.pool.get().is_none(),
-            "evaluate alone spawns no thread"
-        );
-        let m = engine.metrics();
-        assert_eq!(m.batch_count, 0);
-        assert_eq!(m.queue_wait.count, 0, "inline misses never queued");
-        assert_eq!(m.solve.count, 4);
-        assert_eq!(m.end_to_end.count, 4);
-        let q = y2(8e-5);
-        let got = engine.submit(q).unwrap().wait().unwrap();
-        assert_eq!(got, direct_eval(&q).unwrap());
-        assert!(engine.pool.get().is_some());
-        assert_eq!(engine.metrics().batch_count, 1);
-        drop(engine);
     }
 
     /// An expired deadline is a typed per-query error; queries without a
@@ -987,16 +777,13 @@ mod tests {
         assert!(engine.metrics().deadline_expired >= 1);
     }
 
-    /// Quota isolation: a flooding tenant collects `QuotaExceeded` while
-    /// a polite tenant keeps being served.
+    /// Quota isolation: a flood from four concurrent callers collects
+    /// `QuotaExceeded` while a polite tenant keeps being served.
     #[test]
     fn flooding_tenant_is_isolated_by_quota() {
-        use crate::tenant::TenantId;
-
         let engine = Engine::new(EngineConfig {
-            workers: 2,
+            workers: 4,
             queue_capacity: 16,
-            batch_size: 4,
             result_cache: 1,
             pk_cache: 16,
             quota: QuotaPolicy {
@@ -1008,16 +795,17 @@ mod tests {
         });
         let flooder = TenantId(1);
         let polite = TenantId(2);
+        let flood: Vec<QosQuery> = (0..50u32)
+            .map(|i| y2(1e-5 + f64::from(i) * 1e-6).for_tenant(flooder))
+            .collect();
         let mut flooder_rejected = 0;
-        for i in 0..50u32 {
-            let q = y2(1e-5 + f64::from(i) * 1e-6).for_tenant(flooder);
-            match engine.submit(q) {
-                Ok(t) => drop(t),
+        for r in engine.run_all(&flood) {
+            match r {
+                Ok(_) => {}
                 Err(EngineError::Rejected(RejectReason::QuotaExceeded { tenant })) => {
                     assert_eq!(tenant, flooder);
                     flooder_rejected += 1;
                 }
-                Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {}
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
@@ -1042,7 +830,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 1,
             queue_capacity: 64,
-            batch_size: 4,
             result_cache: 1,
             pk_cache: 16,
             // An SLO no real solve can meet: every completion breaches.
@@ -1055,7 +842,6 @@ mod tests {
             match engine.evaluate(q) {
                 Ok(_) => {}
                 Err(EngineError::Rejected(RejectReason::Overloaded)) => shed += 1,
-                Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {}
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
@@ -1065,14 +851,14 @@ mod tests {
         assert!(m.shed_probability > 0.0, "the gauge reflects the breach");
     }
 
-    /// The drained-engine accounting invariant survives the new gates:
-    /// submitted == served + coalesced, with rejections outside.
+    /// The accounting invariant survives the admission gates under four
+    /// concurrent callers: submitted == served + coalesced, with
+    /// rejections outside.
     #[test]
     fn accounting_invariant_holds_with_policies_enabled() {
         let engine = Engine::new(EngineConfig {
-            workers: 2,
+            workers: 4,
             queue_capacity: 8,
-            batch_size: 4,
             result_cache: 64,
             pk_cache: 16,
             quota: QuotaPolicy {
@@ -1082,23 +868,21 @@ mod tests {
             },
             ..EngineConfig::default()
         });
-        let mut tickets = Vec::new();
-        for i in 0..60u32 {
-            let q = y2(1e-5 + f64::from(i % 7) * 1e-6).for_tenant(TenantId(i % 3));
-            if let Ok(t) = engine.submit(q) {
-                tickets.push(t);
-            }
-        }
-        for t in tickets {
-            let _ = t.wait();
-        }
-        engine.shutdown();
+        let queries: Vec<QosQuery> = (0..60u32)
+            .map(|i| y2(1e-5 + f64::from(i % 7) * 1e-6).for_tenant(TenantId(i % 3)))
+            .collect();
+        let answers = engine.run_all(&queries);
         let m = engine.metrics();
         assert_eq!(
             m.submitted,
             m.served + m.coalesced,
-            "drained engine: submitted == served + coalesced ({m:?})"
+            "answered batch: submitted == served + coalesced ({m:?})"
         );
+        let rejected = answers
+            .iter()
+            .filter(|r| matches!(r, Err(EngineError::Rejected(_))))
+            .count() as u64;
+        assert_eq!(m.rejected, rejected, "rejections sit outside: {m:?}");
     }
 
     /// `QosValue` answers delivered after supervision remain `Ok` results

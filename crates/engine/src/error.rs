@@ -24,12 +24,12 @@ pub enum QueryError {
         /// The effective delivery overhead δ_eff.
         delta_eff: f64,
     },
-    /// The worker evaluating this query panicked. Every coalesced waiter
-    /// of the query receives this error; the panicking worker is respawned
-    /// and the query may simply be resubmitted.
+    /// The evaluation of this query panicked. Every coalesced waiter of
+    /// the query receives this error; the query may simply be
+    /// resubmitted.
     EvalPanicked,
     /// The per-query serving deadline expired before the answer was ready
-    /// — either shed at dequeue (the solve never ran) or detected right
+    /// — either shed before the solve (it never ran) or detected right
     /// after the solve (the stale answer is cached but not served).
     DeadlineExceeded {
         /// The configured serving deadline, milliseconds.
@@ -47,9 +47,7 @@ impl fmt::Display for QueryError {
                 f,
                 "delivery overhead delta_eff = {delta_eff} consumes the deadline tau = {tau}"
             ),
-            QueryError::EvalPanicked => {
-                write!(f, "evaluation panicked; the worker was respawned")
-            }
+            QueryError::EvalPanicked => write!(f, "evaluation panicked"),
             QueryError::DeadlineExceeded {
                 deadline_ms,
                 waited_ms,
@@ -76,22 +74,16 @@ impl From<ParamError> for QueryError {
     }
 }
 
-/// Why an accepted-shape query was turned away at submission. Every
+/// Why an accepted-shape query was turned away at admission. Every
 /// variant except [`RejectReason::ShuttingDown`] is retryable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RejectReason {
-    /// The bounded submission queue is at capacity — backpressure; retry
-    /// later or shed load upstream.
-    QueueFull {
-        /// The configured queue capacity.
-        capacity: usize,
-    },
     /// The engine is shutting down and no longer accepts work.
     ShuttingDown,
     /// The submitting tenant is over its admission quota — its token
-    /// bucket is empty or it already holds its full fair share of the
-    /// queue. Other tenants are unaffected; retry after a back-off.
+    /// bucket is empty or it already has its full fair share of leaders
+    /// solving. Other tenants are unaffected; retry after a back-off.
     QuotaExceeded {
         /// The over-quota tenant.
         tenant: TenantId,
@@ -105,9 +97,6 @@ pub enum RejectReason {
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            RejectReason::QueueFull { capacity } => {
-                write!(f, "submission queue full ({capacity} queries)")
-            }
             RejectReason::ShuttingDown => write!(f, "engine is shutting down"),
             RejectReason::QuotaExceeded { tenant } => {
                 write!(f, "tenant {tenant} is over its admission quota")
@@ -124,12 +113,13 @@ impl fmt::Display for RejectReason {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// Admission control turned the query away; it was never enqueued.
+    /// Admission control turned the query away; it never ran.
     Rejected(RejectReason),
     /// The capacity CTMC solve failed.
     Solver(CtmcError),
-    /// The computing worker disappeared without an answer (a worker
-    /// panic); the query should be resubmitted.
+    /// The flight this query waited on was abandoned without an answer
+    /// (its leader panicked mid-solve, or was rejected after a follower
+    /// joined); the query should be resubmitted.
     WorkerLost,
     /// A per-query failure after admission: the evaluation panicked or
     /// the serving deadline expired.
@@ -175,8 +165,8 @@ mod tests {
 
     #[test]
     fn errors_render() {
-        let e = EngineError::Rejected(RejectReason::QueueFull { capacity: 8 });
-        assert!(e.to_string().contains("full (8"));
+        let e = EngineError::Rejected(RejectReason::ShuttingDown);
+        assert!(e.to_string().contains("shutting down"));
         assert!(EngineError::WorkerLost.to_string().contains("worker"));
         let q = QueryError::DeadlineConsumed {
             tau: 5.0,

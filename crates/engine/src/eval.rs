@@ -137,7 +137,7 @@ pub fn eval_cheap(query: &QosQuery) -> QosValue {
 
 /// The engine's pluggable evaluation back end.
 ///
-/// The engine owns admission, queueing, coalescing and both cache layers;
+/// The engine owns admission, coalescing and both cache layers;
 /// an `Evaluator` is only the *leaf* compute — the `P(k)` solve and the
 /// two G-function evaluation paths. The default methods delegate to the
 /// real analytic stack, so implementors override exactly the behaviour

@@ -1,31 +1,27 @@
-//! # oaq-engine — a batched, cached, fault-tolerant multi-tenant QoS
+//! # oaq-engine — a cached, fault-tolerant multi-tenant QoS
 //! query-serving engine
 //!
 //! Turns the closed-form stack of `oaq-analytic` into an in-process
 //! serving layer: validated [`QosQuery`] requests pass one admission
-//! path, then run either on the calling thread ([`Engine::evaluate`]) or
-//! through a bounded, backpressure-aware submission queue into a
-//! supervised worker pool ([`Engine::submit`]), with two levels of
-//! memoization in between.
+//! path, then a cache miss is solved on the calling thread
+//! ([`Engine::evaluate`]), with two levels of memoization in between.
+//! [`Engine::run_all`] answers a batch by fanning `evaluate` out on the
+//! [`oaq_exec::Executor`]; the engine owns no thread of its own.
 //!
-//! * **Admission** — [`Engine::submit`] never blocks; when the bounded
-//!   queue is full it returns a typed
-//!   [`RejectReason::QueueFull`] so the caller owns its
-//!   backpressure policy. [`Engine::evaluate`] runs a miss inline, with
-//!   the same supervision, deadlines, caching and metrics as a pool
-//!   worker, and no thread hand-off; the pool starts only when the first
-//!   job is queued.
+//! * **Admission** — [`Engine::evaluate`] never queues: a cache hit
+//!   returns at once, an identical in-flight query is joined, and a new
+//!   leader solves inline with supervision, deadlines, caching and
+//!   metrics. Overload is answered by the per-tenant quotas and the SLO
+//!   shedder below, each with a typed rejection.
 //! * **Multi-tenancy** — every query carries a [`TenantId`]; a
 //!   [`QuotaPolicy`] enforces per-tenant token-bucket rates and weighted
-//!   fair shares of the queue (an inline miss holds its share's slot
-//!   while it solves), so one flooding tenant collects retryable
+//!   fair shares of concurrently solving leaders (a miss holds its
+//!   share's slot while it solves), so one flooding tenant collects retryable
 //!   [`RejectReason::QuotaExceeded`] rejections while the others keep
 //!   their latency.
 //! * **Supervision** — evaluator panics are caught per query and become
 //!   typed [`QueryError::EvalPanicked`] answers for the leader *and*
-//!   every coalesced waiter; an inline caller's thread carries on, and
-//!   the supervisor respawns dead pool workers so the pool heals to its
-//!   configured size.
+//!   every coalesced waiter, and the caller's thread carries on.
 //! * **Deadlines & SLO shedding** — queries may carry a serving deadline
 //!   (checked before and after the solve —
 //!   [`QueryError::DeadlineExceeded`]), and a [`ShedPolicy`] watches the
@@ -51,7 +47,7 @@
 //! ```
 //! use oaq_engine::{Engine, EngineConfig, Measure, QuerySpec, Scheme};
 //!
-//! // `evaluate` solves a miss on this thread: no worker thread starts.
+//! // `evaluate` solves a miss on this thread.
 //! let engine = Engine::new(EngineConfig::default());
 //! let query = QuerySpec::paper_defaults(1e-5, Measure::QosAtLeast { scheme: Scheme::Oaq, y: 2 })
 //!     .build()
@@ -69,7 +65,6 @@ pub mod error;
 pub mod eval;
 pub mod metrics;
 pub mod query;
-pub mod queue;
 pub mod shard;
 pub mod shed;
 pub mod singleflight;
@@ -78,7 +73,7 @@ pub mod workload;
 
 mod worker;
 
-pub use engine::{CacheStatsSnapshot, Engine, EngineConfig, Ticket};
+pub use engine::{CacheStatsSnapshot, Engine, EngineConfig};
 pub use error::{EngineError, QueryError, RejectReason};
 pub use eval::{direct_eval, eval_cheap, eval_with_pk, DefaultEvaluator, Evaluator, QosValue};
 pub use metrics::{LatencySnapshot, MetricsSnapshot, RobustQuantile};

@@ -1,7 +1,7 @@
 //! Per-engine observability: admission, cache and latency counters.
 //!
 //! Counters live behind one [`parking_lot::Mutex`] and are mutated on the
-//! hot paths (submission, worker batch, completion); [`Metrics::snapshot`]
+//! hot paths (admission, solve, completion); [`Metrics::snapshot`]
 //! clones a consistent view out. Aggregates reuse `oaq-sim`'s statistics
 //! accumulators ([`Tally`], [`P2Quantile`]) rather than reinventing
 //! streaming moments and percentiles.
@@ -82,12 +82,9 @@ struct MetricsInner {
     pk_solves: Counter,
     pk_cache_hits: Counter,
     eval_panics: Counter,
-    worker_respawns: Counter,
     deadline_expired: Counter,
     quota_rejected: Counter,
     shed: Counter,
-    batch_sizes: Tally,
-    queue_wait: StageLatency,
     solve: StageLatency,
     end_to_end: StageLatency,
 }
@@ -157,19 +154,16 @@ impl Metrics {
                 pk_solves: Counter::new(),
                 pk_cache_hits: Counter::new(),
                 eval_panics: Counter::new(),
-                worker_respawns: Counter::new(),
                 deadline_expired: Counter::new(),
                 quota_rejected: Counter::new(),
                 shed: Counter::new(),
-                batch_sizes: Tally::new(),
-                queue_wait: StageLatency::new(),
                 solve: StageLatency::new(),
                 end_to_end: StageLatency::new(),
             }),
         }
     }
 
-    /// A query was admitted into the queue.
+    /// A query was admitted: a cache hit, a follower or a solving leader.
     pub fn on_submitted(&self) {
         self.inner.lock().submitted.increment();
     }
@@ -179,9 +173,9 @@ impl Metrics {
         self.inner.lock().rejected.increment();
     }
 
-    /// A query was answered directly — computed by a worker or served from
-    /// the result cache. Coalesced followers count under
-    /// [`Self::on_coalesced`] instead, so once the queue drains,
+    /// A query was answered directly — computed by its leader or served
+    /// from the result cache. Coalesced followers count under
+    /// [`Self::on_coalesced`] instead, so once every call has returned,
     /// `submitted == served + coalesced`.
     pub fn on_served(&self) {
         self.inner.lock().served.increment();
@@ -208,20 +202,14 @@ impl Metrics {
         self.inner.lock().pk_cache_hits.increment();
     }
 
-    /// A worker caught a panic while evaluating a query; the query's
-    /// waiters received [`crate::QueryError::EvalPanicked`].
+    /// A panic was caught while evaluating a query; the query's waiters
+    /// received [`crate::QueryError::EvalPanicked`].
     pub fn on_eval_panic(&self) {
         self.inner.lock().eval_panics.increment();
     }
 
-    /// The supervisor replaced a dead worker, healing the pool back to
-    /// its configured size.
-    pub fn on_worker_respawn(&self) {
-        self.inner.lock().worker_respawns.increment();
-    }
-
-    /// A query's serving deadline expired (shed at dequeue or detected
-    /// after the solve); its waiters received
+    /// A query's serving deadline expired (shed before the solve or
+    /// detected after it); its waiters received
     /// [`crate::QueryError::DeadlineExceeded`].
     pub fn on_deadline_expired(&self) {
         self.inner.lock().deadline_expired.increment();
@@ -244,17 +232,6 @@ impl Metrics {
     #[must_use]
     pub fn e2e_p99(&self) -> Option<f64> {
         self.inner.lock().end_to_end.p99.estimate()
-    }
-
-    /// A worker drained a batch of `n` queries.
-    pub fn on_batch(&self, n: usize) {
-        #[allow(clippy::cast_precision_loss)]
-        self.inner.lock().batch_sizes.record(n as f64);
-    }
-
-    /// Records the time a query spent queued before a worker picked it up.
-    pub fn record_queue_wait(&self, seconds: f64) {
-        self.inner.lock().queue_wait.record(seconds);
     }
 
     /// Records the pure compute time of one query.
@@ -280,15 +257,11 @@ impl Metrics {
             pk_solves: inner.pk_solves.count(),
             pk_cache_hits: inner.pk_cache_hits.count(),
             eval_panics: inner.eval_panics.count(),
-            worker_respawns: inner.worker_respawns.count(),
             deadline_expired: inner.deadline_expired.count(),
             quota_rejected: inner.quota_rejected.count(),
             shed: inner.shed.count(),
             shed_probability: 0.0,
-            batch_count: inner.batch_sizes.count(),
-            mean_batch_size: inner.batch_sizes.mean(),
-            max_batch_size: inner.batch_sizes.max().unwrap_or(0.0),
-            queue_wait: inner.queue_wait.snapshot(),
+            queue_wait: LatencySnapshot::EMPTY,
             solve: inner.solve.snapshot(),
             end_to_end: inner.end_to_end.snapshot(),
         }
@@ -304,13 +277,13 @@ impl Default for Metrics {
 /// A point-in-time copy of the engine's counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Queries admitted into the queue.
+    /// Queries admitted: cache hits, followers and solving leaders.
     pub submitted: u64,
-    /// Queries answered directly (worker-computed or result-cache hit);
-    /// excludes coalesced followers, so a drained engine satisfies
-    /// `submitted == served + coalesced`.
+    /// Queries answered directly (computed by their leader or a
+    /// result-cache hit); excludes coalesced followers, so once every
+    /// call has returned, `submitted == served + coalesced`.
     pub served: u64,
-    /// Queries refused at admission (queue full / shutting down).
+    /// Queries refused at admission (quota, shed or shutting down).
     pub rejected: u64,
     /// Queries answered from the completed-result cache.
     pub result_cache_hits: u64,
@@ -320,11 +293,9 @@ pub struct MetricsSnapshot {
     pub pk_solves: u64,
     /// Capacity distributions reused from the `P(k)` cache.
     pub pk_cache_hits: u64,
-    /// Worker panics caught during evaluation (each answered its waiters
-    /// with [`crate::QueryError::EvalPanicked`]).
+    /// Panics caught during evaluation (each answered its waiters with
+    /// [`crate::QueryError::EvalPanicked`]).
     pub eval_panics: u64,
-    /// Workers respawned by the supervisor after a panic.
-    pub worker_respawns: u64,
     /// Queries whose serving deadline expired before an answer was
     /// delivered.
     pub deadline_expired: u64,
@@ -336,13 +307,9 @@ pub struct MetricsSnapshot {
     /// in by [`crate::Engine::metrics`]; `0.0` straight from
     /// [`Metrics::snapshot`]).
     pub shed_probability: f64,
-    /// Number of worker batches drained.
-    pub batch_count: u64,
-    /// Mean batch size.
-    pub mean_batch_size: f64,
-    /// Largest batch drained.
-    pub max_batch_size: f64,
-    /// Time spent queued before pickup.
+    /// Always empty ([`LatencySnapshot::EMPTY`]): every leader solves on
+    /// its caller's thread, so no query waits in a queue. Kept only for
+    /// readers that still take its p50.
     pub queue_wait: LatencySnapshot,
     /// Pure compute time per query.
     pub solve: LatencySnapshot,
@@ -369,6 +336,19 @@ pub struct LatencySnapshot {
     pub p99: f64,
 }
 
+impl LatencySnapshot {
+    /// A stage with no observations: count and mean `0`, the rest NaN.
+    pub const EMPTY: LatencySnapshot = LatencySnapshot {
+        count: 0,
+        mean: 0.0,
+        min: f64::NAN,
+        max: f64::NAN,
+        p50: f64::NAN,
+        p95: f64::NAN,
+        p99: f64::NAN,
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,8 +364,6 @@ mod tests {
         m.on_coalesced();
         m.on_pk_solve();
         m.on_pk_cache_hit();
-        m.on_batch(4);
-        m.on_batch(2);
         let s = m.snapshot();
         assert_eq!(s.submitted, 2);
         assert_eq!(s.rejected, 1);
@@ -394,9 +372,6 @@ mod tests {
         assert_eq!(s.coalesced, 1);
         assert_eq!(s.pk_solves, 1);
         assert_eq!(s.pk_cache_hits, 1);
-        assert_eq!(s.batch_count, 2);
-        assert!((s.mean_batch_size - 3.0).abs() < 1e-12);
-        assert!((s.max_batch_size - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -470,14 +445,12 @@ mod tests {
     fn fault_counters_accumulate() {
         let m = Metrics::new();
         m.on_eval_panic();
-        m.on_worker_respawn();
         m.on_deadline_expired();
         m.on_deadline_expired();
         m.on_quota_rejected();
         m.on_shed();
         let s = m.snapshot();
         assert_eq!(s.eval_panics, 1);
-        assert_eq!(s.worker_respawns, 1);
         assert_eq!(s.deadline_expired, 2);
         assert_eq!(s.quota_rejected, 1);
         assert_eq!(s.shed, 1);

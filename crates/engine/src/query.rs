@@ -193,8 +193,8 @@ pub struct QuerySpec {
     /// [`QosQuery::key`].
     pub tenant: TenantId,
     /// Optional *serving* deadline, wall-clock milliseconds from
-    /// submission. Work still queued past its deadline is shed at dequeue;
-    /// work finishing late is answered
+    /// submission. Work already past its deadline when its solve would
+    /// start is shed; work finishing late is answered
     /// [`QueryError::DeadlineExceeded`] instead of served stale. A serving
     /// QoS knob, not part of the answer — excluded from [`QosQuery::key`]
     /// (when duplicate in-flight queries coalesce, the leader's deadline

@@ -361,7 +361,7 @@ mod tests {
         assert!(matches!(f.join(10), Flight::Leader(_)));
         assert_eq!(f.len(), 2);
         f.complete(&9, &slot, 81);
-        assert_eq!(slot.try_get(), Some(81));
+        assert_eq!(slot.wait(), Some(81));
         assert!(
             matches!(f.join(9), Flight::Leader(_)),
             "retired after complete"

@@ -1,14 +1,14 @@
 //! Single-flight coalescing of identical in-flight computations.
 //!
-//! When several submitted queries share a bit-exact key, exactly one
-//! worker computes the answer ("the leader") and every other submission
+//! When several in-flight queries share a bit-exact key, exactly one
+//! caller computes the answer ("the leader") and every other caller
 //! blocks on a shared [`Slot`] until the leader publishes. Uses
 //! `std::sync::{Mutex, Condvar}` — the vendored `parking_lot` stand-in has
 //! no condition variable.
 //!
 //! ## Fault tolerance
 //!
-//! A leader can die mid-computation (a panicking worker). Three layers
+//! A leader can die mid-computation (a panicking solve). Three layers
 //! keep followers from blocking forever on its corpse:
 //!
 //! 1. every lock here recovers from poisoning (a panic while holding a
@@ -41,7 +41,8 @@ pub struct Slot<V> {
 enum SlotState<V> {
     Pending,
     Done(V),
-    /// The leader dropped without publishing (worker panic).
+    /// The leader dropped without publishing (a panic, or a rejected
+    /// leader).
     Abandoned,
 }
 
@@ -84,14 +85,6 @@ impl<V: Clone> Slot<V> {
                 SlotState::Done(v) => return Some(v.clone()),
                 SlotState::Abandoned => return None,
             }
-        }
-    }
-
-    /// Non-blocking peek; `None` while still pending or abandoned.
-    pub fn try_get(&self) -> Option<V> {
-        match &*lock_ignore_poison(&self.state) {
-            SlotState::Done(v) => Some(v.clone()),
-            _ => None,
         }
     }
 
@@ -201,7 +194,7 @@ mod tests {
         assert!(matches!(sf.join(7), Flight::Follower(_)));
         assert!(matches!(sf.join(8), Flight::Leader(_)));
         sf.complete(&7, &slot, 42);
-        assert_eq!(slot.try_get(), Some(42));
+        assert_eq!(slot.wait(), Some(42));
         // Key retired: a new join leads again.
         assert!(matches!(sf.join(7), Flight::Leader(_)));
     }

@@ -1,5 +1,5 @@
 //! Multi-tenant admission control: tenant identity, per-tenant
-//! token-bucket quotas and weighted fair shares of the submission queue.
+//! token-bucket quotas and weighted fair shares of solving leaders.
 //!
 //! Every [`crate::QosQuery`] carries a [`TenantId`]. Admission charges two
 //! independent budgets:
@@ -8,12 +8,11 @@
 //!   `rate_per_sec`, depth `burst`. A submission that misses the result
 //!   cache costs one token; an empty bucket is a retryable
 //!   [`crate::RejectReason::QuotaExceeded`].
-//! * **Queue share** — a tenant may occupy at most
-//!   `ceil(queue_capacity · queue_share · weight)` slots of the bounded
-//!   submission queue (an inline `evaluate` miss holds one for its whole
-//!   solve), so a flooding tenant exhausts *its* share and hits
-//!   `QuotaExceeded` while well-behaved tenants still reach the default
-//!   `QueueFull` backpressure only under genuine global overload.
+//! * **Queue share** — a tenant may have at most
+//!   `ceil(queue_capacity · queue_share · weight)` flight leaders solving
+//!   at once (an `evaluate` miss holds one slot for its whole solve), so
+//!   a flooding tenant exhausts *its* share and hits `QuotaExceeded`
+//!   while well-behaved tenants keep theirs.
 //!
 //! Both clocks are injected (`now_s`, seconds since the engine epoch), so
 //! the bucket arithmetic is deterministic and unit-testable.
@@ -43,8 +42,8 @@ pub struct QuotaPolicy {
     pub rate_per_sec: f64,
     /// Token-bucket depth — the largest admissible burst.
     pub burst: f64,
-    /// Base fraction of the submission queue one weight-1.0 tenant may
-    /// occupy, in `(0, 1]`. `1.0` disables the share limit.
+    /// Base fraction of `queue_capacity` solving leaders one weight-1.0
+    /// tenant may hold, in `(0, 1]`. `1.0` disables the share limit.
     pub queue_share: f64,
 }
 
@@ -138,12 +137,12 @@ pub struct TenantSnapshot {
     pub cache_hits: u64,
     /// Submissions coalesced onto an in-flight identical computation.
     pub coalesced: u64,
-    /// Queries computed on this tenant's behalf, by a worker or inline by
-    /// an `evaluate` caller (leader jobs answered, successfully or not).
+    /// Queries computed on this tenant's behalf by the `evaluate` caller
+    /// leading them (leader jobs answered, successfully or not).
     pub completed: u64,
     /// Submissions rejected by the rate or queue-share quota.
     pub quota_rejected: u64,
-    /// Queue slots currently held.
+    /// Fair-share slots currently held, one per solving leader.
     pub in_queue: usize,
     /// The tenant's fair-share weight.
     pub weight: f64,
@@ -204,9 +203,7 @@ impl TenantTable {
     }
 
     /// The tenant's queue-slot cap under the weighted fair-share policy.
-    /// A share of `1.0` disables the cap entirely — saturation then
-    /// surfaces as the global `QueueFull` backpressure, never as a
-    /// per-tenant quota rejection.
+    /// A share of `1.0` disables the cap entirely.
     fn queue_cap(&self, weight: f64) -> usize {
         if self.policy.queue_share >= 1.0 {
             return usize::MAX;
@@ -236,9 +233,8 @@ impl TenantTable {
     }
 
     /// Releases a slot reserved by [`Self::try_reserve_queue_slot`] — when
-    /// a worker dequeues the leader job, when an inline leader has
-    /// answered it, or when an admitted leader is rejected after the
-    /// reservation.
+    /// a leader has answered its job, or when an admitted leader is
+    /// rejected after the reservation.
     pub(crate) fn release_queue_slot(&self, tenant: TenantId) {
         let mut map = self.tenants.lock();
         if let Some(s) = map.get_mut(&tenant) {

@@ -1,20 +1,18 @@
-//! The worker side of the engine: shared state, the batch-draining
-//! compute loop, and per-query panic supervision.
+//! The solving side of the engine: shared state and the supervised
+//! per-job code a flight leader runs on its caller's thread.
 //!
 //! ## Fault model
 //!
 //! Every query evaluation runs under `catch_unwind`: an evaluator panic
 //! is converted into a typed [`QueryError::EvalPanicked`] delivered to
 //! the leader *and* every coalesced follower — no waiter ever hangs on a
-//! dead computation. An inline leader (an `evaluate` caller) gets the
-//! typed answer too and its thread carries on. A worker that caught a
-//! panic finishes delivering its whole batch (so no dequeued job is
-//! dropped), then exits with [`WorkerExit::Panicked`]; the supervisor in
-//! [`crate::Engine`] replaces it so the pool heals back to its configured
-//! size. As a last backstop, [`Job`] abandons its slot on drop — a job discarded without
-//! delivery (teardown, an unwinding worker) still wakes its followers.
+//! dead computation — and the leader's thread carries on. As a last
+//! backstop, [`Job`] abandons its slot on drop — a job discarded without
+//! delivery (an unwinding caller, a rejected leader) still wakes its
+//! followers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +20,6 @@ use crate::error::{EngineError, QueryError};
 use crate::eval::{Evaluator, QosValue};
 use crate::metrics::Metrics;
 use crate::query::{CapacityKey, QosQuery, QueryKey};
-use crate::queue::SubmitQueue;
 use crate::shard::{ShardedCache, ShardedFlight};
 use crate::shed::Shedder;
 use crate::singleflight::{Flight, Slot};
@@ -33,19 +30,8 @@ pub type EngineResult = Result<QosValue, EngineError>;
 
 type PkResult = Result<Arc<Vec<f64>>, EngineError>;
 
-/// Why a worker thread returned, reported to the supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WorkerExit {
-    /// The queue shut down and drained — normal wind-down.
-    Drained,
-    /// The worker caught at least one evaluation panic this run. Its
-    /// batch was fully delivered, but the thread retires and the
-    /// supervisor respawns a replacement.
-    Panicked,
-}
-
-/// One enqueued unit of work: a query that became the leader of its
-/// single-flight and must be computed.
+/// One unit of work: a query that became the leader of its single-flight
+/// and must be computed.
 #[derive(Debug)]
 pub(crate) struct Job {
     pub(crate) query: QosQuery,
@@ -65,21 +51,24 @@ impl Job {
 
 impl Drop for Job {
     fn drop(&mut self) {
-        // Backstop: a job discarded without delivery (queue teardown, a
-        // worker unwinding between dequeue and completion) must not leave
-        // followers blocked. `abandon` is a no-op once the slot resolved,
+        // Backstop: a job discarded without delivery (a rejected leader, a
+        // caller unwinding before completion) must not leave followers
+        // blocked. `abandon` is a no-op once the slot resolved,
         // and the stale flight-table entry self-heals on the next join.
         self.slot.abandon();
     }
 }
 
-/// State shared between the submission side and every worker. Both cache
-/// layers and both in-flight tables are key-hash sharded so the warm path
-/// (a result-cache hit per submission) stops serializing on one mutex —
-/// see [`crate::shard`].
+/// The engine's state, shared by every thread that calls into it. Both cache layers and
+/// both in-flight tables are key-hash sharded so the warm path (a
+/// result-cache hit per query) stops serializing on one mutex — see
+/// [`crate::shard`].
 #[derive(Debug)]
 pub(crate) struct Shared {
-    pub(crate) queue: SubmitQueue<Job>,
+    /// Set by [`crate::Engine::shutdown`] (`Release`) and read by every
+    /// new leader in [`crate::Engine::evaluate`] (`Acquire`): once it is
+    /// set, no new leader may solve.
+    pub(crate) shutting_down: AtomicBool,
     pub(crate) results: ShardedCache<QueryKey, EngineResult>,
     pub(crate) flight: ShardedFlight<QueryKey, EngineResult>,
     pub(crate) pk_cache: ShardedCache<CapacityKey, Arc<Vec<f64>>>,
@@ -89,7 +78,6 @@ pub(crate) struct Shared {
     pub(crate) shedder: Shedder,
     pub(crate) evaluator: Arc<dyn Evaluator>,
     pub(crate) epoch: Instant,
-    pub(crate) batch_size: usize,
 }
 
 impl Shared {
@@ -101,7 +89,7 @@ impl Shared {
 }
 
 /// Abandons a flight when dropped without [`complete`](Self::complete) —
-/// the worker-panic safety net that keeps followers from blocking forever.
+/// the panic safety net that keeps followers from blocking forever.
 struct AbandonGuard<'a, K: Eq + std::hash::Hash + Copy, V: Clone> {
     flight: &'a ShardedFlight<K, V>,
     key: K,
@@ -139,7 +127,7 @@ impl<K: Eq + std::hash::Hash + Copy, V: Clone> Drop for AbandonGuard<'_, K, V> {
 /// one CTMC solve.
 ///
 /// A panic inside the evaluator's solve unwinds through the leader arm;
-/// the guard abandons the pk flight so followers (other workers) observe
+/// the guard abandons the pk flight so followers (other callers) observe
 /// [`EngineError::WorkerLost`] instead of blocking — a terminal, typed
 /// outcome for their queries too.
 fn capacity_pk(shared: &Shared, query: &QosQuery) -> PkResult {
@@ -177,14 +165,12 @@ fn compute(shared: &Shared, query: &QosQuery) -> EngineResult {
     }
 }
 
-/// Delivers one job — dequeued by a worker, or run on the thread of the
-/// [`crate::Engine::evaluate`] caller that leads its flight: deadline
-/// gates, supervised compute, caching and metrics. The tenant queue slot
-/// is the caller's to release: a worker gives it back at dequeue, an
-/// inline leader only once the job is answered, so its solve counts
-/// against the tenant's fair share. Returns `true` if the evaluator
-/// panicked underneath.
-pub(crate) fn serve_job(shared: &Shared, job: &Job) -> bool {
+/// Delivers one job on the thread of the [`crate::Engine::evaluate`]
+/// caller that leads its flight: deadline gates, supervised compute,
+/// caching and metrics. The tenant queue slot is the caller's to release
+/// once the job is answered, so the solve counts against the tenant's
+/// fair share.
+pub(crate) fn serve_job(shared: &Shared, job: &Job) {
     let waited = job.submitted.elapsed();
     let guard = AbandonGuard::new(&shared.flight, job.key, Arc::clone(&job.slot));
 
@@ -199,14 +185,13 @@ pub(crate) fn serve_job(shared: &Shared, job: &Job) -> bool {
                 deadline_ms: d.as_secs_f64() * 1e3,
                 waited_ms: waited.as_secs_f64() * 1e3,
             })));
-            return false;
+            return;
         }
     }
 
     let t0 = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| compute(shared, &job.query)));
     shared.metrics.record_solve(t0.elapsed().as_secs_f64());
-    let panicked = outcome.is_err();
     let result = match outcome {
         Ok(r) => r,
         Err(_) => {
@@ -237,32 +222,6 @@ pub(crate) fn serve_job(shared: &Shared, job: &Job) -> bool {
     shared.tenants.on_completed(job.query.tenant());
     shared.metrics.record_end_to_end(elapsed.as_secs_f64());
     guard.complete(result);
-    panicked
-}
-
-/// The worker loop: drain batches until shutdown fully empties the queue,
-/// or until a supervised evaluation panic retires this worker (its batch
-/// is still fully delivered first).
-pub(crate) fn worker_loop(shared: &Shared) -> WorkerExit {
-    loop {
-        let batch = shared.queue.pop_batch(shared.batch_size);
-        if batch.is_empty() {
-            return WorkerExit::Drained;
-        }
-        shared.metrics.on_batch(batch.len());
-        let mut panicked = false;
-        for job in batch {
-            shared.tenants.release_queue_slot(job.query.tenant());
-            // Only queued work has a queue wait; inline misses never queue.
-            shared
-                .metrics
-                .record_queue_wait(job.submitted.elapsed().as_secs_f64());
-            panicked |= serve_job(shared, &job);
-        }
-        if panicked {
-            return WorkerExit::Panicked;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +234,7 @@ mod tests {
 
     fn shared() -> Shared {
         Shared {
-            queue: SubmitQueue::new(16),
+            shutting_down: AtomicBool::new(false),
             results: ShardedCache::new(64, 4),
             flight: ShardedFlight::new(4),
             pk_cache: ShardedCache::new(8, 4),
@@ -285,7 +244,6 @@ mod tests {
             shedder: Shedder::new(ShedPolicy::default(), 0),
             evaluator: Arc::new(DefaultEvaluator),
             epoch: Instant::now(),
-            batch_size: 4,
         }
     }
 
@@ -346,8 +304,7 @@ mod tests {
     }
 
     /// A panicking evaluator is converted into `EvalPanicked` for the
-    /// leader and its followers, and the worker reports `Panicked` so the
-    /// supervisor can replace it.
+    /// leader and its followers, and the leader's thread carries on.
     #[test]
     fn supervised_panic_becomes_a_typed_answer() {
         struct Bomb;
@@ -367,18 +324,18 @@ mod tests {
         let Flight::Follower(follower) = sh.flight.join(key) else {
             panic!("follower expected")
         };
-        sh.queue
-            .try_push(Job {
-                query: q,
-                key,
-                slot: Arc::clone(&slot),
-                submitted: Instant::now(),
-            })
-            .unwrap();
-        sh.queue.shutdown();
+        let job = Job {
+            query: q,
+            key,
+            slot: Arc::clone(&slot),
+            submitted: Instant::now(),
+        };
         crate::silence_injected_panics();
-        let exit = worker_loop(&sh);
-        assert_eq!(exit, WorkerExit::Panicked);
+        serve_job(&sh, &job);
+        assert!(matches!(
+            slot.wait(),
+            Some(Err(EngineError::Query(QueryError::EvalPanicked)))
+        ));
         assert!(matches!(
             follower.wait(),
             Some(Err(EngineError::Query(QueryError::EvalPanicked)))
@@ -389,7 +346,7 @@ mod tests {
         assert!(sh.flight.is_empty(), "the flight was retired");
     }
 
-    /// A job whose deadline lapsed in the queue is shed at dequeue: its
+    /// A job whose deadline lapsed before its solve starts is shed: its
     /// waiters get `DeadlineExceeded` and no solve runs.
     #[test]
     fn expired_deadline_is_shed_before_solving() {
@@ -399,16 +356,13 @@ mod tests {
         let Flight::Leader(slot) = sh.flight.join(key) else {
             panic!("leader expected")
         };
-        sh.queue
-            .try_push(Job {
-                query: q,
-                key,
-                slot: Arc::clone(&slot),
-                submitted: Instant::now() - Duration::from_millis(50),
-            })
-            .unwrap();
-        sh.queue.shutdown();
-        assert_eq!(worker_loop(&sh), WorkerExit::Drained);
+        let job = Job {
+            query: q,
+            key,
+            slot: Arc::clone(&slot),
+            submitted: Instant::now() - Duration::from_millis(50),
+        };
+        serve_job(&sh, &job);
         match slot.wait() {
             Some(Err(EngineError::Query(QueryError::DeadlineExceeded {
                 deadline_ms,
@@ -425,7 +379,8 @@ mod tests {
         assert_eq!(m.served, 1);
     }
 
-    /// A dropped job (teardown path) abandons its slot so followers wake.
+    /// A dropped job (a rejected leader) abandons its slot so followers
+    /// wake.
     #[test]
     fn dropped_job_wakes_its_waiters() {
         let sh = shared();

@@ -10,35 +10,13 @@ use proptest::prelude::*;
 
 use oaq_engine::{
     direct_eval, zipf_workload, Engine, EngineConfig, EngineError, EngineResult, QosQuery,
-    RejectReason, Ticket, WorkloadConfig,
+    WorkloadConfig,
 };
-
-/// Submits every query in order, absorbing backpressure by retrying after
-/// yielding to the workers; returns answers in submission order.
-fn replay(engine: &Engine, queries: &[QosQuery]) -> Vec<EngineResult> {
-    let mut tickets: Vec<Ticket> = Vec::with_capacity(queries.len());
-    for &q in queries {
-        loop {
-            match engine.submit(q) {
-                Ok(t) => {
-                    tickets.push(t);
-                    break;
-                }
-                Err(EngineError::Rejected(RejectReason::QueueFull { .. })) => {
-                    std::thread::yield_now();
-                }
-                Err(e) => panic!("unexpected submit error: {e}"),
-            }
-        }
-    }
-    tickets.into_iter().map(Ticket::wait).collect()
-}
 
 fn engine(workers: usize, queue: usize) -> Engine {
     Engine::new(EngineConfig {
         workers,
         queue_capacity: queue,
-        batch_size: 8,
         result_cache: 512,
         pk_cache: 64,
         ..EngineConfig::default()
@@ -47,37 +25,41 @@ fn engine(workers: usize, queue: usize) -> Engine {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+    /// `run_all` at 1, 2 and 4 workers answers a seeded workload in
+    /// input order, bit-identically to direct evaluation.
     #[test]
     fn engine_is_bit_identical_to_direct_eval(
         seed in any::<u64>(),
         scenarios in 4usize..20,
         queries in 40usize..160,
-        workers in 1usize..5,
     ) {
         let workload = zipf_workload(
             &WorkloadConfig { scenarios, skew: 1.0, queries },
             seed,
         );
-        let eng = engine(workers, 32);
-        let served = replay(&eng, &workload);
-        prop_assert_eq!(served.len(), workload.len());
-        for (i, (q, r)) in workload.iter().zip(&served).enumerate() {
-            let direct = direct_eval(q).expect("in-domain workload");
-            let got = r.as_ref().expect("engine must answer in-domain queries");
-            prop_assert_eq!(
-                got, &direct,
-                "query {} diverged from direct evaluation (seed {})", i, seed
+        for workers in [1, 2, 4] {
+            let eng = engine(workers, 32);
+            let served = eng.run_all(&workload);
+            prop_assert_eq!(served.len(), workload.len());
+            for (i, (q, r)) in workload.iter().zip(&served).enumerate() {
+                let direct = direct_eval(q).expect("in-domain workload");
+                let got = r.as_ref().expect("engine must answer in-domain queries");
+                prop_assert_eq!(
+                    got, &direct,
+                    "query {} diverged at {} workers (seed {})", i, workers, seed
+                );
+            }
+            let m = eng.metrics();
+            prop_assert_eq!(m.submitted, queries as u64);
+            // Every accepted query is either answered directly (computed
+            // or cache hit) or coalesced onto an identical in-flight
+            // computation.
+            prop_assert_eq!(m.served + m.coalesced, queries as u64);
+            prop_assert!(
+                m.result_cache_hits + m.coalesced > 0,
+                "a Zipf workload over {} scenarios must repeat itself", scenarios
             );
         }
-        let m = eng.metrics();
-        prop_assert_eq!(m.submitted, queries as u64);
-        // Every accepted query is either answered directly (computed or
-        // cache hit) or coalesced onto an identical in-flight computation.
-        prop_assert_eq!(m.served + m.coalesced, queries as u64);
-        prop_assert!(
-            m.result_cache_hits + m.coalesced > 0,
-            "a Zipf workload over {} scenarios must repeat itself", scenarios
-        );
     }
 }
 
@@ -89,7 +71,7 @@ proptest! {
         let run = |workers: usize| {
             let workload = zipf_workload(&cfg, seed);
             let eng = engine(workers, 64);
-            format!("{:?}", replay(&eng, &workload))
+            format!("{:?}", eng.run_all(&workload))
         };
         // Different worker counts and scheduling, same seed: the results'
         // `Debug` rendering (each f64 in its shortest round-trip form,
@@ -130,7 +112,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     /// The inline path: a seeded workload through `evaluate` — run on the
     /// callers' own threads — is bit-identical to direct evaluation from
-    /// 1, 2 and 4 concurrent callers, and never touches the pool.
+    /// 1, 2 and 4 concurrent callers.
     #[test]
     fn evaluate_is_bit_identical_to_direct_eval(seed in any::<u64>()) {
         let workload = zipf_workload(
@@ -151,7 +133,6 @@ proptest! {
             let m = eng.metrics();
             prop_assert_eq!(m.submitted, workload.len() as u64);
             prop_assert_eq!(m.served + m.coalesced, workload.len() as u64);
-            prop_assert_eq!(m.batch_count, 0, "inline misses never queue");
         }
     }
 }
@@ -165,9 +146,9 @@ fn warm_replay_is_bit_identical_and_solve_free() {
     };
     let workload = zipf_workload(&cfg, 7);
     let eng = engine(3, 32);
-    let cold = replay(&eng, &workload);
+    let cold = eng.run_all(&workload);
     let solves_after_cold = eng.metrics().pk_solves;
-    let warm = replay(&eng, &workload);
+    let warm = eng.run_all(&workload);
     assert_eq!(
         cold, warm,
         "warm cache hits equal cold computes bit-for-bit"
@@ -186,13 +167,11 @@ fn warm_replay_is_bit_identical_and_solve_free() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     /// Supervision property: under a seeded panicking evaluator, every
-    /// submission still reaches exactly one terminal outcome, and every
-    /// `Ok` answer remains bit-identical to the direct evaluation.
+    /// query of a `run_all` batch at 1, 2 and 4 workers still reaches
+    /// exactly one terminal outcome, and every `Ok` answer remains
+    /// bit-identical to the direct evaluation.
     #[test]
-    fn panics_never_lose_queries_or_perturb_answers(
-        seed in any::<u64>(),
-        workers in 1usize..4,
-    ) {
+    fn panics_never_lose_queries_or_perturb_answers(seed in any::<u64>()) {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
         use oaq_engine::{Evaluator, QueryError};
@@ -217,60 +196,29 @@ proptest! {
             &WorkloadConfig { scenarios: 12, skew: 1.0, queries: 60 },
             seed,
         );
-        let eng = Engine::with_evaluator(
-            EngineConfig {
-                workers,
-                queue_capacity: 32,
-                batch_size: 4,
-                result_cache: 256,
-                pk_cache: 32,
-                ..EngineConfig::default()
-            },
-            Arc::new(SeededBomb { seed, calls: AtomicU64::new(0) }),
-        );
-        let served = replay(&eng, &workload);
-        prop_assert_eq!(served.len(), workload.len(), "no query may vanish");
-        for (q, r) in workload.iter().zip(&served) {
-            match r {
-                Ok(v) => prop_assert_eq!(v, &direct_eval(q).unwrap(), "bit-identical"),
-                Err(EngineError::Query(QueryError::EvalPanicked))
-                | Err(EngineError::WorkerLost) => {}
-                Err(e) => prop_assert!(false, "unexpected terminal outcome: {e}"),
+        for workers in [1, 2, 4] {
+            let eng = Engine::with_evaluator(
+                EngineConfig {
+                    workers,
+                    queue_capacity: 32,
+                    result_cache: 256,
+                    pk_cache: 32,
+                    ..EngineConfig::default()
+                },
+                Arc::new(SeededBomb { seed, calls: AtomicU64::new(0) }),
+            );
+            let served = eng.run_all(&workload);
+            prop_assert_eq!(served.len(), workload.len(), "no query may vanish");
+            for (q, r) in workload.iter().zip(&served) {
+                match r {
+                    Ok(v) => prop_assert_eq!(v, &direct_eval(q).unwrap(), "bit-identical"),
+                    Err(EngineError::Query(QueryError::EvalPanicked))
+                    | Err(EngineError::WorkerLost) => {}
+                    Err(e) => prop_assert!(false, "unexpected terminal outcome: {e}"),
+                }
             }
+            let m = eng.metrics();
+            prop_assert_eq!(m.served + m.coalesced, workload.len() as u64);
         }
-        let m = eng.metrics();
-        prop_assert_eq!(m.served + m.coalesced, workload.len() as u64);
-    }
-}
-
-#[test]
-fn backpressure_never_corrupts_results() {
-    // A 4-slot queue under a 200-query burst: rejections are typed and
-    // every accepted query still answers bit-identically.
-    let workload = zipf_workload(
-        &WorkloadConfig {
-            scenarios: 30,
-            skew: 0.8,
-            queries: 200,
-        },
-        13,
-    );
-    let eng = engine(2, 4);
-    let mut accepted = Vec::new();
-    let mut rejections = 0u64;
-    for &q in &workload {
-        match eng.submit(q) {
-            Ok(t) => accepted.push((q, t)),
-            Err(EngineError::Rejected(RejectReason::QueueFull { capacity })) => {
-                assert_eq!(capacity, 4);
-                rejections += 1;
-            }
-            Err(e) => panic!("unexpected submit error: {e}"),
-        }
-    }
-    assert_eq!(eng.metrics().rejected, rejections);
-    for (q, t) in accepted {
-        let got = t.wait().expect("accepted queries are answered");
-        assert_eq!(got, direct_eval(&q).unwrap());
     }
 }

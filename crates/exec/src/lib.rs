@@ -1,8 +1,9 @@
 //! # oaq-exec — the one deterministic executor
 //!
 //! Every parallel substrate in this workspace (the analytic sweep fan-out,
-//! the Monte-Carlo [`Replicator`](../oaq_sim/par) and the engine worker
-//! pool) runs on the primitives in this crate, and [`Executor`] is the one
+//! the Monte-Carlo [`Replicator`](../oaq_sim/par) and the engine's batch
+//! replay `Engine::run_all`) runs on the primitives in this crate — the
+//! workspace's only thread pool — and [`Executor`] is the one
 //! value that says how work is spread: worker count, chunk override and
 //! the forced-steal stressor. Parallel entry points take
 //! `impl Into<Executor>`, so a bare worker count works wherever an
@@ -63,9 +64,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Adaptive chunking targets this many chunks regardless of worker count —
@@ -592,120 +591,11 @@ fn claim_task(ranges: &[AtomicU64], w: usize, steals: &mut u64) -> Option<u32> {
     }
 }
 
-/// How a supervised worker's work function ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitKind {
-    /// The work function returned a normal wind-down; the slot retires.
-    Clean,
-    /// The work function either *reported* a fault (it observed and
-    /// contained one itself) or unwound (the payload is swallowed); the
-    /// supervisor's respawn predicate decides what happens next.
-    Panicked,
-}
-
-/// A supervised long-running worker pool: `workers` threads each run
-/// `work()` to completion; a supervisor thread watches exits and respawns
-/// faulted workers (a returned [`ExitKind::Panicked`] or an un-caught
-/// unwind) while `respawn_if()` holds, calling `on_respawn` for each
-/// heal. Join with [`SupervisedPool::join`] (idempotent; also run on
-/// drop).
-///
-/// This is the engine worker pool's substrate: the engine keeps its
-/// drain/respawn *semantics* (the predicate and the metric hook), the
-/// executor owns the threads.
-pub struct SupervisedPool {
-    supervisor: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for SupervisedPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SupervisedPool").finish_non_exhaustive()
-    }
-}
-
-impl SupervisedPool {
-    /// Starts `workers` threads running `work` under a supervisor thread.
-    ///
-    /// A worker that faults (returns [`ExitKind::Panicked`] or unwinds)
-    /// is respawned iff `respawn_if()` is true at the moment the
-    /// supervisor observes the exit (`on_respawn` fires first); a
-    /// [`ExitKind::Clean`] exit retires the slot. The supervisor returns
-    /// once every slot has retired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    #[must_use]
-    pub fn start<W, R, H>(workers: usize, work: W, respawn_if: R, on_respawn: H) -> Self
-    where
-        W: Fn() -> ExitKind + Send + Sync + 'static,
-        R: Fn() -> bool + Send + 'static,
-        H: Fn() + Send + 'static,
-    {
-        assert!(workers > 0, "supervised pool needs at least one worker");
-        let work = Arc::new(work);
-        let (exit_tx, exit_rx) = mpsc::channel::<ExitKind>();
-        let spawn_one = move |work: &Arc<W>, exit_tx: &mpsc::Sender<ExitKind>| {
-            let work = Arc::clone(work);
-            let exit_tx = exit_tx.clone();
-            std::thread::spawn(move || {
-                let kind = catch_unwind(AssertUnwindSafe(|| work())).unwrap_or(ExitKind::Panicked);
-                // The supervisor may already be gone during teardown.
-                let _ = exit_tx.send(kind);
-            })
-        };
-
-        let supervisor = std::thread::spawn(move || {
-            let mut handles: Vec<JoinHandle<()>> =
-                (0..workers).map(|_| spawn_one(&work, &exit_tx)).collect();
-            let mut alive = workers;
-            while alive > 0 {
-                match exit_rx.recv() {
-                    Ok(ExitKind::Panicked) if respawn_if() => {
-                        on_respawn();
-                        handles.push(spawn_one(&work, &exit_tx));
-                    }
-                    Ok(_) => alive -= 1,
-                    Err(_) => break,
-                }
-            }
-            drop(exit_tx);
-            for h in handles {
-                let _ = h.join();
-            }
-        });
-
-        SupervisedPool {
-            supervisor: Mutex::new(Some(supervisor)),
-        }
-    }
-
-    /// Waits for every worker slot to retire. Idempotent; the caller is
-    /// responsible for first signalling its workers to exit (e.g. closing
-    /// the queue they drain), or this blocks forever.
-    pub fn join(&self) {
-        let handle = self
-            .supervisor
-            .lock()
-            .expect("supervisor handle poisoned")
-            .take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SupervisedPool {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn adaptive_chunk_is_worker_independent_and_floored() {
@@ -949,97 +839,6 @@ mod tests {
                 buf.iter().sum::<u64>()
             });
         assert_eq!(stolen, serial);
-    }
-
-    #[test]
-    fn supervised_pool_respawns_while_predicate_holds() {
-        let budget = Arc::new(AtomicUsize::new(3));
-        let respawns = Arc::new(AtomicUsize::new(0));
-        let runs = Arc::new(AtomicUsize::new(0));
-        let pool = {
-            let budget_w = Arc::clone(&budget);
-            let budget_p = Arc::clone(&budget);
-            let respawns = Arc::clone(&respawns);
-            let runs = Arc::clone(&runs);
-            SupervisedPool::start(
-                2,
-                move || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    // Burn one unit of "pending work" per run; report a
-                    // fault while any remains, exit cleanly once drained.
-                    if budget_w
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
-                        .is_ok()
-                    {
-                        ExitKind::Panicked
-                    } else {
-                        ExitKind::Clean
-                    }
-                },
-                move || budget_p.load(Ordering::SeqCst) > 0,
-                move || {
-                    respawns.fetch_add(1, Ordering::SeqCst);
-                },
-            )
-        };
-        pool.join();
-        pool.join(); // idempotent
-        assert_eq!(budget.load(Ordering::SeqCst), 0, "work drained");
-        // Two initial workers can burn at most 2 of the 3 units, so at
-        // least one respawned worker must have run to drain the rest.
-        assert!(runs.load(Ordering::SeqCst) >= 3);
-        assert!(respawns.load(Ordering::SeqCst) >= 1);
-    }
-
-    #[test]
-    fn supervised_pool_maps_unwind_to_panicked() {
-        // One worker: first run unwinds with work still pending (respawn),
-        // the replacement drains the work and retires cleanly.
-        let first_run = Arc::new(AtomicUsize::new(1));
-        let pending = Arc::new(AtomicUsize::new(1));
-        let respawns = Arc::new(AtomicUsize::new(0));
-        let pool = {
-            let first_run = Arc::clone(&first_run);
-            let pending_w = Arc::clone(&pending);
-            let pending_p = Arc::clone(&pending);
-            let respawns = Arc::clone(&respawns);
-            SupervisedPool::start(
-                1,
-                move || {
-                    if first_run.swap(0, Ordering::SeqCst) == 1 {
-                        panic!("unwound worker fault");
-                    }
-                    pending_w.store(0, Ordering::SeqCst);
-                    ExitKind::Clean
-                },
-                move || pending_p.load(Ordering::SeqCst) == 1,
-                move || {
-                    respawns.fetch_add(1, Ordering::SeqCst);
-                },
-            )
-        };
-        pool.join();
-        assert_eq!(pending.load(Ordering::SeqCst), 0, "replacement drained");
-        assert_eq!(respawns.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn supervised_pool_clean_exit_retires_slots() {
-        let runs = Arc::new(AtomicUsize::new(0));
-        let pool = {
-            let runs = Arc::clone(&runs);
-            SupervisedPool::start(
-                4,
-                move || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    ExitKind::Clean
-                },
-                || true,
-                || panic!("clean exits must not respawn"),
-            )
-        };
-        pool.join();
-        assert_eq!(runs.load(Ordering::SeqCst), 4);
     }
 
     proptest! {

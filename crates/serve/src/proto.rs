@@ -24,7 +24,7 @@
 //!   `P(K = k)` distribution.
 //! * **Error** (server → client): request id, a stable [`ErrorCode`]
 //!   mapping every engine-side failure, and two auxiliary words carrying
-//!   code-specific detail (queue capacity, tenant id, deadline floats as
+//!   code-specific detail (tenant id, deadline floats as
 //!   bits).
 
 use std::fmt;
@@ -150,7 +150,7 @@ pub struct ErrorFrame {
     pub req_id: u64,
     /// The stable failure code.
     pub code: ErrorCode,
-    /// Code-specific detail word (e.g. queue capacity, tenant id, or an
+    /// Code-specific detail word (e.g. tenant id, or an
     /// f64 bit pattern — see [`ErrorCode`]).
     pub aux0: u64,
     /// Second detail word.
@@ -163,8 +163,7 @@ pub struct ErrorFrame {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ErrorCode {
-    /// Submission queue at capacity (`aux0` = capacity). Retryable.
-    QueueFull = 1,
+    // Code 1 was the removed submission-queue rejection; never reuse it.
     /// The server is shutting down. Terminal.
     ShuttingDown = 2,
     /// The tenant is over quota (`aux0` = tenant id). Retryable.
@@ -175,14 +174,14 @@ pub enum ErrorCode {
     InvalidParam = 10,
     /// δ_eff consumes the whole deadline (`aux0`/`aux1` = τ/δ_eff bits).
     DeadlineConsumed = 11,
-    /// The evaluating worker panicked; resubmit.
+    /// The evaluation panicked; resubmit.
     EvalPanicked = 12,
     /// The serving deadline expired (`aux0`/`aux1` = deadline/waited ms
     /// bits).
     DeadlineExceeded = 13,
     /// The capacity CTMC solve failed.
     Solver = 20,
-    /// The worker vanished without an answer; resubmit.
+    /// The awaited flight was abandoned without an answer; resubmit.
     WorkerLost = 21,
     /// The request frame parsed structurally but its content is
     /// meaningless (unknown measure words, unexpected frame kind).
@@ -202,7 +201,6 @@ impl ErrorCode {
     #[must_use]
     pub fn from_code(code: u16) -> Option<ErrorCode> {
         Some(match code {
-            1 => ErrorCode::QueueFull,
             2 => ErrorCode::ShuttingDown,
             3 => ErrorCode::QuotaExceeded,
             4 => ErrorCode::Overloaded,
@@ -223,9 +221,6 @@ impl ErrorCode {
 #[must_use]
 pub fn error_code_of(e: &EngineError) -> (ErrorCode, u64, u64) {
     match e {
-        EngineError::Rejected(RejectReason::QueueFull { capacity }) => {
-            (ErrorCode::QueueFull, *capacity as u64, 0)
-        }
         EngineError::Rejected(RejectReason::ShuttingDown) => (ErrorCode::ShuttingDown, 0, 0),
         EngineError::Rejected(RejectReason::QuotaExceeded { tenant }) => {
             (ErrorCode::QuotaExceeded, u64::from(tenant.0), 0)
@@ -706,7 +701,7 @@ mod tests {
     fn error_frames_round_trip() {
         let e = ErrorFrame {
             req_id: 3,
-            code: ErrorCode::QueueFull,
+            code: ErrorCode::QuotaExceeded,
             aux0: 1024,
             aux1: 0,
         };
@@ -717,7 +712,6 @@ mod tests {
     #[test]
     fn every_error_code_survives_the_wire() {
         for code in [
-            ErrorCode::QueueFull,
             ErrorCode::ShuttingDown,
             ErrorCode::QuotaExceeded,
             ErrorCode::Overloaded,
@@ -733,16 +727,13 @@ mod tests {
             assert_eq!(ErrorCode::from_code(code.code()), Some(code));
         }
         assert_eq!(ErrorCode::from_code(0), None);
+        assert_eq!(ErrorCode::from_code(1), None, "code 1 stays retired");
         assert_eq!(ErrorCode::from_code(12345), None);
     }
 
     #[test]
     fn engine_errors_map_to_stable_codes() {
         let cases = [
-            (
-                EngineError::Rejected(RejectReason::QueueFull { capacity: 64 }),
-                ErrorCode::QueueFull,
-            ),
             (
                 EngineError::Rejected(RejectReason::ShuttingDown),
                 ErrorCode::ShuttingDown,

@@ -6,8 +6,8 @@
 //! with a short read timeout so every handler observes the shutdown flag
 //! promptly. Shutdown is *graceful by construction*: the accept loop
 //! closes first, each handler answers and sends every request it has
-//! already read before it closes, and only then does the engine drain and
-//! the cache snapshot get written — so a drained server loses neither
+//! already read before it closes, and only then does the engine shut down
+//! and the cache snapshot get written — so a drained server loses neither
 //! in-flight answers nor its warm working set.
 //!
 //! Writes are batched per read: every reply to the frames one `read`
@@ -280,7 +280,7 @@ impl ServerHandle {
     }
 
     /// The engine behind the protocol — for metrics and cache-counter
-    /// reads; submitting through it bypasses the wire path.
+    /// reads; querying through it bypasses the wire path.
     #[must_use]
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
@@ -293,7 +293,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stops the server: no new connections, every in-flight
-    /// request answered, engine drained, snapshot written (when
+    /// request answered, engine shut down, snapshot written (when
     /// configured). Returns the snapshot stats, if one was saved.
     ///
     /// # Errors

@@ -20,7 +20,6 @@ fn test_config() -> ServerConfig {
         engine: EngineConfig {
             workers: 2,
             queue_capacity: 256,
-            batch_size: 8,
             result_cache: 512,
             pk_cache: 64,
             ..EngineConfig::default()

@@ -15,7 +15,6 @@ fn engine() -> Engine {
     Engine::new(EngineConfig {
         workers: 2,
         queue_capacity: 128,
-        batch_size: 8,
         result_cache: 512,
         pk_cache: 64,
         ..EngineConfig::default()
@@ -198,7 +197,6 @@ fn snapshot_is_deterministic_across_engines() {
         workers: 4,
         cache_shards: 4,
         queue_capacity: 128,
-        batch_size: 2,
         result_cache: 2048,
         pk_cache: 256,
         ..EngineConfig::default()

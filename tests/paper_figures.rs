@@ -1,11 +1,14 @@
-//! Tier-1 anchors for the paper's Figures 7–9.
+//! Tier-1 anchors for the paper's Table 1 and Figures 7–9.
 //!
-//! Each figure is regenerated on the paper's λ grid through the
-//! `analytic::sweep` entry points, once on one worker and once on two; the
-//! two runs must agree exactly. The quoted values the paper states in its
-//! text and figure captions are then pinned against the one-worker rows.
+//! Table 1's per-capacity geometry is recomputed and pinned to the
+//! committed `results/table1.txt`. Each figure is regenerated on the
+//! paper's λ grid through the `analytic::sweep` entry points, once on one
+//! worker and once on two; the two runs must agree exactly. The quoted
+//! values the paper states in its text and figure captions are then
+//! pinned against the one-worker rows.
 
 use oaq_analytic::compose::Scheme;
+use oaq_analytic::geometry::PlaneGeometry;
 use oaq_analytic::sweep::{figure7, figure8, figure9, paper_lambda_grid, QosRow};
 
 /// Runs a sweep on one and on two workers and returns the (identical) rows.
@@ -13,6 +16,50 @@ fn on_one_and_two<T: PartialEq + std::fmt::Debug>(sweep: impl Fn(usize) -> T) ->
     let serial = sweep(1);
     assert_eq!(sweep(2), serial, "worker count changed a figure");
     serial
+}
+
+#[test]
+fn table1_geometry_matches_the_committed_table() {
+    let text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/table1.txt"),
+    )
+    .expect("results/table1.txt is readable");
+    // The per-capacity rows: `k  Tr  L1  L2  I  M(τ = 5)`, k = 14 down to 9.
+    let rows: Vec<Vec<&str>> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("k\t"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split('\t').collect())
+        .collect();
+    assert_eq!(rows.len(), 6, "one row per k = 9..=14: {rows:?}");
+    for row in &rows {
+        let k: u32 = row[0].parse().expect("k column");
+        let g = PlaneGeometry::reference(k);
+        let computed = [
+            format!("{:.3}", g.tr()),
+            format!("{:.3}", g.l1()),
+            format!("{:.3}", g.l2()),
+            u8::from(g.is_overlapping()).to_string(),
+            g.sequential_chain_bound(5.0)
+                .map_or("-".to_string(), |m| m.to_string()),
+        ];
+        assert_eq!(row[1..], computed, "k = {k}");
+    }
+    assert_eq!(format!("{:.3}", PlaneGeometry::reference(9).tr()), "10.000");
+    assert_eq!(format!("{:.3}", PlaneGeometry::reference(14).tr()), "6.429");
+    // Underlap starts first at k = 10 (Tr = Tc counts as underlapping).
+    let first_underlap = (9..=14)
+        .rev()
+        .find(|&k| !PlaneGeometry::reference(k).is_overlapping());
+    assert_eq!(first_underlap, Some(10));
+    for k in [9, 10] {
+        assert_eq!(
+            PlaneGeometry::reference(k).sequential_chain_bound(5.0),
+            Some(2),
+            "M[{k}] at tau = 5"
+        );
+    }
 }
 
 #[test]
