@@ -1,24 +1,24 @@
-//! Experiment E17 — the sparse shared-iterate P(k) kernel vs the dense
-//! per-panel baseline, plus the parallel sweep fan-out.
+//! Experiment E17 — the exact interval-weight P(k) kernel vs the Simpson
+//! quadrature it replaced, plus the parallel sweep fan-out.
 //!
 //! Reports JSON on stdout (progress on stderr), written to
 //! `BENCH_analytic.json` at the repo root / uploaded by CI:
 //!
-//! 1. **reference** — the paper's 256-panel `distribution_over` on the
-//!    14+2 reference plane: dense per-panel uniformization (one
-//!    independent O(n²)-matvec sweep per Simpson node) vs the sparse
-//!    kernel (one shared CSR iterate sequence for all 257 nodes). The
-//!    bench asserts sparse/dense agreement ≤ 1e-12 and exits non-zero on
-//!    violation; the acceptance bar is speedup ≥ 10×.
+//! 1. **reference** — `distribution_over` on the 14+2 reference plane at
+//!    the paper's φ: the exact kernel (one scalar weight `P(N > k)/(Λφ)`
+//!    per series term) vs `panels`-panel Simpson over the per-node
+//!    transients (`product_form_pk` on the one plane, which is the old
+//!    folded quadrature node for node). `max_abs_diff` is that Simpson's
+//!    error. The bench also checks the exact kernel against
+//!    32768-panel Simpson (≤ 2e-12) and exits non-zero on violation.
 //! 2. **phi_batch** — a φ-sweep served by `distributions_over` (every
 //!    horizon riding one iterate sequence) vs one `distribution_over`
 //!    call per φ.
 //! 3. **parallel_sweep** — `figure7` over the paper's λ grid, serial vs
 //!    the scoped-pool fan-out, with bit-identity of the rows re-checked.
 //! 4. **scaling** — a state-count axis: planes scaled up to 10× the
-//!    reference (capacity 140 + 20 spares), where the dense path's
-//!    O(panels · K · n²) cost grows quadratically while the kernel stays
-//!    O(K · nnz) with tridiagonal nnz ≈ 3n.
+//!    reference (capacity 140 + 20 spares); both sides are O(K · nnz)
+//!    matvecs, Simpson adds O(panels · K) scalar weight work.
 //!
 //! Usage: `pk_kernel [--quick] [--panels N] [--workers N]`
 
@@ -27,38 +27,39 @@ use oaq_analytic::sweep::{figure7, paper_lambda_grid};
 use oaq_bench::args::CliSpec;
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::{max_abs_diff, measure, scaled_solve};
-use oaq_san::plane::CapacitySolve;
+use oaq_san::plane::{product_form_pk, CapacitySolve};
 
 const LAMBDA: f64 = 5e-5;
 const PHI: f64 = 30_000.0;
 const ETA: u32 = 10;
+/// Simpson panels at which the quadrature has converged onto the exact
+/// integral for the reference plane (its O(h⁴) error is below 1e-12).
+const CONVERGED_PANELS: usize = 32_768;
+/// Exact kernel vs converged Simpson.
+const CONVERGED_TOL: f64 = 2e-12;
 
 struct KernelRow {
     states: usize,
-    dense_secs: f64,
-    sparse_secs: f64,
+    simpson_secs: f64,
+    exact_secs: f64,
     diff: f64,
 }
 
-/// Times dense-per-panel vs sparse-shared-iterate `distribution_over` on
-/// one solve (`rounds` × `reps` calls each), asserting agreement.
+/// Times `panels`-panel Simpson vs the exact `distribution_over` on one
+/// solve (`rounds` × `reps` calls each) and measures their difference.
 fn bench_solve(solve: &CapacitySolve, panels: usize, (rounds, reps): (usize, usize)) -> KernelRow {
-    // Agreement first (the sparse side builds its CSR kernel here).
-    let sparse = solve.distribution_over(PHI, panels).expect("sparse solves");
-    let dense = solve
-        .distribution_over_dense(PHI, panels)
-        .expect("dense solves");
-    let diff = max_abs_diff(&sparse, &dense);
-    let dense_secs = measure::per_call(rounds, reps, || {
-        solve.distribution_over_dense(PHI, panels).unwrap()
+    // Difference first (the exact side builds its CSR kernel here).
+    let exact = solve.distribution_over(PHI).expect("exact solves");
+    let simpson = product_form_pk(&[solve], PHI, panels).expect("Simpson solves");
+    let diff = max_abs_diff(&exact, &simpson);
+    let simpson_secs = measure::per_call(rounds, reps, || {
+        product_form_pk(&[solve], PHI, panels).unwrap()
     });
-    let sparse_secs = measure::per_call(rounds, reps, || {
-        solve.distribution_over(PHI, panels).unwrap()
-    });
+    let exact_secs = measure::per_call(rounds, reps, || solve.distribution_over(PHI).unwrap());
     KernelRow {
         states: solve.num_states(),
-        dense_secs,
-        sparse_secs,
+        simpson_secs,
+        exact_secs,
         diff,
     }
 }
@@ -85,33 +86,34 @@ fn main() {
         .solve()
         .expect("reference plane solves");
     let reference = bench_solve(&solve, panels, timing);
+    let converged_diff = max_abs_diff(
+        &solve.distribution_over(PHI).unwrap(),
+        &product_form_pk(&[&solve], PHI, CONVERGED_PANELS).unwrap(),
+    );
     eprintln!(
-        "# reference ({} states, {panels} panels): dense {:.1} us, sparse {:.1} us, {:.1}x, \
-         max|diff| {:.2e}",
+        "# reference ({} states): {panels}-panel Simpson {:.1} us, exact {:.1} us, {:.1}x, \
+         max|diff| {:.2e} ({CONVERGED_PANELS} panels: {:.2e})",
         reference.states,
-        reference.dense_secs * 1e6,
-        reference.sparse_secs * 1e6,
-        reference.dense_secs / reference.sparse_secs,
+        reference.simpson_secs * 1e6,
+        reference.exact_secs * 1e6,
+        reference.simpson_secs / reference.exact_secs,
         reference.diff,
+        converged_diff,
     );
 
     // 2. A φ-sweep batched over one iterate sequence vs per-φ calls.
     let phis: Vec<f64> = (1..=16).map(|i| PHI / 16.0 * f64::from(i)).collect();
-    let batched = solve
-        .distributions_over(&phis, panels)
-        .expect("batch solves");
+    let batched = solve.distributions_over(&phis).expect("batch solves");
     let single: Vec<Vec<f64>> = phis
         .iter()
-        .map(|&phi| solve.distribution_over(phi, panels).unwrap())
+        .map(|&phi| solve.distribution_over(phi).unwrap())
         .collect();
     let batch_identical = batched == single;
     let (rounds, reps) = timing;
-    let batch_secs = measure::per_call(rounds, reps, || {
-        solve.distributions_over(&phis, panels).unwrap()
-    });
+    let batch_secs = measure::per_call(rounds, reps, || solve.distributions_over(&phis).unwrap());
     let per_phi_secs = measure::per_call(rounds, reps, || {
         phis.iter()
-            .map(|&phi| solve.distribution_over(phi, panels).unwrap())
+            .map(|&phi| solve.distribution_over(phi).unwrap())
             .collect::<Vec<_>>()
     });
     eprintln!(
@@ -143,8 +145,7 @@ fn main() {
         sweep_identical,
     );
 
-    // 4. State-count scaling: how far past the paper's plane the dense
-    // path stays affordable.
+    // 4. State-count scaling: both sides on planes up to 10× the paper's.
     let scales: &[u32] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 10] };
     let scaling: Vec<(u32, KernelRow)> = scales
         .iter()
@@ -152,11 +153,13 @@ fn main() {
             let s = scaled_solve(scale, LAMBDA, PHI, ETA);
             let row = bench_solve(&s, panels, if quick { (1, 1) } else { (3, 1) });
             eprintln!(
-                "# scaling x{scale} ({} states): dense {:.1} us, sparse {:.1} us, {:.1}x",
+                "# scaling x{scale} ({} states): Simpson {:.1} us, exact {:.1} us, {:.1}x, \
+                 max|diff| {:.2e}",
                 row.states,
-                row.dense_secs * 1e6,
-                row.sparse_secs * 1e6,
-                row.dense_secs / row.sparse_secs,
+                row.simpson_secs * 1e6,
+                row.exact_secs * 1e6,
+                row.simpson_secs / row.exact_secs,
+                row.diff,
             );
             (scale, row)
         })
@@ -166,30 +169,32 @@ fn main() {
         .iter()
         .map(|(scale, r)| {
             format!(
-                "{{\"scale\": {scale}, \"states\": {}, \"dense_secs\": {}, \"sparse_secs\": {}, \
+                "{{\"scale\": {scale}, \"states\": {}, \"simpson_secs\": {}, \"exact_secs\": {}, \
                  \"speedup\": {}, \"max_abs_diff\": {}}}",
                 r.states,
-                fmt_f64(r.dense_secs),
-                fmt_f64(r.sparse_secs),
-                fmt_f64(r.dense_secs / r.sparse_secs),
+                fmt_f64(r.simpson_secs),
+                fmt_f64(r.exact_secs),
+                fmt_f64(r.simpson_secs / r.exact_secs),
                 fmt_f64(r.diff),
             )
         })
         .collect();
     emit(&format!(
         "{{\n  \"experiment\": \"pk_kernel\",\n  \"quick\": {quick},\n  \"panels\": {panels},\n  \
-         \"reference\": {{\"states\": {}, \"dense_per_panel_secs\": {}, \
-         \"sparse_shared_secs\": {}, \"speedup\": {}, \"max_abs_diff\": {}}},\n  \
+         \"reference\": {{\"states\": {}, \"simpson_secs\": {}, \"exact_secs\": {}, \
+         \"speedup\": {}, \"max_abs_diff\": {}, \"converged_panels\": {CONVERGED_PANELS}, \
+         \"converged_max_abs_diff\": {}}},\n  \
          \"phi_batch\": {{\"horizons\": {}, \"per_phi_secs\": {}, \"batched_secs\": {}, \
          \"speedup\": {}, \"bit_identical\": {batch_identical}}},\n  \
          \"parallel_sweep\": {{\"rows\": {}, \"workers\": {}, \"serial_secs\": {}, \
          \"parallel_secs\": {}, \"speedup\": {}, \"bit_identical\": {sweep_identical}}},\n  \
          \"scaling\": [{}]\n}}",
         reference.states,
-        fmt_f64(reference.dense_secs),
-        fmt_f64(reference.sparse_secs),
-        fmt_f64(reference.dense_secs / reference.sparse_secs),
+        fmt_f64(reference.simpson_secs),
+        fmt_f64(reference.exact_secs),
+        fmt_f64(reference.simpson_secs / reference.exact_secs),
         fmt_f64(reference.diff),
+        fmt_f64(converged_diff),
         phis.len(),
         fmt_f64(per_phi_secs),
         fmt_f64(batch_secs),
@@ -202,9 +207,8 @@ fn main() {
         scaling_json.join(", "),
     ));
 
-    let agreement_violated = reference.diff > 1e-12 || scaling.iter().any(|(_, r)| r.diff > 1e-12);
-    if agreement_violated || !batch_identical || !sweep_identical {
-        eprintln!("# KERNEL AGREEMENT VIOLATED: sparse/dense or batch/serial answers diverged");
+    if converged_diff > CONVERGED_TOL || !batch_identical || !sweep_identical {
+        eprintln!("# KERNEL AGREEMENT VIOLATED: exact/Simpson or batch/serial answers diverged");
         std::process::exit(1);
     }
 }

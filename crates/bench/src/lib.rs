@@ -21,7 +21,7 @@
 //! | `chain_depth` | E14 (analysis) — coordination-chain-length distribution |
 //! | `robustness` | E15 (analysis) — fault-injection campaign: bursty/transient faults × retry budgets, JSON degradation curves |
 //! | `qos_server` | E16 (engine) — serving-engine replay of a seeded Zipf query workload: throughput vs naive recompute, latency percentiles, cache/admission counters, JSON |
-//! | `pk_kernel` | E17 (perf) — sparse shared-iterate P(k) kernel vs dense per-panel baseline, JSON |
+//! | `pk_kernel` | E17 (perf) — exact interval-weight P(k) kernel vs the 256-panel Simpson it replaced, JSON |
 //! | `mc_replication` | E18 (perf) — deterministic parallel replication engine: traced vs fast-path campaign cells, worker fan-out with in-bench bit-identity assertion, JSON |
 //! | `geoloc_kernel` | E19 (perf) — zero-allocation WLS kernel vs the heap/dynamic-dispatch baseline, analytic-vs-FD Jacobians, incremental sequential mode, JSON |
 //! | `engine_faults` | E20 (robustness) — serving engine under injected panics/stalls and a tenant flood, exactly-one-outcome and bit-identity invariants, JSON |

@@ -237,13 +237,34 @@ impl CsrMatrix {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != rows`.
     pub fn vec_mul(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut out = vec![0.0; self.cols];
+        self.vec_mul_into(x, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::vec_mul`] into a caller-owned buffer: `out` is overwritten
+    /// with `xᵀ A`, with the same accumulation order (so the same bits),
+    /// and nothing is allocated. An iteration that propagates a
+    /// distribution many times keeps two buffers and swaps them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != rows` or
+    /// `out.len() != cols`.
+    pub fn vec_mul_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
         if x.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
                 left: (1, x.len()),
                 right: self.shape(),
             });
         }
-        let mut out = vec![0.0; self.cols];
+        if out.len() != self.cols {
+            return Err(LinalgError::DimensionMismatch {
+                left: (1, out.len()),
+                right: (self.cols, 1),
+            });
+        }
+        out.fill(0.0);
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
@@ -253,7 +274,7 @@ impl CsrMatrix {
                 out[j] += xi * v;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -337,6 +358,35 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.vec_mul(&x).unwrap(), first);
         }
+    }
+
+    #[test]
+    fn vec_mul_into_matches_vec_mul_bitwise() {
+        let s = CsrMatrix::from_triplets(
+            3,
+            4,
+            &[
+                (0, 0, 0.3),
+                (0, 3, 0.7),
+                (1, 0, 0.1),
+                (1, 1, 0.2),
+                (1, 2, 0.7),
+                (2, 2, 1.0 / 3.0),
+                (2, 3, 2.0 / 3.0),
+            ],
+        )
+        .unwrap();
+        let x = [0.1, 0.0, 0.9];
+        // A stale buffer must be overwritten, not accumulated into.
+        let mut out = vec![f64::NAN; 4];
+        s.vec_mul_into(&x, &mut out).unwrap();
+        let fresh = s.vec_mul(&x).unwrap();
+        assert_eq!(
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert!(s.vec_mul_into(&x, &mut [0.0; 3]).is_err());
+        assert!(s.vec_mul_into(&[1.0], &mut out).is_err());
     }
 
     #[test]

@@ -219,18 +219,18 @@ impl Ctmc {
     }
 
     /// Expected fraction of time in each state over `[0, horizon]`, from the
-    /// initial marking: a Simpson quadrature whose panels are all evaluated
-    /// over one shared iterate sequence.
+    /// initial marking: the exact interval form of uniformization (see
+    /// [`TransientKernel::time_average_many`]).
     ///
     /// # Errors
     ///
     /// * [`SolverError::InvalidInput`] (wrapped in [`CtmcError::Solver`])
-    ///   for `intervals == 0` or a non-finite / non-positive horizon.
+    ///   for a non-finite / non-positive horizon.
     /// * Propagates other solver failures.
-    pub fn time_average(&self, horizon: f64, intervals: usize) -> Result<Vec<f64>, CtmcError> {
+    pub fn time_average(&self, horizon: f64) -> Result<Vec<f64>, CtmcError> {
         Ok(self
             .kernel()?
-            .time_average(&self.initial_distribution(), horizon, intervals)?)
+            .time_average(&self.initial_distribution(), horizon)?)
     }
 
     /// Expected instantaneous reward `Σᵢ p[i]·reward(state i)` under a state
@@ -401,13 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn time_average_rejects_zero_intervals_and_bad_horizon() {
+    fn time_average_rejects_bad_horizon() {
         let (model, _) = birth_death();
         let ctmc = Ctmc::explore(&model, 100).unwrap();
         for bad in [
-            ctmc.time_average(10.0, 0),
-            ctmc.time_average(f64::NAN, 8),
-            ctmc.time_average(-1.0, 8),
+            ctmc.time_average(0.0),
+            ctmc.time_average(f64::NAN),
+            ctmc.time_average(-1.0),
         ] {
             assert!(
                 matches!(bad, Err(CtmcError::Solver(SolverError::InvalidInput(_)))),

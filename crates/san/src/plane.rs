@@ -376,56 +376,33 @@ impl CapacitySolve {
     }
 
     /// The capacity distribution `P(K = k)`, `k = 0..=capacity`, for a
-    /// regeneration cycle of length `phi` hours, integrated with `panels`
-    /// Simpson panels — all of them evaluated over one shared iterate
-    /// sequence of the sparse uniformization kernel.
+    /// regeneration cycle of length `phi` hours: the exact regeneration-cycle
+    /// integral, by the interval form of uniformization over the sparse
+    /// kernel (see [`crate::solver::TransientKernel::time_average_many`]).
     ///
     /// # Errors
     ///
-    /// Rejects `panels == 0` and non-finite / non-positive `phi` with a
-    /// typed [`CtmcError::Solver`]; propagates transient-solver failures.
-    pub fn distribution_over(&self, phi: f64, panels: usize) -> Result<Vec<f64>, CtmcError> {
-        let avg = self.ctmc.time_average(phi, panels)?;
+    /// Rejects a non-finite / non-positive `phi` with a typed
+    /// [`CtmcError::Solver`]; propagates solver failures.
+    pub fn distribution_over(&self, phi: f64) -> Result<Vec<f64>, CtmcError> {
+        let avg = self.ctmc.time_average(phi)?;
         Ok(self.classify(&avg))
     }
 
-    /// Capacity distributions for *many* cycle lengths at once: every
-    /// Simpson node of every φ rides one shared iterate sequence, so a
-    /// φ-sweep costs a single matvec sweep. Each row is bit-identical to
-    /// the corresponding [`Self::distribution_over`] call.
+    /// Capacity distributions for *many* cycle lengths at once: every φ
+    /// rides one shared iterate sequence, so a φ-sweep costs a single
+    /// matvec sweep. Each row is bit-identical to the corresponding
+    /// [`Self::distribution_over`] call.
     ///
     /// # Errors
     ///
     /// As [`Self::distribution_over`], applied to every φ.
-    pub fn distributions_over(
-        &self,
-        phis: &[f64],
-        panels: usize,
-    ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        let averages = self.ctmc.kernel()?.time_average_many(
-            &self.ctmc.initial_distribution(),
-            phis,
-            panels,
-        )?;
+    pub fn distributions_over(&self, phis: &[f64]) -> Result<Vec<Vec<f64>>, CtmcError> {
+        let averages = self
+            .ctmc
+            .kernel()?
+            .time_average_many(&self.ctmc.initial_distribution(), phis)?;
         Ok(averages.iter().map(|avg| self.classify(avg)).collect())
-    }
-
-    /// The dense per-panel reference for [`Self::distribution_over`] — one
-    /// independent dense uniformization per Simpson node. Kept as the
-    /// baseline the sparse shared-iterate kernel is benchmarked
-    /// (`pk_kernel`) and property-tested against.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::distribution_over`].
-    pub fn distribution_over_dense(&self, phi: f64, panels: usize) -> Result<Vec<f64>, CtmcError> {
-        let avg = crate::solver::time_average_distribution_dense(
-            self.ctmc.generator(),
-            &self.ctmc.initial_distribution(),
-            phi,
-            panels,
-        )?;
-        Ok(self.classify(&avg))
     }
 
     /// Number of capacity classes (`total capacity + 1`).
@@ -491,8 +468,8 @@ fn simpson_panels(phi: f64, panels: usize) -> Result<usize, CtmcError> {
 ///
 /// Tighter than the 1e-12 of the time-average kernel: the product and joint
 /// paths take *different* uniformization routes (per-plane Λ vs joint Λ),
-/// so their truncation errors do not cancel in the cross-check the way the
-/// sparse/dense pair's do. Solving each transient an order of magnitude
+/// so their truncation errors do not cancel in the cross-check the way two
+/// paths over one route would. Solving each transient an order of magnitude
 /// past the agreement bar keeps the assembled distributions within 1e-12 of
 /// each other.
 const PRODUCT_FORM_TOL: f64 = 1e-13;
@@ -810,8 +787,8 @@ mod tests {
         // One within-cycle state per (active, spares) reachable pair:
         // (14,2), (14,1), (14,0), then 13..=10 with no spares.
         assert_eq!(solve.num_states(), 7);
-        let long = solve.distribution_over(30_000.0, 256).unwrap();
-        let short = solve.distribution_over(10_000.0, 256).unwrap();
+        let long = solve.distribution_over(30_000.0).unwrap();
+        let short = solve.distribution_over(10_000.0).unwrap();
         for d in [&long, &short] {
             let total: f64 = d.iter().sum();
             assert!((total - 1.0).abs() < 1e-9);
@@ -824,10 +801,10 @@ mod tests {
         let solve = PlaneModelConfig::reference(5e-5, PHI, 10)
             .capacity_solve(10_000)
             .unwrap();
-        let baseline = solve.distribution_over(PHI, 256).unwrap();
+        let baseline = solve.distribution_over(PHI).unwrap();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| solve.distribution_over(PHI, 256).unwrap()))
+                .map(|_| s.spawn(|| solve.distribution_over(PHI).unwrap()))
                 .collect();
             for h in handles {
                 assert_eq!(h.join().unwrap(), baseline, "solves are bit-identical");
@@ -836,15 +813,15 @@ mod tests {
     }
 
     #[test]
-    fn distribution_over_rejects_zero_panels_and_bad_phi() {
+    fn distribution_over_rejects_bad_phi() {
         let solve = PlaneModelConfig::reference(5e-5, PHI, 10)
             .capacity_solve(10_000)
             .unwrap();
         for bad in [
-            solve.distribution_over(PHI, 0),
-            solve.distribution_over(f64::NAN, 256),
-            solve.distribution_over(0.0, 256),
-            solve.distribution_over(f64::INFINITY, 256),
+            solve.distribution_over(-PHI),
+            solve.distribution_over(f64::NAN),
+            solve.distribution_over(0.0),
+            solve.distribution_over(f64::INFINITY),
         ] {
             assert!(
                 matches!(bad, Err(CtmcError::Solver(_))),
@@ -859,22 +836,57 @@ mod tests {
             .capacity_solve(10_000)
             .unwrap();
         let phis = [5_000.0, 10_000.0, 30_000.0];
-        let rows = solve.distributions_over(&phis, 256).unwrap();
+        let rows = solve.distributions_over(&phis).unwrap();
         for (&phi, row) in phis.iter().zip(&rows) {
-            assert_eq!(row, &solve.distribution_over(phi, 256).unwrap());
+            assert_eq!(row, &solve.distribution_over(phi).unwrap());
         }
     }
 
-    #[test]
-    fn sparse_kernel_agrees_with_dense_reference() {
-        let solve = PlaneModelConfig::reference(5e-5, PHI, 10)
-            .capacity_solve(10_000)
-            .unwrap();
-        let sparse = solve.distribution_over(PHI, 256).unwrap();
-        let dense = solve.distribution_over_dense(PHI, 256).unwrap();
-        for (k, (s, d)) in sparse.iter().zip(&dense).enumerate() {
-            assert!((s - d).abs() <= 1e-12, "k={k}: sparse {s} vs dense {d}");
+    /// `P(K = c)` in closed form: the plane stays at capacity `c` until
+    /// `spares + 1` failures at rate `a = cλ`, so
+    /// `P(K = c) = (1/(aφ)) Σ_{j=0..spares} P(Pois(aφ) > j)`.
+    fn full_capacity_closed_form(cfg: &PlaneModelConfig) -> f64 {
+        let x = f64::from(cfg.capacity) * cfg.lambda * cfg.phi;
+        let mut pmf = (-x).exp();
+        let mut cdf = 0.0;
+        let mut sum = 0.0;
+        for j in 0..=cfg.spares {
+            if j > 0 {
+                pmf *= x / f64::from(j);
+            }
+            cdf += pmf;
+            sum += 1.0 - cdf;
         }
+        sum / x
+    }
+
+    const ORACLE_LAMBDAS: [f64; 4] = [1e-5, 2e-5, 5e-5, 1e-4];
+    const ORACLE_PHIS: [f64; 5] = [3e3, 1e4, 3e4, 1e5, 3e5];
+
+    #[test]
+    fn full_capacity_class_matches_closed_form() {
+        // An oracle independent of any quadrature: every (λ, φ, η) of the
+        // grid, up to Λφ = 420 series terms.
+        for lambda in ORACLE_LAMBDAS {
+            for phi in ORACLE_PHIS {
+                for eta in [8, 10, 12] {
+                    let cfg = PlaneModelConfig::reference(lambda, phi, eta);
+                    let d = cfg
+                        .capacity_solve(10_000)
+                        .unwrap()
+                        .distribution_over(phi)
+                        .unwrap();
+                    let expected = full_capacity_closed_form(&cfg);
+                    assert!(
+                        (d[14] - expected).abs() <= 1e-12,
+                        "lambda={lambda}, phi={phi}, eta={eta}: {} vs {expected}",
+                        d[14]
+                    );
+                }
+            }
+        }
+        let at_420 = PlaneModelConfig::reference(1e-4, 3e5, 10);
+        assert!((full_capacity_closed_form(&at_420) - 3.0 / 420.0).abs() < 1e-12);
     }
 
     #[test]
@@ -901,14 +913,27 @@ mod tests {
     }
 
     #[test]
-    fn product_form_single_plane_matches_time_average_path() {
-        let solve = PlaneModelConfig::reference(5e-5, PHI, 10)
-            .capacity_solve(10_000)
-            .unwrap();
-        let nodewise = product_form_pk(&[&solve], PHI, 256).unwrap();
-        let averaged = solve.distribution_over(PHI, 256).unwrap();
-        for (k, (a, b)) in nodewise.iter().zip(&averaged).enumerate() {
-            assert!((a - b).abs() <= 1e-12, "k={k}: {a} vs {b}");
+    fn product_form_single_plane_converges_to_time_average_path() {
+        // Two different quadratures of one integral: Simpson on the
+        // per-node transients must converge onto the exact interval
+        // weights. Its O(h⁴) error needs 32768 panels at Λφ = 420.
+        for (lambda, phi, panels, bound) in [
+            (1e-5, 3e3, 4096, 1e-11),
+            (5e-5, 3e4, 4096, 1e-11),
+            (1e-4, 3e4, 4096, 1e-11),
+            (1e-4, 3e5, 32768, 2e-12),
+        ] {
+            let solve = PlaneModelConfig::reference(lambda, phi, 10)
+                .capacity_solve(10_000)
+                .unwrap();
+            let nodewise = product_form_pk(&[&solve], phi, panels).unwrap();
+            let exact = solve.distribution_over(phi).unwrap();
+            for (k, (a, b)) in nodewise.iter().zip(&exact).enumerate() {
+                assert!(
+                    (a - b).abs() <= bound,
+                    "lambda={lambda}, phi={phi}, k={k}: Simpson {a} vs exact {b}"
+                );
+            }
         }
     }
 

@@ -4,9 +4,11 @@
 //! uniformized transition matrix stored sparse (CSR), with *shared-iterate*
 //! batching — the vector sequence `vₖ = p₀ Pᵏ` is computed once and every
 //! requested time point is a Poisson-weighted sum over that one sequence.
-//! The dense per-time-point reference implementations are kept (suffixed
-//! `_dense`) as the baseline the kernel is benchmarked and property-tested
-//! against.
+//! Time averages `(1/T)∫₀ᵀ p(t) dt` use the exact interval form of
+//! uniformization over the same sequence (see
+//! [`TransientKernel::time_average_many`]). The dense per-time-point
+//! transient reference is kept (suffixed `_dense`) as the baseline the
+//! kernel is benchmarked and property-tested against.
 
 use oaq_linalg::{CsrMatrix, LinalgError, Matrix};
 
@@ -16,7 +18,7 @@ use oaq_linalg::{CsrMatrix, LinalgError, Matrix};
 pub enum SolverError {
     /// The generator matrix is not square or rows do not sum to ~0.
     InvalidGenerator(String),
-    /// A caller-supplied argument (time point, horizon, panel count,
+    /// A caller-supplied argument (time point, horizon, tolerance,
     /// initial distribution) is out of domain.
     InvalidInput(String),
     /// The linear solve failed (e.g. reducible chain).
@@ -113,14 +115,9 @@ fn validate_p0(n: usize, p0: &[f64]) -> Result<(), SolverError> {
     Ok(())
 }
 
-fn validate_horizon(horizon: f64, intervals: usize) -> Result<(), SolverError> {
+fn validate_horizon(horizon: f64) -> Result<(), SolverError> {
     if horizon <= 0.0 || !horizon.is_finite() {
         return Err(SolverError::InvalidInput(format!("bad horizon {horizon}")));
-    }
-    if intervals == 0 {
-        return Err(SolverError::InvalidInput(
-            "Simpson quadrature needs at least one panel".to_string(),
-        ));
     }
     Ok(())
 }
@@ -164,7 +161,7 @@ pub fn transient_distribution(
 
 /// The dense per-time-point uniformization — the pre-kernel reference
 /// implementation, kept as the baseline the sparse shared-iterate path is
-/// benchmarked (`pk_kernel`) and property-tested against.
+/// property-tested against.
 ///
 /// # Errors
 ///
@@ -234,10 +231,9 @@ pub fn transient_distribution_dense(
 }
 
 /// Integral `∫₀ᵀ p(t) dt / T`: the expected fraction of time spent in each
-/// state over `[0, T]`, computed by Simpson quadrature on the transient
-/// distribution with `intervals` panels (rounded up to even). All Simpson
-/// nodes are evaluated over **one** shared iterate sequence via the sparse
-/// [`TransientKernel`].
+/// state over `[0, T]`, computed exactly (to the 1e-12 series tolerance) by
+/// the interval form of uniformization over the sparse [`TransientKernel`]
+/// (see [`TransientKernel::time_average_many`]).
 ///
 /// This is the quantity the paper's P(k) reduces to under the deterministic
 /// scheduled-deployment cycle: the time-average of the capacity process over
@@ -245,58 +241,14 @@ pub fn transient_distribution_dense(
 ///
 /// # Errors
 ///
-/// * [`SolverError::InvalidInput`] for `intervals == 0` or a non-finite /
-///   non-positive horizon.
-/// * Propagates [`SolverError`] from the transient solves.
+/// * [`SolverError::InvalidInput`] for a non-finite / non-positive horizon.
+/// * Propagates [`SolverError`] from the kernel.
 pub fn time_average_distribution(
     q: &Matrix,
     p0: &[f64],
     horizon: f64,
-    intervals: usize,
 ) -> Result<Vec<f64>, SolverError> {
-    TransientKernel::new(q)?.time_average(p0, horizon, intervals)
-}
-
-/// The dense reference for [`time_average_distribution`]: one independent
-/// dense uniformization per Simpson node. O(panels · K · n²) where the
-/// kernel is O(K · nnz); kept for benchmarking and agreement tests.
-///
-/// # Errors
-///
-/// As [`time_average_distribution`].
-pub fn time_average_distribution_dense(
-    q: &Matrix,
-    p0: &[f64],
-    horizon: f64,
-    intervals: usize,
-) -> Result<Vec<f64>, SolverError> {
-    validate_horizon(horizon, intervals)?;
-    let m = intervals.max(2).next_multiple_of(2);
-    let n = q.rows();
-    let h = horizon / m as f64;
-    let mut acc = vec![0.0; n];
-    for s in 0..=m {
-        let p = transient_distribution_dense(q, p0, h * s as f64, 1e-12)?;
-        let w = simpson_weight(s, m);
-        for (a, x) in acc.iter_mut().zip(&p) {
-            *a += w * x;
-        }
-    }
-    let scale = h / 3.0 / horizon;
-    for a in &mut acc {
-        *a *= scale;
-    }
-    Ok(oaq_linalg::vec_ops::normalize_prob(&acc).unwrap_or(acc))
-}
-
-fn simpson_weight(s: usize, m: usize) -> f64 {
-    if s == 0 || s == m {
-        1.0
-    } else if s % 2 == 1 {
-        4.0
-    } else {
-        2.0
-    }
+    TransientKernel::new(q)?.time_average(p0, horizon)
 }
 
 /// The uniformization rate `Λ = 1.000001 · max |q_ii|`.
@@ -318,8 +270,8 @@ fn uniformization_rate(q: &Matrix) -> f64 {
 /// single shared iterate sequence `vₖ = p₀ Pᵏ`: one CSR matvec per series
 /// term total, with per-time-point Poisson weights (a multiplicative
 /// recurrence, ramped in log space while a huge `λt` keeps the early
-/// weights below f64 range) as the only per-point work. A 256-panel
-/// Simpson integral therefore costs one matvec sweep instead of 256.
+/// weights below f64 range) as the only per-point work. A time average
+/// rides the same sequence with one interval weight per term.
 ///
 /// **Determinism / batch invariance:** the iterate sequence depends only on
 /// `p₀` and `P`, and each time point accumulates its own weighted sum in
@@ -343,6 +295,7 @@ const LOG_SWITCH: f64 = -700.0;
 /// Per-series-term quantities shared by every Poisson weight in a batch:
 /// ln(k+1) and 1/(k+1) are computed once per iterate, not once per point.
 struct SharedStep {
+    k: u64,
     kf: f64,
     ln_k1: f64,
     inv_k1: f64,
@@ -352,6 +305,7 @@ impl SharedStep {
     fn at(k: u64) -> Self {
         let kf1 = (k + 1) as f64;
         SharedStep {
+            k,
             kf: k as f64,
             ln_k1: kf1.ln(),
             inv_k1: 1.0 / kf1,
@@ -469,6 +423,21 @@ impl SteadyDetector {
     }
 }
 
+/// One row's scalar weights `wₖ` over the shared iterates: the row's
+/// answer is `Σₖ wₖ vₖ`, with `Σₖ wₖ = 1` up to truncation.
+trait SeriesWeight {
+    /// Returns `wₖ` for `k = shared.k` and advances to `k + 1`, marking the
+    /// row done after its last term.
+    fn step(&mut self, shared: &SharedStep, tol: f64) -> f64;
+    fn is_done(&self) -> bool;
+    /// `Σ wⱼ` over the terms handed out so far.
+    fn served(&self) -> f64;
+    /// The Poisson truncation horizon of the row's series.
+    fn k_bulk(&self) -> f64;
+    /// Closes the row early (its remaining weight was served elsewhere).
+    fn close(&mut self);
+}
+
 /// An iteratively-advanced Poisson(λt; k) weight with underflow-safe
 /// truncation: `step` returns the weight of term k (0.0 while still
 /// sub-representable), accumulates its mass, and advances to k + 1,
@@ -499,7 +468,9 @@ impl PoissonWeight {
             done: false,
         }
     }
+}
 
+impl SeriesWeight for PoissonWeight {
     fn step(&mut self, shared: &SharedStep, tol: f64) -> f64 {
         let w = self.weight;
         self.accumulated += w;
@@ -515,6 +486,126 @@ impl PoissonWeight {
             }
         }
         w
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn served(&self) -> f64 {
+        self.accumulated
+    }
+
+    fn k_bulk(&self) -> f64 {
+        self.k_bulk
+    }
+
+    fn close(&mut self) {
+        self.done = true;
+    }
+}
+
+/// The exact interval weight of series term `k` for one horizon `T`:
+///
+/// ```text
+/// wₖ = (1/T)∫₀ᵀ Poisson(Λt; k) dt = P(N > k)/(ΛT) = Σ_{i≥k} pᵢ/(i+1),
+/// ```
+///
+/// with `N ~ Poisson(ΛT)` and `pᵢ = P(N = i)`, so `(1/T)∫₀ᵀ p(t) dt =
+/// Σₖ wₖ vₖ` over the shared iterates (de Souza e Silva & Gail, JACM 1989).
+/// `Σₖ wₖ = E[N]/(ΛT) = 1`, and the pmf mass dropped past the Poisson
+/// truncation point is exactly the weight dropped from the whole series.
+///
+/// `P(N > k)` is never formed as `1 − CDF` where that would cancel. While
+/// the running CDF is at most ½, `1 − CDF ≥ ½` is exact to a few ulps, so
+/// the weight streams in O(1) memory. Once the CDF passes ½, the rest of
+/// the pmf up to the truncation point (O(√ΛT) terms) is laid out and
+/// suffix-summed over `pᵢ/(i+1)`, all positive terms. A horizon whose
+/// steady-state detector closes it long before the median therefore never
+/// holds more than the scalar state, however large `ΛT` is.
+struct IntervalWeight {
+    pw: PoissonWeight,
+    /// `Σ_{i≥k} pᵢ/(i+1)` for `k = tail_base, tail_base + 1, …`; empty
+    /// until the CDF passes ½.
+    tail: Vec<f64>,
+    tail_base: u64,
+    /// `Σ wⱼ` over the terms handed out so far.
+    accumulated: f64,
+    done: bool,
+}
+
+impl IntervalWeight {
+    fn new(lt: f64) -> Self {
+        IntervalWeight {
+            pw: PoissonWeight::new(lt),
+            tail: Vec::new(),
+            tail_base: 0,
+            accumulated: 0.0,
+            done: false,
+        }
+    }
+
+    /// Runs the pmf on from `p_k` (with `cdf = P(N ≤ k)`) to the truncation
+    /// point under [`PoissonWeight::step`]'s rule, then suffix-sums
+    /// `pᵢ/(i+1)` in place.
+    fn lay_out_tail(&mut self, k: u64, p_k: f64, cdf: f64, tol: f64) {
+        let lt = self.pw.lt;
+        // The table ends near k_bulk; size it once.
+        self.tail
+            .reserve((self.pw.k_bulk - k as f64).max(0.0) as usize + 2);
+        let (mut i, mut p, mut cdf) = (k, p_k, cdf);
+        loop {
+            self.tail.push(p / (i + 1) as f64);
+            if cdf >= 1.0 - tol || (i as f64 > self.pw.k_bulk && p < tol) {
+                break;
+            }
+            i += 1;
+            p *= lt / i as f64;
+            cdf += p;
+        }
+        let mut suffix = 0.0;
+        for t in self.tail.iter_mut().rev() {
+            suffix += *t;
+            *t = suffix;
+        }
+        self.tail_base = k;
+    }
+}
+
+impl SeriesWeight for IntervalWeight {
+    /// The last term is the one before the Poisson truncation point.
+    fn step(&mut self, shared: &SharedStep, tol: f64) -> f64 {
+        if self.tail.is_empty() {
+            let p = self.pw.step(shared, tol);
+            let cdf = self.pw.accumulated;
+            if cdf <= 0.5 {
+                let w = (1.0 - cdf) / self.pw.lt;
+                self.accumulated += w;
+                return w;
+            }
+            self.lay_out_tail(shared.k, p, cdf, tol);
+        }
+        let i = (shared.k - self.tail_base) as usize;
+        let w = self.tail[i];
+        self.accumulated += w;
+        self.done = i + 1 == self.tail.len();
+        w
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn served(&self) -> f64 {
+        self.accumulated
+    }
+
+    fn k_bulk(&self) -> f64 {
+        self.pw.k_bulk
+    }
+
+    fn close(&mut self) {
+        self.done = true;
     }
 }
 
@@ -640,106 +731,55 @@ impl TransientKernel {
                 return Err(SolverError::InvalidInput(format!("bad time {t}")));
             }
         }
-        // Per-time-point accumulator: the advancing Poisson weight, the
-        // weighted iterate sum, and the steady-state hit counter.
-        struct Point {
-            pw: PoissonWeight,
-            out: Vec<f64>,
-            hits: u32,
-        }
-        let mut points: Vec<Point> = times
+        let weights = times
             .iter()
-            .map(|&t| Point {
-                pw: PoissonWeight::new(self.lambda * t),
-                out: vec![0.0; self.n],
-                hits: 0,
-            })
+            .map(|&t| PoissonWeight::new(self.lambda * t))
             .collect();
-        let mut term = p0.to_vec(); // vₖ = p₀ Pᵏ, shared by every time point
-        let mut detector = SteadyDetector::new(detect, p0);
-        let mut k: u64 = 0;
-        while points.iter().any(|p| !p.pw.done) {
-            let shared = SharedStep::at(k);
-            for p in points.iter_mut().filter(|p| !p.pw.done) {
-                let w = p.pw.step(&shared, tol);
-                if w > 0.0 {
-                    for (o, x) in p.out.iter_mut().zip(&term) {
-                        *o += w * x;
-                    }
-                }
-            }
-            if points.iter().all(|p| p.pw.done) {
-                break;
-            }
-            k += 1;
-            if k > 10_000_000 {
-                return Err(SolverError::InvalidGenerator(
-                    "uniformization failed to converge".to_string(),
-                ));
-            }
-            term = self.p_csr.vec_mul(&term).map_err(SolverError::Numeric)?;
-            if let Some(win) = detector.window(&term) {
-                // vⱼ ≈ v* for all j ≥ k within the projected drift: a point
-                // whose remaining series fits inside the floor is served
-                // its entire remaining Poisson mass from the current
-                // iterate and closed early.
-                for p in points.iter_mut().filter(|p| !p.pw.done) {
-                    if win.within_floor(p.pw.k_bulk - k as f64) {
-                        p.hits += 1;
-                    } else {
-                        p.hits = 0;
-                    }
-                    if p.hits >= STEADY_HITS {
-                        let tail = (1.0 - p.pw.accumulated).max(0.0);
-                        if tail > 0.0 {
-                            for (o, x) in p.out.iter_mut().zip(&term) {
-                                *o += tail * x;
-                            }
-                        }
-                        p.pw.done = true;
-                    }
-                }
-            }
-        }
-        Ok(points
+        let sums = self.weighted_sums(p0, weights, tol, detect)?;
+        Ok(sums
             .into_iter()
             .zip(times)
-            .map(|(p, &t)| {
+            .map(|(out, &t)| {
                 if t == 0.0 {
                     p0.to_vec()
                 } else {
                     // The truncated tail (≤ tol) is discarded; renormalize.
-                    oaq_linalg::vec_ops::normalize_prob(&p.out).unwrap_or(p.out)
+                    oaq_linalg::vec_ops::normalize_prob(&out).unwrap_or(out)
                 }
             })
             .collect())
     }
 
-    /// Simpson time-average `∫₀ᵀ p(t) dt / T` with `intervals` panels
-    /// (rounded up to even), all nodes over one shared iterate sequence.
+    /// The time average `∫₀ᵀ p(t) dt / T`, exact to the 1e-12 series
+    /// tolerance (see [`Self::time_average_many`]).
     ///
     /// # Errors
     ///
-    /// [`SolverError::InvalidInput`] for `intervals == 0` or a non-finite /
-    /// non-positive horizon; otherwise as [`Self::transient_batch`].
-    pub fn time_average(
-        &self,
-        p0: &[f64],
-        horizon: f64,
-        intervals: usize,
-    ) -> Result<Vec<f64>, SolverError> {
+    /// [`SolverError::InvalidInput`] for a non-finite / non-positive
+    /// horizon; otherwise as [`Self::transient_batch`].
+    pub fn time_average(&self, p0: &[f64], horizon: f64) -> Result<Vec<f64>, SolverError> {
         Ok(self
-            .time_average_many(p0, &[horizon], intervals)?
+            .time_average_many(p0, &[horizon])?
             .pop()
             .expect("one horizon"))
     }
 
-    /// Simpson time-averages over *several* horizons at once: every Simpson
-    /// node of every horizon is evaluated over one shared iterate sequence,
-    /// so a φ-sweep costs a single matvec sweep sized by the largest
-    /// horizon. Batch invariance (see the type-level note) guarantees each
-    /// row equals the corresponding single-horizon [`Self::time_average`]
-    /// bit for bit.
+    /// Time averages over *several* horizons at once, all over one shared
+    /// iterate sequence, so a φ-sweep costs a single matvec sweep sized by
+    /// the largest horizon.
+    ///
+    /// Each average is the exact interval form of uniformization,
+    /// `(1/T)∫₀ᵀ p(t) dt = Σₖ P(N > k)/(ΛT) · vₖ` with `N ~ Poisson(ΛT)`:
+    /// one scalar weight per series term and horizon, so the cost is
+    /// O(K·nnz + K) for `K ≈ ΛT` terms. The series is truncated where the
+    /// Poisson pmf is (the dropped weight equals the dropped pmf mass, at
+    /// most the 1e-12 tolerance) and each row is renormalized. Adaptive
+    /// steady-state detection serves a horizon's remaining weight from the
+    /// converged iterate, as in [`Self::transient_batch`].
+    ///
+    /// Batch invariance (see the type-level note) holds: each horizon
+    /// accumulates its own weights in fixed order, so every row equals the
+    /// corresponding single-horizon [`Self::time_average`] bit for bit.
     ///
     /// # Errors
     ///
@@ -748,16 +788,14 @@ impl TransientKernel {
         &self,
         p0: &[f64],
         horizons: &[f64],
-        intervals: usize,
     ) -> Result<Vec<Vec<f64>>, SolverError> {
-        self.time_average_many_impl(p0, horizons, intervals, true)
+        self.time_average_many_impl(p0, horizons, true)
     }
 
-    /// [`Self::time_average_many`] with steady-state detection disabled —
-    /// the PR 3 kernel behaviour, where every Simpson node's Poisson series
-    /// runs to its own truncation (O(λ·φₘₐₓ) matvecs on long horizons).
-    /// Kept as the baseline the detecting path is benchmarked and
-    /// property-tested against.
+    /// [`Self::time_average_many`] with steady-state detection disabled:
+    /// every horizon's series runs to its own truncation (O(Λ·φₘₐₓ)
+    /// matvecs on long horizons). Kept as the baseline the detecting path
+    /// is benchmarked (`mega_pk`) and property-tested against.
     ///
     /// # Errors
     ///
@@ -766,72 +804,76 @@ impl TransientKernel {
         &self,
         p0: &[f64],
         horizons: &[f64],
-        intervals: usize,
     ) -> Result<Vec<Vec<f64>>, SolverError> {
-        self.time_average_many_impl(p0, horizons, intervals, false)
+        self.time_average_many_impl(p0, horizons, false)
     }
 
     fn time_average_many_impl(
         &self,
         p0: &[f64],
         horizons: &[f64],
-        intervals: usize,
         detect: bool,
     ) -> Result<Vec<Vec<f64>>, SolverError> {
         validate_p0(self.n, p0)?;
         for &h in horizons {
-            validate_horizon(h, intervals)?;
+            validate_horizon(h)?;
         }
-        let tol = 1e-12;
-        let m = intervals.max(2).next_multiple_of(2);
-        // The quadrature is linear in the transients, which are themselves
-        // Poisson-weighted sums over one iterate sequence, so the Simpson
-        // coefficients fold into the weights:
-        //   Σ_s c_s p(t_s) = Σ_k (Σ_s c_s · Poisson(λt_s; k)) · vₖ.
-        // Each iterate then costs one combined axpy per *horizon* instead
-        // of one per Simpson node; the per-node work is a scalar weight
-        // recurrence. Each node is still truncated exactly as in
-        // `transient_batch`, and a horizon's combined weight involves only
-        // its own nodes (in fixed node order), so every row stays
-        // independent of the rest of the batch.
-        struct Node {
-            pw: PoissonWeight,
-            coeff: f64,
+        let weights = horizons
+            .iter()
+            .map(|&h| IntervalWeight::new(self.lambda * h))
+            .collect();
+        let sums = self.weighted_sums(p0, weights, 1e-12, detect)?;
+        // The truncated tail (≤ tol of weight) is discarded; renormalize.
+        Ok(sums
+            .into_iter()
+            .map(|acc| oaq_linalg::vec_ops::normalize_prob(&acc).unwrap_or(acc))
+            .collect())
+    }
+
+    /// `Σₖ wₖ vₖ` for every row of `weights`, over one shared iterate
+    /// sequence `vₖ = p₀ Pᵏ` that runs until the last row is done. Each row
+    /// accumulates its own weights in fixed order, so its sum does not
+    /// depend on the other rows.
+    ///
+    /// With `detect`, once the iterates stop moving (see
+    /// [`SteadyDetector`]) a row whose remaining series fits inside the
+    /// drift floor is served its remaining weight `1 − Σw` from the current
+    /// iterate and closed early.
+    fn weighted_sums<W: SeriesWeight>(
+        &self,
+        p0: &[f64],
+        weights: Vec<W>,
+        tol: f64,
+        detect: bool,
+    ) -> Result<Vec<Vec<f64>>, SolverError> {
+        struct Row<W> {
+            weight: W,
+            acc: Vec<f64>,
             hits: u32,
         }
-        let mut nodes: Vec<Vec<Node>> = horizons
-            .iter()
-            .map(|&horizon| {
-                let h = horizon / m as f64;
-                (0..=m)
-                    .map(|s| Node {
-                        pw: PoissonWeight::new(self.lambda * h * s as f64),
-                        coeff: simpson_weight(s, m) * h / 3.0 / horizon,
-                        hits: 0,
-                    })
-                    .collect()
+        let mut rows: Vec<Row<W>> = weights
+            .into_iter()
+            .map(|weight| Row {
+                weight,
+                acc: vec![0.0; self.n],
+                hits: 0,
             })
             .collect();
-        let mut accs: Vec<Vec<f64>> = vec![vec![0.0; self.n]; horizons.len()];
-        let mut term = p0.to_vec(); // vₖ = p₀ Pᵏ, shared by every node
+        let mut term = p0.to_vec(); // vₖ = p₀ Pᵏ, shared by every row
+        let mut next = vec![0.0; self.n];
         let mut detector = SteadyDetector::new(detect, p0);
         let mut k: u64 = 0;
         loop {
             let shared = SharedStep::at(k);
-            let mut any_open = false;
-            for (row, acc) in nodes.iter_mut().zip(&mut accs) {
-                let mut combined = 0.0;
-                for node in row.iter_mut().filter(|nd| !nd.pw.done) {
-                    combined += node.coeff * node.pw.step(&shared, tol);
-                    any_open |= !node.pw.done;
-                }
-                if combined > 0.0 {
-                    for (a, x) in acc.iter_mut().zip(&term) {
-                        *a += combined * x;
+            for r in rows.iter_mut().filter(|r| !r.weight.is_done()) {
+                let w = r.weight.step(&shared, tol);
+                if w > 0.0 {
+                    for (a, x) in r.acc.iter_mut().zip(&term) {
+                        *a += w * x;
                     }
                 }
             }
-            if !any_open {
+            if rows.iter().all(|r| r.weight.is_done()) {
                 break;
             }
             k += 1;
@@ -840,37 +882,31 @@ impl TransientKernel {
                     "uniformization failed to converge".to_string(),
                 ));
             }
-            term = self.p_csr.vec_mul(&term).map_err(SolverError::Numeric)?;
+            self.p_csr
+                .vec_mul_into(&term, &mut next)
+                .map_err(SolverError::Numeric)?;
+            std::mem::swap(&mut term, &mut next);
             if let Some(win) = detector.window(&term) {
-                // Serve each steady node's remaining Poisson mass from the
-                // current iterate, in the same fixed node order.
-                for (row, acc) in nodes.iter_mut().zip(&mut accs) {
-                    let mut combined = 0.0;
-                    for node in row.iter_mut().filter(|nd| !nd.pw.done) {
-                        if win.within_floor(node.pw.k_bulk - k as f64) {
-                            node.hits += 1;
-                        } else {
-                            node.hits = 0;
-                        }
-                        if node.hits >= STEADY_HITS {
-                            combined += node.coeff * (1.0 - node.pw.accumulated).max(0.0);
-                            node.pw.done = true;
-                        }
+                // vⱼ ≈ v* for all j ≥ k within the projected drift.
+                for r in rows.iter_mut().filter(|r| !r.weight.is_done()) {
+                    if win.within_floor(r.weight.k_bulk() - k as f64) {
+                        r.hits += 1;
+                    } else {
+                        r.hits = 0;
                     }
-                    if combined > 0.0 {
-                        for (a, x) in acc.iter_mut().zip(&term) {
-                            *a += combined * x;
+                    if r.hits >= STEADY_HITS {
+                        let rest = (1.0 - r.weight.served()).max(0.0);
+                        if rest > 0.0 {
+                            for (a, x) in r.acc.iter_mut().zip(&term) {
+                                *a += rest * x;
+                            }
                         }
+                        r.weight.close();
                     }
                 }
             }
         }
-        // The per-node truncated tails (≤ tol each, Σ coeff = 1) are
-        // discarded; renormalize each average.
-        Ok(accs
-            .into_iter()
-            .map(|acc| oaq_linalg::vec_ops::normalize_prob(&acc).unwrap_or(acc))
-            .collect())
+        Ok(rows.into_iter().map(|r| r.acc).collect())
     }
 }
 
@@ -952,28 +988,34 @@ mod tests {
         assert!(transient_distribution(&q, &[1.0, 0.0], f64::NAN, 1e-9).is_err());
     }
 
+    /// `∫₀ᵀ p0(t) dt / T` for the two-state chain started in state 0,
+    /// where `p0(t) = 0.8 + 0.2 e^{-5t}`.
+    fn two_state_average(horizon: f64) -> f64 {
+        0.8 - 0.2 * (-5.0 * horizon).exp_m1() / (5.0 * horizon)
+    }
+
     #[test]
     fn time_average_matches_analytic() {
-        // ∫₀ᵀ p0(t) dt / T with p0(t) = 0.8 + 0.2 e^{-5t}.
-        let q = two_state();
-        let horizon = 2.0;
-        let avg = time_average_distribution(&q, &[1.0, 0.0], horizon, 64).unwrap();
-        let expected = 0.8 + 0.2 * (1.0 - (-5.0_f64 * horizon).exp()) / (5.0 * horizon);
-        assert!((avg[0] - expected).abs() < 1e-6, "{} vs {expected}", avg[0]);
+        let avg = time_average_distribution(&two_state(), &[1.0, 0.0], 2.0).unwrap();
+        let expected = two_state_average(2.0);
+        assert!(
+            (avg[0] - expected).abs() < 1e-12,
+            "{} vs {expected}",
+            avg[0]
+        );
     }
 
     #[test]
     fn time_average_rejects_bad_horizon() {
-        assert!(time_average_distribution(&two_state(), &[1.0, 0.0], 0.0, 8).is_err());
+        assert!(time_average_distribution(&two_state(), &[1.0, 0.0], 0.0).is_err());
     }
 
     #[test]
-    fn time_average_rejects_zero_panels_and_nonfinite_horizon_typed() {
+    fn time_average_rejects_nonfinite_horizon_typed() {
         for bad in [
-            time_average_distribution(&two_state(), &[1.0, 0.0], 2.0, 0),
-            time_average_distribution(&two_state(), &[1.0, 0.0], f64::NAN, 8),
-            time_average_distribution(&two_state(), &[1.0, 0.0], f64::INFINITY, 8),
-            time_average_distribution_dense(&two_state(), &[1.0, 0.0], 2.0, 0),
+            time_average_distribution(&two_state(), &[1.0, 0.0], -2.0),
+            time_average_distribution(&two_state(), &[1.0, 0.0], f64::NAN),
+            time_average_distribution(&two_state(), &[1.0, 0.0], f64::INFINITY),
         ] {
             assert!(matches!(bad, Err(SolverError::InvalidInput(_))), "{bad:?}");
         }
@@ -1020,21 +1062,80 @@ mod tests {
         let kernel = TransientKernel::new(&q).unwrap();
         let p0 = [1.0, 0.0];
         let horizons = [0.5, 2.0, 8.0];
-        let many = kernel.time_average_many(&p0, &horizons, 64).unwrap();
+        let many = kernel.time_average_many(&p0, &horizons).unwrap();
         for (&h, row) in horizons.iter().zip(&many) {
-            assert_eq!(row, &kernel.time_average(&p0, h, 64).unwrap());
+            assert_eq!(row, &kernel.time_average(&p0, h).unwrap());
         }
     }
 
     #[test]
-    fn kernel_time_average_matches_dense_reference() {
-        let q = two_state();
-        let kernel = TransientKernel::new(&q).unwrap();
-        let sparse = kernel.time_average(&[1.0, 0.0], 2.0, 64).unwrap();
-        let dense = time_average_distribution_dense(&q, &[1.0, 0.0], 2.0, 64).unwrap();
-        for (s, d) in sparse.iter().zip(&dense) {
-            assert!((s - d).abs() <= 1e-12, "{s} vs {d}");
+    fn kernel_time_average_matches_closed_form_across_horizons() {
+        // Λφ from 5e-20 (one series term) past the CDF-½ switch (Λφ ≈ 0.7)
+        // to 2.5e4 terms, where steady-state detection serves the rest.
+        let kernel = TransientKernel::new(&two_state()).unwrap();
+        for horizon in [1e-20, 0.01, 0.1, 0.2, 2.0, 7.5, 60.0, 5_000.0] {
+            let avg = kernel.time_average(&[1.0, 0.0], horizon).unwrap();
+            let expected = two_state_average(horizon);
+            assert!(
+                (avg[0] - expected).abs() <= 1e-12 && (avg[1] - (1.0 - expected)).abs() <= 1e-12,
+                "phi={horizon}: {avg:?} vs {expected}"
+            );
         }
+    }
+
+    #[test]
+    fn interval_weights_sum_to_one_and_match_the_poisson_tail() {
+        // wₖ = P(N > k)/(ΛT); against an independent log-space tail sum.
+        for lt in [0.0, 1e-9, 0.5, 0.75, 3.0, 420.0, 900.0] {
+            let mut iw = IntervalWeight::new(lt);
+            let mut weights = Vec::new();
+            let mut k = 0;
+            while !iw.done {
+                weights.push(iw.step(&SharedStep::at(k), 1e-12));
+                k += 1;
+            }
+            let total: f64 = weights.iter().sum();
+            assert!((total - 1.0).abs() <= 1e-12, "lt={lt}: sum {total}");
+            assert_eq!(total, iw.accumulated);
+            if lt == 0.0 {
+                assert_eq!(weights, vec![1.0]);
+                continue;
+            }
+            // pmf by log-factorials (no recurrence), tails summed smallest
+            // first from far past the truncation point. The oracle's own
+            // exponent rounding reaches ~1e-11 relative at Λφ ≈ 900, and
+            // the kernel drops ≤ 1e-12 of pmf mass past its truncation
+            // point (≤ 1e-12/Λφ of every weight); an off-by-one in k would
+            // miss by ~1/√Λφ.
+            let mut ln_fact = 0.0;
+            let pmf: Vec<f64> = (0..4_000u32)
+                .map(|j| {
+                    if j > 0 {
+                        ln_fact += f64::from(j).ln();
+                    }
+                    (-lt + f64::from(j) * lt.ln() - ln_fact).exp()
+                })
+                .collect();
+            for (i, &w) in weights.iter().enumerate() {
+                let expected = pmf[i + 1..].iter().rev().sum::<f64>() / lt;
+                assert!(
+                    (w - expected).abs() <= 1e-11 * expected + 2e-12 / lt.max(1.0),
+                    "lt={lt}, k={i}: {w} vs {expected}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn astronomical_horizon_average_is_served_from_steady_state() {
+        // Λφ = 5e12: the early weights stream in O(1) memory and detection
+        // serves the remaining weight long before the Poisson median, so
+        // the ΛT-term series is never laid out.
+        let kernel = TransientKernel::new(&two_state()).unwrap();
+        let avg = kernel.time_average(&[1.0, 0.0], 1e12).unwrap();
+        assert!((avg[0] - 0.8).abs() <= 1e-12, "{avg:?}");
+        let full_rows = kernel.time_average_many(&[0.0, 1.0], &[1e12, 3.0]).unwrap();
+        assert_eq!(full_rows[1], kernel.time_average(&[0.0, 1.0], 3.0).unwrap());
     }
 
     #[test]
@@ -1075,7 +1176,7 @@ mod tests {
         }
         for horizon in [1.0, 30_000.0, 1e18] {
             assert_eq!(
-                kernel.time_average(&p0, horizon, 64).unwrap(),
+                kernel.time_average(&p0, horizon).unwrap(),
                 p0.to_vec(),
                 "horizon = {horizon}"
             );
@@ -1110,8 +1211,8 @@ mod tests {
             }
         }
         let horizons = [5.0, 900.0, 50_000.0];
-        let avg_detected = kernel.time_average_many(&p0, &horizons, 64).unwrap();
-        let avg_full = kernel.time_average_many_full(&p0, &horizons, 64).unwrap();
+        let avg_detected = kernel.time_average_many(&p0, &horizons).unwrap();
+        let avg_full = kernel.time_average_many_full(&p0, &horizons).unwrap();
         for ((&h, d), f) in horizons.iter().zip(&avg_detected).zip(&avg_full) {
             for (a, b) in d.iter().zip(f) {
                 assert!((a - b).abs() <= 1e-12, "phi={h}: detected {a} vs full {b}");

@@ -6,8 +6,7 @@ use oaq_san::model::{Delay, SanBuilder, SanModel};
 use oaq_san::phase_type::{erlang_cdf, erlang_stage_rate};
 use oaq_san::plane::{product_form_pk, PlaneModelConfig, SparePolicy};
 use oaq_san::solver::{
-    stationary_distribution, time_average_distribution_dense, transient_distribution,
-    transient_distribution_dense, TransientKernel,
+    stationary_distribution, transient_distribution, transient_distribution_dense, TransientKernel,
 };
 use proptest::prelude::*;
 
@@ -25,6 +24,25 @@ fn birth_death_generator(n: usize) -> impl Strategy<Value = Matrix> {
         }
         q
     })
+}
+
+/// `(1/T)∫₀ᵀ p(t) dt` by the deviation-matrix identity
+/// `∫₀ᵀ p(t) dt = Tπ + (p₀ − p(T))·Z`, `Z = (1π − Q)⁻¹`: a dense linear
+/// solve plus one dense transient, independent of any series quadrature.
+fn time_average_by_deviation_matrix(q: &Matrix, p0: &[f64], horizon: f64) -> Vec<f64> {
+    let n = q.rows();
+    let pi = stationary_distribution(q).unwrap();
+    let pt = transient_distribution_dense(q, p0, horizon, 1e-14).unwrap();
+    // y (1π − Q) = p₀ − p(T)  ⇔  (1π − Q)ᵀ yᵀ = (p₀ − p(T))ᵀ.
+    let mut a = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            a[(j, i)] = pi[j] - q[(i, j)];
+        }
+    }
+    let d: Vec<f64> = p0.iter().zip(&pt).map(|(a, b)| a - b).collect();
+    let y = a.solve(&d).unwrap();
+    pi.iter().zip(&y).map(|(p, y)| p + y / horizon).collect()
 }
 
 fn birth_death_model(arrive: f64, serve: f64, cap: u32) -> SanModel {
@@ -93,17 +111,16 @@ proptest! {
     }
 
     #[test]
-    fn sparse_kernel_matches_dense_time_average(
+    fn time_average_matches_deviation_matrix_identity(
         q in birth_death_generator(4),
         horizon in 0.1f64..30.0,
-        intervals in 1usize..64,
     ) {
         let p0 = [1.0, 0.0, 0.0, 0.0];
         let kernel = TransientKernel::new(&q).unwrap();
-        let sparse = kernel.time_average(&p0, horizon, intervals).unwrap();
-        let dense = time_average_distribution_dense(&q, &p0, horizon, intervals).unwrap();
-        for (s, d) in sparse.iter().zip(&dense) {
-            prop_assert!((s - d).abs() <= 1e-12, "sparse {s} vs dense {d}");
+        let exact = kernel.time_average(&p0, horizon).unwrap();
+        let oracle = time_average_by_deviation_matrix(&q, &p0, horizon);
+        for (e, o) in exact.iter().zip(&oracle) {
+            prop_assert!((e - o).abs() <= 1e-12, "interval form {e} vs identity {o}");
         }
     }
 
@@ -180,7 +197,6 @@ proptest! {
     fn steady_state_detection_matches_full_time_average(
         q in birth_death_generator(4),
         horizons in prop::collection::vec(0.1f64..1000.0, 1..4),
-        intervals in 2usize..32,
     ) {
         // Horizons are bounded so the comparison stays meaningful: the
         // full-iteration reference accumulates one weighted addition per
@@ -191,10 +207,8 @@ proptest! {
         // detection error.
         let p0 = [0.0, 1.0, 0.0, 0.0];
         let kernel = TransientKernel::new(&q).unwrap();
-        let detected = kernel.time_average_many(&p0, &horizons, intervals).unwrap();
-        let full = kernel
-            .time_average_many_full(&p0, &horizons, intervals)
-            .unwrap();
+        let detected = kernel.time_average_many(&p0, &horizons).unwrap();
+        let full = kernel.time_average_many_full(&p0, &horizons).unwrap();
         for ((d_row, f_row), &h) in detected.iter().zip(&full).zip(&horizons) {
             for (d, f) in d_row.iter().zip(f_row) {
                 prop_assert!((d - f).abs() <= 1e-12, "phi = {h}: detected {d} vs full {f}");
