@@ -5,18 +5,12 @@
 //! quadrature (where it would silently poison every integral) or the CTMC
 //! solver (where it would panic deep in a model assertion).
 //!
-//! Every sweep fans its (embarrassingly parallel) grid out over the
-//! [`oaq_exec`] deterministic executor and takes `impl Into<`[`Executor`]`>`,
-//! so a bare worker count works (`1` is the plain serial loop) while the
-//! bench binaries thread an explicit `--chunk` granularity through. Each
-//! grid point's solve is independent and deterministic, and results are
-//! written into index-addressed slots, so the output is **bit-identical
-//! and identically ordered** for every worker count and chunk size —
-//! parallelism is purely a wall-clock lever.
+//! Every sweep runs its grid serially: a row is one P(k) solve of about
+//! 10 µs, so a paper grid of ten rows costs less than handing it to a
+//! worker pool. On the first failing row the sweep returns that row's
+//! error.
 
 use oaq_san::ctmc::CtmcError;
-
-use oaq_exec::Executor;
 
 use crate::capacity::CapacityParams;
 use crate::compose::{EvaluationConfig, Scheme};
@@ -71,20 +65,6 @@ fn check_axis(name: &'static str, values: &[f64]) -> Result<(), ParamError> {
     Ok(())
 }
 
-/// Maps `f` over `items` on `exec` (one worker runs the plain serial
-/// loop). Results land in index-addressed slots, so ordering — and,
-/// because every `f` is deterministic and independent, every bit of the
-/// output — is the same for any worker count. On failure the error with
-/// the smallest index is returned, as a serial loop would.
-fn sweep_map<T, U, F>(items: &[T], exec: Executor, f: F) -> Result<Vec<U>, SweepError>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Result<U, SweepError> + Sync,
-{
-    exec.map_indexed(items, f).into_iter().collect()
-}
-
 /// One row of a Figure 7 sweep: `P(K = k)` at a failure rate λ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacityRow {
@@ -120,21 +100,19 @@ pub fn paper_lambda_grid() -> Vec<f64> {
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn figure7(
-    lambdas: &[f64],
-    phi: f64,
-    eta: u32,
-    exec: impl Into<Executor>,
-) -> Result<Vec<CapacityRow>, SweepError> {
+pub fn figure7(lambdas: &[f64], phi: f64, eta: u32) -> Result<Vec<CapacityRow>, SweepError> {
     check_axis("lambda", lambdas)?;
     require_positive("phi", phi)?;
     require_int_in_range("eta", eta, 1, 13)?;
-    sweep_map(lambdas, exec.into(), |&lambda| {
-        Ok(CapacityRow {
-            lambda,
-            p_k: CapacityParams::reference(lambda, phi, eta).distribution()?,
+    lambdas
+        .iter()
+        .map(|&lambda| {
+            Ok(CapacityRow {
+                lambda,
+                p_k: CapacityParams::reference(lambda, phi, eta).distribution()?,
+            })
         })
-    })
+        .collect()
 }
 
 /// Figure 8: `P(Y = 3)` as a function of λ for one scheme and signal rate
@@ -144,29 +122,27 @@ pub fn figure7(
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn figure8(
-    scheme: Scheme,
-    mu: f64,
-    lambdas: &[f64],
-    exec: impl Into<Executor>,
-) -> Result<Vec<QosRow>, SweepError> {
+pub fn figure8(scheme: Scheme, mu: f64, lambdas: &[f64]) -> Result<Vec<QosRow>, SweepError> {
     require_positive("mu", mu)?;
     check_axis("lambda", lambdas)?;
-    sweep_map(lambdas, exec.into(), |&lambda| {
-        let cfg = EvaluationConfig {
-            theta: 90.0,
-            tc: 9.0,
-            qos: QosParams::paper_defaults(mu),
-            capacity: CapacityParams::reference(lambda, 30_000.0, 12),
-        };
-        let d = cfg.qos_distribution(scheme)?;
-        Ok(QosRow {
-            x: lambda,
-            p_ge_1: d.p_at_least(1),
-            p_ge_2: d.p_at_least(2),
-            p_ge_3: d.p_at_least(3),
+    lambdas
+        .iter()
+        .map(|&lambda| {
+            let cfg = EvaluationConfig {
+                theta: 90.0,
+                tc: 9.0,
+                qos: QosParams::paper_defaults(mu),
+                capacity: CapacityParams::reference(lambda, 30_000.0, 12),
+            };
+            let d = cfg.qos_distribution(scheme)?;
+            Ok(QosRow {
+                x: lambda,
+                p_ge_1: d.p_at_least(1),
+                p_ge_2: d.p_at_least(2),
+                p_ge_3: d.p_at_least(3),
+            })
         })
-    })
+        .collect()
 }
 
 /// Figure 9: `P(Y ≥ y)` as a function of λ (τ = 5, µ = 0.2, η = 10).
@@ -175,21 +151,20 @@ pub fn figure8(
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn figure9(
-    scheme: Scheme,
-    lambdas: &[f64],
-    exec: impl Into<Executor>,
-) -> Result<Vec<QosRow>, SweepError> {
+pub fn figure9(scheme: Scheme, lambdas: &[f64]) -> Result<Vec<QosRow>, SweepError> {
     check_axis("lambda", lambdas)?;
-    sweep_map(lambdas, exec.into(), |&lambda| {
-        let d = EvaluationConfig::paper_defaults(lambda).qos_distribution(scheme)?;
-        Ok(QosRow {
-            x: lambda,
-            p_ge_1: d.p_at_least(1),
-            p_ge_2: d.p_at_least(2),
-            p_ge_3: d.p_at_least(3),
+    lambdas
+        .iter()
+        .map(|&lambda| {
+            let d = EvaluationConfig::paper_defaults(lambda).qos_distribution(scheme)?;
+            Ok(QosRow {
+                x: lambda,
+                p_ge_1: d.p_at_least(1),
+                p_ge_2: d.p_at_least(2),
+                p_ge_3: d.p_at_least(3),
+            })
         })
-    })
+        .collect()
 }
 
 /// The in-text τ sweep: QoS vs deadline at fixed λ ("how OAQ exploits the
@@ -199,25 +174,22 @@ pub fn figure9(
 ///
 /// Rejects non-finite or out-of-domain inputs; propagates capacity-solver
 /// failures.
-pub fn tau_sweep(
-    scheme: Scheme,
-    lambda: f64,
-    taus: &[f64],
-    exec: impl Into<Executor>,
-) -> Result<Vec<QosRow>, SweepError> {
+pub fn tau_sweep(scheme: Scheme, lambda: f64, taus: &[f64]) -> Result<Vec<QosRow>, SweepError> {
     require_positive("lambda", lambda)?;
     check_axis("tau", taus)?;
-    sweep_map(taus, exec.into(), |&tau| {
-        let mut cfg = EvaluationConfig::paper_defaults(lambda);
-        cfg.qos.tau = tau;
-        let d = cfg.qos_distribution(scheme)?;
-        Ok(QosRow {
-            x: tau,
-            p_ge_1: d.p_at_least(1),
-            p_ge_2: d.p_at_least(2),
-            p_ge_3: d.p_at_least(3),
+    taus.iter()
+        .map(|&tau| {
+            let mut cfg = EvaluationConfig::paper_defaults(lambda);
+            cfg.qos.tau = tau;
+            let d = cfg.qos_distribution(scheme)?;
+            Ok(QosRow {
+                x: tau,
+                p_ge_1: d.p_at_least(1),
+                p_ge_2: d.p_at_least(2),
+                p_ge_3: d.p_at_least(3),
+            })
         })
-    })
+        .collect()
 }
 
 /// The in-text mean-signal-duration sweep: QoS vs `1/µ` at fixed λ ("OAQ
@@ -231,21 +203,23 @@ pub fn duration_sweep(
     scheme: Scheme,
     lambda: f64,
     mean_durations: &[f64],
-    exec: impl Into<Executor>,
 ) -> Result<Vec<QosRow>, SweepError> {
     require_positive("lambda", lambda)?;
     check_axis("mean_duration", mean_durations)?;
-    sweep_map(mean_durations, exec.into(), |&dur| {
-        let mut cfg = EvaluationConfig::paper_defaults(lambda);
-        cfg.qos.mu = 1.0 / dur;
-        let d = cfg.qos_distribution(scheme)?;
-        Ok(QosRow {
-            x: dur,
-            p_ge_1: d.p_at_least(1),
-            p_ge_2: d.p_at_least(2),
-            p_ge_3: d.p_at_least(3),
+    mean_durations
+        .iter()
+        .map(|&dur| {
+            let mut cfg = EvaluationConfig::paper_defaults(lambda);
+            cfg.qos.mu = 1.0 / dur;
+            let d = cfg.qos_distribution(scheme)?;
+            Ok(QosRow {
+                x: dur,
+                p_ge_1: d.p_at_least(1),
+                p_ge_2: d.p_at_least(2),
+                p_ge_3: d.p_at_least(3),
+            })
         })
-    })
+        .collect()
 }
 
 #[cfg(test)]
@@ -262,7 +236,7 @@ mod tests {
 
     #[test]
     fn figure7_rows_are_distributions() {
-        let rows = figure7(&[1e-5, 1e-4], 30_000.0, 10, 1).unwrap();
+        let rows = figure7(&[1e-5, 1e-4], 30_000.0, 10).unwrap();
         for row in rows {
             let total: f64 = row.p_k.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "λ = {}", row.lambda);
@@ -274,10 +248,10 @@ mod tests {
         // Paper: µ 0.5 → 0.2 raises OAQ's P(Y = 3) by up to 38%, and BAQ is
         // insensitive.
         let grid = [1e-5, 5e-5, 1e-4];
-        let oaq_02 = figure8(Scheme::Oaq, 0.2, &grid, 1).unwrap();
-        let oaq_05 = figure8(Scheme::Oaq, 0.5, &grid, 1).unwrap();
-        let baq_02 = figure8(Scheme::Baq, 0.2, &grid, 1).unwrap();
-        let baq_05 = figure8(Scheme::Baq, 0.5, &grid, 1).unwrap();
+        let oaq_02 = figure8(Scheme::Oaq, 0.2, &grid).unwrap();
+        let oaq_05 = figure8(Scheme::Oaq, 0.5, &grid).unwrap();
+        let baq_02 = figure8(Scheme::Baq, 0.2, &grid).unwrap();
+        let baq_05 = figure8(Scheme::Baq, 0.5, &grid).unwrap();
         let mut max_gain: f64 = 0.0;
         for i in 0..grid.len() {
             assert!(oaq_02[i].p_ge_3 > oaq_05[i].p_ge_3);
@@ -293,7 +267,7 @@ mod tests {
 
     #[test]
     fn tau_sweep_is_monotone_for_oaq() {
-        let rows = tau_sweep(Scheme::Oaq, 5e-5, &[1.0, 2.0, 4.0, 6.0, 8.0], 1).unwrap();
+        let rows = tau_sweep(Scheme::Oaq, 5e-5, &[1.0, 2.0, 4.0, 6.0, 8.0]).unwrap();
         for w in rows.windows(2) {
             assert!(w[1].p_ge_2 >= w[0].p_ge_2 - 1e-12);
         }
@@ -303,81 +277,48 @@ mod tests {
     fn sweeps_reject_poisoned_inputs_with_typed_errors() {
         // NaN λ must never reach the quadrature.
         assert!(matches!(
-            figure9(Scheme::Oaq, &[1e-5, f64::NAN], 1),
+            figure9(Scheme::Oaq, &[1e-5, f64::NAN]),
             Err(SweepError::Param(ParamError::NonFinite {
                 name: "lambda",
                 ..
             }))
         ));
         assert!(matches!(
-            figure7(&[1e-5], -1.0, 10, 1),
+            figure7(&[1e-5], -1.0, 10),
             Err(SweepError::Param(ParamError::NonPositive {
                 name: "phi",
                 ..
             }))
         ));
         assert!(matches!(
-            figure7(&[1e-5], 30_000.0, 14, 1),
+            figure7(&[1e-5], 30_000.0, 14),
             Err(SweepError::Param(ParamError::IntOutOfRange {
                 name: "eta",
                 ..
             }))
         ));
         assert!(matches!(
-            figure8(Scheme::Baq, f64::INFINITY, &[1e-5], 1),
+            figure8(Scheme::Baq, f64::INFINITY, &[1e-5]),
             Err(SweepError::Param(ParamError::NonFinite { name: "mu", .. }))
         ));
         assert!(matches!(
-            tau_sweep(Scheme::Oaq, 1e-5, &[5.0, 0.0], 1),
+            tau_sweep(Scheme::Oaq, 1e-5, &[5.0, 0.0]),
             Err(SweepError::Param(ParamError::NonPositive {
                 name: "tau",
                 ..
             }))
         ));
         assert!(matches!(
-            duration_sweep(Scheme::Oaq, -1e-5, &[5.0], 1),
+            duration_sweep(Scheme::Oaq, -1e-5, &[5.0]),
             Err(SweepError::Param(ParamError::NonPositive { .. }))
         ));
     }
 
     #[test]
-    fn parallel_sweeps_are_bit_identical_to_serial() {
-        let grid = paper_lambda_grid();
-        for workers in [2, 4, 8, 0] {
-            assert_eq!(
-                figure7(&grid, 30_000.0, 10, workers).unwrap(),
-                figure7(&grid, 30_000.0, 10, 1).unwrap(),
-                "workers = {workers}"
-            );
-        }
-        // An explicit chunk override changes only the executor's task
-        // slicing, never the output.
-        assert_eq!(
-            figure7(&grid, 30_000.0, 10, Executor::new(3).with_chunk(Some(2))).unwrap(),
-            figure7(&grid, 30_000.0, 10, 1).unwrap(),
-        );
-        let taus = [1.0, 3.0, 5.0, 8.0];
-        assert_eq!(
-            tau_sweep(Scheme::Oaq, 5e-5, &taus, 3).unwrap(),
-            tau_sweep(Scheme::Oaq, 5e-5, &taus, 1).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_sweep_error_parity_with_serial() {
-        // Poisoned points: the parallel path must report exactly the error
-        // the serial path reports.
-        let serial = figure9(Scheme::Oaq, &[1e-5, f64::NAN, -1.0], 1).unwrap_err();
-        let parallel = figure9(Scheme::Oaq, &[1e-5, f64::NAN, -1.0], 3).unwrap_err();
-        // NaN payloads defeat PartialEq; the rendered error is the contract.
-        assert_eq!(parallel.to_string(), serial.to_string());
-    }
-
-    #[test]
     fn duration_sweep_grows_oaq_gain() {
         let durations = [1.0, 2.0, 5.0, 10.0, 20.0];
-        let oaq = duration_sweep(Scheme::Oaq, 5e-5, &durations, 1).unwrap();
-        let baq = duration_sweep(Scheme::Baq, 5e-5, &durations, 1).unwrap();
+        let oaq = duration_sweep(Scheme::Oaq, 5e-5, &durations).unwrap();
+        let baq = duration_sweep(Scheme::Baq, 5e-5, &durations).unwrap();
         let gain_short = oaq[0].p_ge_2 - baq[0].p_ge_2;
         let gain_long = oaq[4].p_ge_2 - baq[4].p_ge_2;
         assert!(

@@ -2,7 +2,6 @@
 
 use oaq_analytic::geometry::PlaneGeometry;
 use oaq_analytic::qos::{conditional_qos, g2_oaq, g3_baq, g3_oaq, QosParams, Scheme};
-use oaq_analytic::sweep::{figure9, tau_sweep};
 use proptest::prelude::*;
 
 fn params() -> impl Strategy<Value = QosParams> {
@@ -66,28 +65,6 @@ proptest! {
             prop_assert_eq!(g3_oaq(&g, &q), 0.0);
             prop_assert_eq!(g3_baq(&g, &q), 0.0);
         }
-    }
-
-    #[test]
-    fn parallel_sweeps_match_serial_bitwise(
-        lambdas in prop::collection::vec(1e-6f64..1e-4, 1..6),
-        workers in 1usize..5,
-    ) {
-        // The executor fan-out must return rows bit-identical to the
-        // one-worker sweep, in the same order, for any grid and worker count.
-        let serial = figure9(Scheme::Oaq, &lambdas, 1).unwrap();
-        let parallel = figure9(Scheme::Oaq, &lambdas, workers).unwrap();
-        prop_assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn parallel_tau_sweep_matches_serial_bitwise(
-        taus in prop::collection::vec(0.5f64..8.0, 1..5),
-        workers in 1usize..5,
-    ) {
-        let serial = tau_sweep(Scheme::Baq, 5e-5, &taus, 1).unwrap();
-        let parallel = tau_sweep(Scheme::Baq, 5e-5, &taus, workers).unwrap();
-        prop_assert_eq!(parallel, serial);
     }
 
     #[test]

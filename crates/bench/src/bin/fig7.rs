@@ -15,16 +15,9 @@ fn main() {
     let cli = CliSpec::new("fig7")
         .switch("--quick", "shorten the SAN simulation horizon for CI")
         .option("--seed", "N", "simulation RNG seed (default 7)")
-        .option("--workers", "N", "sweep threads (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "grid points per work chunk (default: adaptive)",
-        )
         .parse();
     let quick = cli.has("--quick");
     let seed = cli.get_u64("--seed", 7);
-    let exec = cli.executor(0);
     let (warmup, horizon) = if quick {
         (30_000.0, 900_000.0)
     } else {
@@ -36,7 +29,7 @@ fn main() {
     tsv_header(&[
         "lambda", "P(9)", "P(10)", "P(11)", "P(12)", "P(13)", "P(14)",
     ]);
-    for row in figure7(&grid, 30_000.0, 10, exec).expect("capacity model solves") {
+    for row in figure7(&grid, 30_000.0, 10).expect("capacity model solves") {
         tsv_row(row.lambda, &row.p_k[9..=14]);
     }
 

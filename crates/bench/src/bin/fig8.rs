@@ -7,15 +7,8 @@ use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
 fn main() {
-    let cli = CliSpec::new("fig8")
-        .option("--workers", "N", "sweep threads (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "grid points per work chunk (default: adaptive)",
-        )
-        .parse();
-    let exec = cli.executor(0);
+    // No options: parsing only answers --help and rejects unknown flags.
+    let _ = CliSpec::new("fig8").parse();
     let grid = paper_lambda_grid();
     banner("Figure 8: P(Y=3) vs lambda (tau=5, eta=12, phi=30000h)");
     tsv_header(&[
@@ -25,10 +18,10 @@ fn main() {
         "BAQ(mu=0.2)",
         "BAQ(mu=0.5)",
     ]);
-    let oaq02 = figure8(Scheme::Oaq, 0.2, &grid, exec).expect("solves");
-    let oaq05 = figure8(Scheme::Oaq, 0.5, &grid, exec).expect("solves");
-    let baq02 = figure8(Scheme::Baq, 0.2, &grid, exec).expect("solves");
-    let baq05 = figure8(Scheme::Baq, 0.5, &grid, exec).expect("solves");
+    let oaq02 = figure8(Scheme::Oaq, 0.2, &grid).expect("solves");
+    let oaq05 = figure8(Scheme::Oaq, 0.5, &grid).expect("solves");
+    let baq02 = figure8(Scheme::Baq, 0.2, &grid).expect("solves");
+    let baq05 = figure8(Scheme::Baq, 0.5, &grid).expect("solves");
     let mut max_gain: f64 = 0.0;
     for i in 0..grid.len() {
         tsv_row(

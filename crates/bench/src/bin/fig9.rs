@@ -7,22 +7,15 @@ use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
 fn main() {
-    let cli = CliSpec::new("fig9")
-        .option("--workers", "N", "sweep threads (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "grid points per work chunk (default: adaptive)",
-        )
-        .parse();
-    let exec = cli.executor(0);
+    // No options: parsing only answers --help and rejects unknown flags.
+    let _ = CliSpec::new("fig9").parse();
     let grid = paper_lambda_grid();
     banner("Figure 9: P(Y>=y) vs lambda (tau=5, mu=0.2, eta=10, phi=30000h)");
     tsv_header(&[
         "lambda", "OAQ:y=1", "OAQ:y=2", "OAQ:y=3", "BAQ:y=1", "BAQ:y=2", "BAQ:y=3",
     ]);
-    let oaq = figure9(Scheme::Oaq, &grid, exec).expect("solves");
-    let baq = figure9(Scheme::Baq, &grid, exec).expect("solves");
+    let oaq = figure9(Scheme::Oaq, &grid).expect("solves");
+    let baq = figure9(Scheme::Baq, &grid).expect("solves");
     for i in 0..grid.len() {
         tsv_row(
             grid[i],

@@ -8,21 +8,14 @@ use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
 fn main() {
-    let cli = CliSpec::new("mu_sweep")
-        .option("--workers", "N", "sweep threads (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "grid points per work chunk (default: adaptive)",
-        )
-        .parse();
-    let exec = cli.executor(0);
+    // No options: parsing only answers --help and rejects unknown flags.
+    let _ = CliSpec::new("mu_sweep").parse();
     let durations = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0];
     let lambda = 5e-5;
     banner("QoS vs mean signal duration 1/mu (lambda=5e-5, tau=5, eta=10)");
     tsv_header(&["mean_dur", "OAQ:y>=2", "OAQ:y=3", "BAQ:y>=2", "BAQ:y=3"]);
-    let oaq = duration_sweep(Scheme::Oaq, lambda, &durations, exec).expect("solves");
-    let baq = duration_sweep(Scheme::Baq, lambda, &durations, exec).expect("solves");
+    let oaq = duration_sweep(Scheme::Oaq, lambda, &durations).expect("solves");
+    let baq = duration_sweep(Scheme::Baq, lambda, &durations).expect("solves");
     for i in 0..durations.len() {
         tsv_row(
             durations[i],

@@ -1,5 +1,5 @@
 //! Experiment E17 — the exact interval-weight P(k) kernel vs the Simpson
-//! quadrature it replaced, plus the parallel sweep fan-out.
+//! quadrature it replaced.
 //!
 //! Reports JSON on stdout (progress on stderr), written to
 //! `BENCH_analytic.json` at the repo root / uploaded by CI:
@@ -14,16 +14,13 @@
 //! 2. **phi_batch** — a φ-sweep served by `distributions_over` (every
 //!    horizon riding one iterate sequence) vs one `distribution_over`
 //!    call per φ.
-//! 3. **parallel_sweep** — `figure7` over the paper's λ grid, serial vs
-//!    the scoped-pool fan-out, with bit-identity of the rows re-checked.
-//! 4. **scaling** — a state-count axis: planes scaled up to 10× the
+//! 3. **scaling** — a state-count axis: planes scaled up to 10× the
 //!    reference (capacity 140 + 20 spares); both sides are O(K · nnz)
 //!    matvecs, Simpson adds O(panels · K) scalar weight work.
 //!
-//! Usage: `pk_kernel [--quick] [--panels N] [--workers N]`
+//! Usage: `pk_kernel [--quick] [--panels N]`
 
 use oaq_analytic::capacity::CapacityParams;
-use oaq_analytic::sweep::{figure7, paper_lambda_grid};
 use oaq_bench::args::CliSpec;
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::{max_abs_diff, measure, scaled_solve};
@@ -68,16 +65,9 @@ fn main() {
     let cli = CliSpec::new("pk_kernel")
         .switch("--quick", "fewer reps and a shorter scaling axis (CI size)")
         .option("--panels", "N", "Simpson panels (default 256)")
-        .option("--workers", "N", "sweep threads (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "grid points per work chunk (default: adaptive)",
-        )
         .parse();
     let quick = cli.has("--quick");
     let panels = cli.get_usize("--panels", 256);
-    let exec = cli.executor(0);
     // Timing rounds × calls per round.
     let timing = if quick { (3, 1) } else { (5, 2) };
 
@@ -125,27 +115,7 @@ fn main() {
         batch_identical,
     );
 
-    // 3. The sweep layer fan-out on the paper's Figure 7 grid.
-    let grid = paper_lambda_grid();
-    let serial_rows = figure7(&grid, PHI, ETA, 1).expect("serial sweep");
-    let parallel_rows = figure7(&grid, PHI, ETA, exec).expect("parallel sweep");
-    let sweep_identical = serial_rows == parallel_rows;
-    let sweep_rounds = if quick { 1 } else { 3 };
-    let serial_secs = measure::per_call(sweep_rounds, 1, || figure7(&grid, PHI, ETA, 1).unwrap());
-    let parallel_secs =
-        measure::per_call(sweep_rounds, 1, || figure7(&grid, PHI, ETA, exec).unwrap());
-    eprintln!(
-        "# parallel_sweep ({} rows, {} workers): serial {:.1} ms, parallel {:.1} ms, {:.1}x, \
-         identical={}",
-        grid.len(),
-        exec.effective_workers(),
-        serial_secs * 1e3,
-        parallel_secs * 1e3,
-        serial_secs / parallel_secs,
-        sweep_identical,
-    );
-
-    // 4. State-count scaling: both sides on planes up to 10× the paper's.
+    // 3. State-count scaling: both sides on planes up to 10× the paper's.
     let scales: &[u32] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 10] };
     let scaling: Vec<(u32, KernelRow)> = scales
         .iter()
@@ -186,8 +156,6 @@ fn main() {
          \"converged_max_abs_diff\": {}}},\n  \
          \"phi_batch\": {{\"horizons\": {}, \"per_phi_secs\": {}, \"batched_secs\": {}, \
          \"speedup\": {}, \"bit_identical\": {batch_identical}}},\n  \
-         \"parallel_sweep\": {{\"rows\": {}, \"workers\": {}, \"serial_secs\": {}, \
-         \"parallel_secs\": {}, \"speedup\": {}, \"bit_identical\": {sweep_identical}}},\n  \
          \"scaling\": [{}]\n}}",
         reference.states,
         fmt_f64(reference.simpson_secs),
@@ -199,15 +167,10 @@ fn main() {
         fmt_f64(per_phi_secs),
         fmt_f64(batch_secs),
         fmt_f64(per_phi_secs / batch_secs),
-        grid.len(),
-        exec.effective_workers(),
-        fmt_f64(serial_secs),
-        fmt_f64(parallel_secs),
-        fmt_f64(serial_secs / parallel_secs),
         scaling_json.join(", "),
     ));
 
-    if converged_diff > CONVERGED_TOL || !batch_identical || !sweep_identical {
+    if converged_diff > CONVERGED_TOL || !batch_identical {
         eprintln!("# KERNEL AGREEMENT VIOLATED: exact/Simpson or batch/serial answers diverged");
         std::process::exit(1);
     }

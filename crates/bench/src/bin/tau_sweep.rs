@@ -7,21 +7,14 @@ use oaq_bench::args::CliSpec;
 use oaq_bench::{banner, tsv_header, tsv_row};
 
 fn main() {
-    let cli = CliSpec::new("tau_sweep")
-        .option("--workers", "N", "sweep threads (default: all cores)")
-        .option(
-            "--chunk",
-            "N",
-            "grid points per work chunk (default: adaptive)",
-        )
-        .parse();
-    let exec = cli.executor(0);
+    // No options: parsing only answers --help and rejects unknown flags.
+    let _ = CliSpec::new("tau_sweep").parse();
     let taus: Vec<f64> = (1..=16).map(|i| 0.5 * f64::from(i)).collect();
     let lambda = 5e-5;
     banner("QoS vs deadline tau (lambda=5e-5, mu=0.2, eta=10)");
     tsv_header(&["tau", "OAQ:y>=2", "OAQ:y=3", "BAQ:y>=2", "BAQ:y=3"]);
-    let oaq = tau_sweep(Scheme::Oaq, lambda, &taus, exec).expect("solves");
-    let baq = tau_sweep(Scheme::Baq, lambda, &taus, exec).expect("solves");
+    let oaq = tau_sweep(Scheme::Oaq, lambda, &taus).expect("solves");
+    let baq = tau_sweep(Scheme::Baq, lambda, &taus).expect("solves");
     for i in 0..taus.len() {
         tsv_row(
             taus[i],

@@ -9,7 +9,7 @@
 //! at any latitude.
 
 use oaq_orbit::plane::SatelliteId;
-use oaq_orbit::units::{Minutes, Radians};
+use oaq_orbit::units::Minutes;
 use oaq_orbit::{Constellation, GroundPoint};
 
 use crate::signal::CoverageGeometry;
@@ -153,48 +153,13 @@ fn refine(covered: &dyn Fn(f64) -> bool, mut lo: f64, mut hi: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Derives the scenario and also returns a [`Radians`] diagnostic: the
-/// cross-track offset of the target from each participant's ground track
-/// at closest approach (useful to see who is a center-line pass and who is
-/// a side lobe).
-///
-/// # Panics
-///
-/// Panics if `step` is invalid (see
-/// [`DerivedScenario::from_constellation`]).
-#[must_use]
-pub fn closest_approaches(
-    constellation: &Constellation,
-    target: &GroundPoint,
-    step: Minutes,
-) -> Vec<(SatelliteId, Radians)> {
-    let theta = constellation.period().value();
-    assert!(step.value() > 0.0 && step.value() < theta, "bad step");
-    let mut out = Vec::new();
-    for plane in constellation.planes() {
-        for pos in 0..plane.active_count() {
-            let id = plane.satellites()[pos];
-            let phase = plane.satellite_phase(pos);
-            let mut best = f64::MAX;
-            let mut t = 0.0;
-            while t < theta {
-                let center = plane.orbit().subsatellite_point(phase, Minutes(t));
-                best = best.min(center.central_angle(target).value());
-                t += step.value();
-            }
-            out.push((id, Radians(best)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ProtocolConfig, Scheme};
     use crate::protocol::Episode;
     use crate::qos_level::QosLevel;
-    use oaq_orbit::units::Degrees;
+    use oaq_orbit::units::{Degrees, Radians};
 
     fn target_on_plane0() -> GroundPoint {
         // The ascending ground track of plane 0 (RAAN 0, non-rotating
@@ -283,19 +248,5 @@ mod tests {
         .unwrap();
         let target = GroundPoint::from_degrees(Degrees(80.0), Degrees(0.0));
         assert!(DerivedScenario::from_constellation(&c, &target, Minutes(0.05)).is_none());
-    }
-
-    #[test]
-    fn closest_approaches_identify_center_line_passes() {
-        let c = Constellation::reference();
-        let approaches = closest_approaches(&c, &target_on_plane0(), Minutes(0.05));
-        let best = approaches
-            .iter()
-            .map(|&(_, a)| a.value())
-            .fold(f64::MAX, f64::min);
-        assert!(
-            best < Degrees(1.0).to_radians().value(),
-            "someone passes nearly overhead: {best}"
-        );
     }
 }

@@ -119,9 +119,12 @@ pub struct ProtocolConfig {
     /// Per-try acknowledgement timeout (minutes) when `retry_budget > 0`.
     /// Should exceed one round trip, i.e. 2δ.
     pub retry_timeout: f64,
-    /// Budgeted maximum geolocation computation time Tg, minutes (the
-    /// constant in TC-2's local threshold; the sampled Exp(ν) times are
-    /// almost surely below it).
+    /// Budgeted maximum geolocation computation time Tg, minutes: the
+    /// constant in TC-2's local threshold. It is a budget, not a bound:
+    /// computation times are sampled Exp(ν) and can exceed it. The by-τ
+    /// guarantee needs the detector's own first computation to end by τ,
+    /// which nothing here enforces (at ν = 1, τ = 5 it fails in about
+    /// 0.6 % of episodes; see `tests/by_tau_boundary.rs`).
     pub tg: f64,
     /// TC-1: stop expanding once the reported error drops below this, km.
     pub error_threshold_km: Option<f64>,
@@ -176,6 +179,10 @@ impl ProtocolConfig {
     ///
     /// Panics on nonsensical parameters (zero capacity, non-positive
     /// times, Tc ≥ θ, or δ/Tg budgets that leave TC-2 no room).
+    ///
+    /// Passing validation does not by itself give the by-τ guarantee: it
+    /// checks only `δ_eff + Tg < τ`. The guarantee also needs the
+    /// detector's own Exp(ν) computation to end by τ (see [`Self::tg`]).
     pub fn validate(&self) {
         assert!(self.k >= 1, "need at least one satellite");
         assert!(self.theta > 0.0 && self.theta.is_finite(), "bad theta");

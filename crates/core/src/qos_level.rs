@@ -30,22 +30,6 @@ impl QosLevel {
             QosLevel::SimultaneousDual => 3,
         }
     }
-
-    /// The level for a numeric `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y > 3`.
-    #[must_use]
-    pub fn from_y(y: usize) -> Self {
-        match y {
-            0 => QosLevel::Missed,
-            1 => QosLevel::Single,
-            2 => QosLevel::SequentialDual,
-            3 => QosLevel::SimultaneousDual,
-            _ => panic!("QoS levels are 0..=3, got {y}"),
-        }
-    }
 }
 
 impl std::fmt::Display for QosLevel {
@@ -117,19 +101,6 @@ mod tests {
         assert!(QosLevel::SimultaneousDual > QosLevel::SequentialDual);
         assert!(QosLevel::SequentialDual > QosLevel::Single);
         assert!(QosLevel::Single > QosLevel::Missed);
-    }
-
-    #[test]
-    fn y_roundtrip() {
-        for y in 0..=3 {
-            assert_eq!(QosLevel::from_y(y).as_y(), y);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "0..=3")]
-    fn from_y_rejects_out_of_range() {
-        let _ = QosLevel::from_y(4);
     }
 
     #[test]

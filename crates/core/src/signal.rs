@@ -260,20 +260,6 @@ impl CoverageGeometry {
         }
     }
 
-    /// End of satellite `j`'s current or next coverage window relative to
-    /// `t`: if covering, when coverage ends; otherwise when the *next*
-    /// window ends.
-    #[must_use]
-    pub fn coverage_end(&self, sat: usize, t: f64) -> f64 {
-        let p = self.phase(sat, t);
-        let dur = self.windows[sat].1;
-        if p < dur {
-            t + (dur - p)
-        } else {
-            self.next_arrival(sat, t) + dur
-        }
-    }
-
     /// The earliest instant in `[from, until]` at which any satellite in
     /// `alive` covers the target, or `None`.
     #[must_use]
@@ -379,13 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn coverage_end_while_covering() {
-        let g = reference(10);
-        assert!((g.coverage_end(0, 4.0) - 9.0).abs() < 1e-9);
-        assert!((g.coverage_end(0, 10.0) - 99.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn earliest_coverage_skips_dead_satellites() {
         let g = reference(9);
         let mut alive = vec![true; 9];
@@ -461,7 +440,6 @@ mod tests {
         assert!(!g.is_covering(1, 5.0));
         assert!(g.is_covering(1, 13.0));
         assert!(!g.is_covering(1, 14.5), "short window already over");
-        assert!((g.coverage_end(1, 13.0) - 14.0).abs() < 1e-12);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::query::{CapacityKey, QosQuery, QueryKey};
 use crate::shard::{resolve_shards, CacheShardStats, ShardedCache, ShardedFlight};
 use crate::shed::{ShedPolicy, Shedder};
 use crate::singleflight::{Flight, Slot};
-use crate::tenant::{QuotaPolicy, TenantId, TenantSnapshot, TenantTable};
+use crate::tenant::{QuotaPolicy, TenantSnapshot, TenantTable};
 use crate::worker::{serve_job, EngineResult, Job, Shared};
 
 /// Engine sizing and serving-policy knobs. `Default` gives a
@@ -27,7 +27,7 @@ pub struct EngineConfig {
     /// core. [`Engine::evaluate`] itself always runs on its caller.
     pub workers: usize,
     /// Base of the per-tenant fair share: a tenant may have at most
-    /// `ceil(queue_capacity · queue_share · weight)` flight leaders
+    /// `ceil(queue_capacity · queue_share)` flight leaders
     /// solving at once (see [`QuotaPolicy::queue_share`]).
     pub queue_capacity: usize,
     /// Capacity of the completed-result LRU (level 1).
@@ -100,12 +100,6 @@ impl CacheStatsSnapshot {
     }
 }
 
-/// Blocks until `slot`'s leader publishes; an abandoned flight is
-/// [`EngineError::WorkerLost`].
-fn await_slot(slot: &Slot<EngineResult>) -> EngineResult {
-    slot.wait().unwrap_or(Err(EngineError::WorkerLost))
-}
-
 /// What admission decided for one query.
 enum Admitted {
     /// A result-cache hit, answered on the spot.
@@ -165,12 +159,6 @@ impl Engine {
         Engine { shared, config }
     }
 
-    /// An engine with default sizing.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Engine::new(EngineConfig::default())
-    }
-
     /// Runs every admission step up to the point where a flight leader
     /// must solve: result cache, quota, shed, single flight, fair share. A returned [`Admitted::Leader`] holds a tenant queue slot
     /// and an open flight; [`Self::unwind_leader`] gives both back.
@@ -215,7 +203,7 @@ impl Engine {
             }
             Flight::Leader(slot) => {
                 // Fair-share gate: the tenant must hold a queue slot
-                // within its weighted share before the job may run.
+                // within its share before the job may run.
                 if !self.shared.tenants.try_reserve_queue_slot(tenant, now_s) {
                     self.shared.flight.abandon(&key, &slot);
                     self.shared.metrics.on_quota_rejected();
@@ -269,18 +257,19 @@ impl Engine {
     pub fn evaluate(&self, query: QosQuery) -> EngineResult {
         match self.admit(query)? {
             Admitted::Hit(result) => result,
-            Admitted::Follower(slot) => await_slot(&slot),
+            // An abandoned flight is `WorkerLost`.
+            Admitted::Follower(slot) => slot.wait().unwrap_or(Err(EngineError::WorkerLost)),
             Admitted::Leader(job) => {
                 // A shut-down engine starts no new computation.
                 if self.shared.shutting_down.load(Ordering::Acquire) {
                     return Err(self.unwind_leader(job));
                 }
                 self.shared.metrics.on_submitted();
-                serve_job(&self.shared, &job);
+                let result = serve_job(&self.shared, &job);
                 // Held through the solve: concurrent inline misses of one
                 // tenant stay within its fair share.
                 self.shared.tenants.release_queue_slot(job.query.tenant());
-                await_slot(&job.slot)
+                result
             }
         }
     }
@@ -306,14 +295,6 @@ impl Engine {
     #[must_use]
     pub fn tenant_metrics(&self) -> Vec<TenantSnapshot> {
         self.shared.tenants.snapshot()
-    }
-
-    /// Sets a tenant's fair-share weight (default `1.0`). Non-finite or
-    /// non-positive weights are coerced back to `1.0`.
-    pub fn set_tenant_weight(&self, tenant: TenantId, weight: f64) {
-        self.shared
-            .tenants
-            .set_weight(tenant, weight, self.shared.now_s());
     }
 
     /// The configuration this engine was started with.
@@ -387,6 +368,7 @@ mod tests {
     use crate::error::QueryError;
     use crate::eval::{direct_eval, QosValue};
     use crate::query::{Measure, QuerySpec, Scheme};
+    use crate::tenant::TenantId;
 
     /// Parks the first `parked` solves until the gate opens; later solves
     /// run straight through, so an over-admitted miss cannot hang.

@@ -14,7 +14,7 @@
 //!   metrics. Overload is answered by the per-tenant quotas and the SLO
 //!   shedder below, each with a typed rejection.
 //! * **Multi-tenancy** — every query carries a [`TenantId`]; a
-//!   [`QuotaPolicy`] enforces per-tenant token-bucket rates and weighted
+//!   [`QuotaPolicy`] enforces per-tenant token-bucket rates and equal
 //!   fair shares of concurrently solving leaders (a miss holds its
 //!   share's slot while it solves), so one flooding tenant collects retryable
 //!   [`RejectReason::QuotaExceeded`] rejections while the others keep

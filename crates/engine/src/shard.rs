@@ -178,12 +178,6 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Per-shard counters, in shard order.
     #[must_use]
     pub fn stats(&self) -> Vec<CacheShardStats> {

@@ -1,5 +1,5 @@
 //! Multi-tenant admission control: tenant identity, per-tenant
-//! token-bucket quotas and weighted fair shares of solving leaders.
+//! token-bucket quotas and fair shares of solving leaders.
 //!
 //! Every [`crate::QosQuery`] carries a [`TenantId`]. Admission charges two
 //! independent budgets:
@@ -9,7 +9,7 @@
 //!   cache costs one token; an empty bucket is a retryable
 //!   [`crate::RejectReason::QuotaExceeded`].
 //! * **Queue share** — a tenant may have at most
-//!   `ceil(queue_capacity · queue_share · weight)` flight leaders solving
+//!   `ceil(queue_capacity · queue_share)` flight leaders solving
 //!   at once (an `evaluate` miss holds one slot for its whole solve), so
 //!   a flooding tenant exhausts *its* share and hits `QuotaExceeded`
 //!   while well-behaved tenants keep theirs.
@@ -42,8 +42,8 @@ pub struct QuotaPolicy {
     pub rate_per_sec: f64,
     /// Token-bucket depth — the largest admissible burst.
     pub burst: f64,
-    /// Base fraction of `queue_capacity` solving leaders one weight-1.0
-    /// tenant may hold, in `(0, 1]`. `1.0` disables the share limit.
+    /// Fraction of `queue_capacity` solving leaders one tenant may hold,
+    /// in `(0, 1]`. `1.0` disables the share limit.
     pub queue_share: f64,
 }
 
@@ -54,14 +54,6 @@ impl Default for QuotaPolicy {
             burst: f64::INFINITY,
             queue_share: 1.0,
         }
-    }
-}
-
-impl QuotaPolicy {
-    /// Whether any limit is active at all.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.rate_per_sec.is_infinite() && self.queue_share >= 1.0
     }
 }
 
@@ -120,7 +112,6 @@ struct TenantCounters {
 #[derive(Debug)]
 struct TenantState {
     bucket: TokenBucket,
-    weight: f64,
     in_queue: usize,
     counters: TenantCounters,
 }
@@ -144,8 +135,6 @@ pub struct TenantSnapshot {
     pub quota_rejected: u64,
     /// Fair-share slots currently held, one per solving leader.
     pub in_queue: usize,
-    /// The tenant's fair-share weight.
-    pub weight: f64,
 }
 
 /// The engine-side tenant table: lazily materialises a [`TenantState`]
@@ -175,7 +164,6 @@ impl TenantTable {
         let mut map = self.tenants.lock();
         let state = map.entry(tenant).or_insert_with(|| TenantState {
             bucket: TokenBucket::full(self.policy.burst, now_s),
-            weight: 1.0,
             in_queue: 0,
             counters: TenantCounters::default(),
         });
@@ -202,9 +190,9 @@ impl TenantTable {
         })
     }
 
-    /// The tenant's queue-slot cap under the weighted fair-share policy.
-    /// A share of `1.0` disables the cap entirely.
-    fn queue_cap(&self, weight: f64) -> usize {
+    /// The tenant's queue-slot cap under the fair-share policy. A share
+    /// of `1.0` disables the cap entirely.
+    fn queue_cap(&self) -> usize {
         if self.policy.queue_share >= 1.0 {
             return usize::MAX;
         }
@@ -213,7 +201,7 @@ impl TenantTable {
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss
         )]
-        let cap = (self.queue_capacity as f64 * self.policy.queue_share * weight).ceil() as usize;
+        let cap = (self.queue_capacity as f64 * self.policy.queue_share).ceil() as usize;
         cap.clamp(1, self.queue_capacity)
     }
 
@@ -222,7 +210,7 @@ impl TenantTable {
     /// `QuotaExceeded`). Paired with [`Self::release_queue_slot`].
     pub(crate) fn try_reserve_queue_slot(&self, tenant: TenantId, now_s: f64) -> bool {
         self.with_state(tenant, now_s, |s| {
-            if s.in_queue < self.queue_cap(s.weight) {
+            if s.in_queue < self.queue_cap() {
                 s.in_queue += 1;
                 true
             } else {
@@ -255,16 +243,6 @@ impl TenantTable {
         }
     }
 
-    /// Sets the fair-share weight used by the queue-share policy.
-    pub(crate) fn set_weight(&self, tenant: TenantId, weight: f64, now_s: f64) {
-        let w = if weight.is_finite() && weight > 0.0 {
-            weight
-        } else {
-            1.0
-        };
-        self.with_state(tenant, now_s, |s| s.weight = w);
-    }
-
     /// A consistent snapshot of every tenant seen so far, ordered by id.
     pub(crate) fn snapshot(&self) -> Vec<TenantSnapshot> {
         let map = self.tenants.lock();
@@ -278,7 +256,6 @@ impl TenantTable {
                 completed: s.counters.completed,
                 quota_rejected: s.counters.quota_rejected,
                 in_queue: s.in_queue,
-                weight: s.weight,
             })
             .collect();
         rows.sort_by_key(|r| r.tenant);
@@ -360,7 +337,7 @@ mod tests {
         );
         let flooder = TenantId(0);
         let polite = TenantId(1);
-        // ceil(16 * 0.25 * 1.0) = 4 slots for a weight-1 tenant.
+        // ceil(16 * 0.25) = 4 slots per tenant.
         for _ in 0..4 {
             assert!(table.try_reserve_queue_slot(flooder, 0.0));
         }
@@ -377,31 +354,8 @@ mod tests {
     }
 
     #[test]
-    fn weights_scale_the_share() {
-        let table = TenantTable::new(
-            QuotaPolicy {
-                rate_per_sec: f64::INFINITY,
-                burst: f64::INFINITY,
-                queue_share: 0.25,
-            },
-            16,
-        );
-        let heavy = TenantId(2);
-        table.set_weight(heavy, 2.0, 0.0);
-        // ceil(16 * 0.25 * 2.0) = 8 slots.
-        for _ in 0..8 {
-            assert!(table.try_reserve_queue_slot(heavy, 0.0));
-        }
-        assert!(!table.try_reserve_queue_slot(heavy, 0.0));
-        // Degenerate weights are coerced back to 1.0.
-        table.set_weight(heavy, f64::NAN, 0.0);
-        assert!((table.snapshot()[0].weight - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn unlimited_policy_never_rejects() {
         let table = TenantTable::new(QuotaPolicy::default(), 4);
-        assert!(QuotaPolicy::default().is_unlimited());
         let t = TenantId(9);
         for _ in 0..100 {
             assert!(table.admit(t, 0.0, false));

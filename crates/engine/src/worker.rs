@@ -167,10 +167,11 @@ fn compute(shared: &Shared, query: &QosQuery) -> EngineResult {
 
 /// Delivers one job on the thread of the [`crate::Engine::evaluate`]
 /// caller that leads its flight: deadline gates, supervised compute,
-/// caching and metrics. The tenant queue slot is the caller's to release
-/// once the job is answered, so the solve counts against the tenant's
-/// fair share.
-pub(crate) fn serve_job(shared: &Shared, job: &Job) {
+/// caching and metrics. Returns the result it published to the job's
+/// followers, so the leader does not read its own slot back. The tenant
+/// queue slot is the caller's to release once the job is answered, so the
+/// solve counts against the tenant's fair share.
+pub(crate) fn serve_job(shared: &Shared, job: &Job) -> EngineResult {
     let waited = job.submitted.elapsed();
     let guard = AbandonGuard::new(&shared.flight, job.key, Arc::clone(&job.slot));
 
@@ -181,11 +182,12 @@ pub(crate) fn serve_job(shared: &Shared, job: &Job) {
             shared.metrics.on_deadline_expired();
             shared.metrics.on_served();
             shared.tenants.on_completed(job.query.tenant());
-            guard.complete(Err(EngineError::Query(QueryError::DeadlineExceeded {
+            let late = Err(EngineError::Query(QueryError::DeadlineExceeded {
                 deadline_ms: d.as_secs_f64() * 1e3,
                 waited_ms: waited.as_secs_f64() * 1e3,
-            })));
-            return;
+            }));
+            guard.complete(late.clone());
+            return late;
         }
     }
 
@@ -221,7 +223,8 @@ pub(crate) fn serve_job(shared: &Shared, job: &Job) {
     shared.metrics.on_served();
     shared.tenants.on_completed(job.query.tenant());
     shared.metrics.record_end_to_end(elapsed.as_secs_f64());
-    guard.complete(result);
+    guard.complete(result.clone());
+    result
 }
 
 #[cfg(test)]
@@ -331,7 +334,11 @@ mod tests {
             submitted: Instant::now(),
         };
         crate::silence_injected_panics();
-        serve_job(&sh, &job);
+        let returned = serve_job(&sh, &job);
+        assert!(matches!(
+            returned,
+            Err(EngineError::Query(QueryError::EvalPanicked))
+        ));
         assert!(matches!(
             slot.wait(),
             Some(Err(EngineError::Query(QueryError::EvalPanicked)))
@@ -362,7 +369,12 @@ mod tests {
             slot: Arc::clone(&slot),
             submitted: Instant::now() - Duration::from_millis(50),
         };
-        serve_job(&sh, &job);
+        let returned = serve_job(&sh, &job);
+        assert_eq!(
+            slot.wait().as_ref(),
+            Some(&returned),
+            "returns what it published"
+        );
         match slot.wait() {
             Some(Err(EngineError::Query(QueryError::DeadlineExceeded {
                 deadline_ms,

@@ -22,8 +22,7 @@
 //!   state `[latitude, longitude, carrier frequency]`;
 //! * [`sequential::SequentialLocalizer`] — accumulates passes and re-solves,
 //!   exposing the error history that OAQ's termination condition TC-1
-//!   (estimated error below threshold) consumes;
-//! * [`accuracy`] — CEP and error-radius summaries from the WLS covariance.
+//!   (estimated error below threshold) consumes.
 //!
 //! ## Example
 //!
@@ -53,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accuracy;
 pub mod batch;
 pub mod doppler;
 pub mod emitter;

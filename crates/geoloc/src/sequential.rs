@@ -25,6 +25,14 @@ use oaq_linalg::SMat;
 
 use crate::wls::{Estimate, InformationPrior, Observation, SolveError, WlsSolver, STATE_DIM};
 
+/// How far (in the solver's scaled step norm — radians plus relative
+/// frequency) an incremental solution may move from the prior's anchor
+/// before [`SequentialLocalizer::estimate_incremental`] falls back to a
+/// full batch re-solve. `1e-3` (≈ 6 km on the ground) keeps routine chain
+/// extensions incremental while forcing relinearization on ambiguity
+/// collapses.
+const RELINEARIZATION_THRESHOLD: f64 = 1e-3;
+
 /// Prior state carried between incremental estimates.
 #[derive(Debug, Clone, Copy)]
 struct IncrementalState {
@@ -46,7 +54,6 @@ pub struct SequentialLocalizer {
     solver: WlsSolver,
     history: Vec<Estimate>,
     incremental: Option<IncrementalState>,
-    relinearization_threshold: f64,
 }
 
 impl std::fmt::Debug for SequentialLocalizer {
@@ -72,20 +79,7 @@ impl SequentialLocalizer {
             solver: WlsSolver::new(),
             history: Vec::new(),
             incremental: None,
-            relinearization_threshold: 1e-3,
         }
-    }
-
-    /// Sets how far (in the solver's scaled step norm — radians plus
-    /// relative frequency) an incremental solution may move from the
-    /// prior's anchor before [`SequentialLocalizer::estimate_incremental`]
-    /// falls back to a full batch re-solve. The default `1e-3`
-    /// (≈ 6 km on the ground) keeps routine chain extensions incremental
-    /// while forcing relinearization on ambiguity collapses.
-    #[must_use]
-    pub fn with_relinearization_threshold(mut self, threshold: f64) -> Self {
-        self.relinearization_threshold = threshold;
-        self
     }
 
     /// Adds one pass worth of measurements.
@@ -98,12 +92,6 @@ impl SequentialLocalizer {
             pass.into_iter()
                 .map(|o| Box::new(o) as Box<dyn Observation + Send>),
         );
-    }
-
-    /// Number of passes accumulated.
-    #[must_use]
-    pub fn num_passes(&self) -> usize {
-        self.passes.len()
     }
 
     /// Total measurements accumulated.
@@ -133,8 +121,8 @@ impl SequentialLocalizer {
     /// anchor.
     ///
     /// Falls back to a full batch re-solve (and rebuilds the prior) when
-    /// the solution moves further from the anchor than
-    /// [`SequentialLocalizer::with_relinearization_threshold`] allows, so
+    /// the solution moves further from the anchor than a fixed scaled step
+    /// of `1e-3` (≈ 6 km on the ground), so
     /// accuracy-critical transitions — e.g. a second pass collapsing the
     /// single-pass ambiguity — are never served by a stale linearization.
     ///
@@ -163,7 +151,7 @@ impl SequentialLocalizer {
                     + (est.state[1] - inc.anchor[1]).powi(2))
                 .sqrt()
                     + (est.state[2] - inc.anchor[2]).abs() / inc.anchor[2].abs().max(1.0);
-                if step > self.relinearization_threshold {
+                if step > RELINEARIZATION_THRESHOLD {
                     // The prior's linearization no longer covers the move:
                     // re-solve from scratch, warm-started at the fresher of
                     // the two states.
@@ -228,13 +216,6 @@ impl SequentialLocalizer {
     pub fn history(&self) -> &[Estimate] {
         &self.history
     }
-
-    /// The 1-σ error radii of the estimates so far (km) — the sequence the
-    /// OAQ protocol watches for TC-1.
-    #[must_use]
-    pub fn error_radius_history_km(&self) -> Vec<f64> {
-        self.history.iter().map(Estimate::error_radius_km).collect()
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +257,6 @@ mod tests {
             reported_errors[2] < reported_errors[0],
             "reported error shrinks: {reported_errors:?}"
         );
-        assert_eq!(loc.num_passes(), 3);
         assert_eq!(loc.num_observations(), 27);
     }
 
@@ -322,7 +302,6 @@ mod tests {
         loc.add_pass(scenario.synthesize_pass(1, &mut rng));
         loc.estimate().unwrap();
         assert_eq!(loc.history().len(), 2);
-        assert_eq!(loc.error_radius_history_km().len(), 2);
     }
 
     #[test]

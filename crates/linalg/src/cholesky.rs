@@ -111,13 +111,6 @@ impl Cholesky {
     pub fn factor_l(&self) -> &Matrix {
         &self.l
     }
-
-    /// log-determinant of `A` (numerically robust product of pivots).
-    #[must_use]
-    pub fn log_det(&self) -> f64 {
-        let n = self.l.rows();
-        2.0 * (0..n).map(|i| self.l[(i, i)].ln()).sum::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -161,13 +154,6 @@ mod tests {
         for (c, l) in x_ch.iter().zip(&x_lu) {
             assert!((c - l).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn log_det_matches_det() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - a.det().unwrap().ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -35,7 +35,6 @@ mod cholesky;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 mod sparse;
 pub mod stack;
 pub mod vec_ops;
@@ -44,6 +43,5 @@ pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use sparse::CsrMatrix;
 pub use stack::{SCholesky, SLu, SMat, SVec};

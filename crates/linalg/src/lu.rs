@@ -127,12 +127,6 @@ impl Lu {
         let n = self.packed.rows();
         (0..n).fold(self.sign, |acc, i| acc * self.packed[(i, i)])
     }
-
-    /// Dimension of the factored matrix.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.packed.rows()
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +178,6 @@ mod tests {
     fn wrong_rhs_length_errors() {
         let lu = Lu::factor(&Matrix::identity(3)).unwrap();
         assert!(lu.solve(&[1.0]).is_err());
-        assert_eq!(lu.dim(), 3);
     }
 
     #[test]

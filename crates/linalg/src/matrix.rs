@@ -253,12 +253,6 @@ impl Matrix {
     pub fn max_norm(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -463,7 +457,6 @@ mod tests {
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
         assert_eq!(a.max_norm(), 4.0);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

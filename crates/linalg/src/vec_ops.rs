@@ -4,56 +4,6 @@
 //! the estimation and Markov-solver code paths work with `Vec<f64>` buffers
 //! they own and index directly.
 
-/// Dot product.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(oaq_linalg::vec_ops::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-/// ```
-#[must_use]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm.
-#[must_use]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// Max-absolute-entry norm.
-#[must_use]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, x| m.max(x.abs()))
-}
-
-/// `a + s·b`, element-wise.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[must_use]
-pub fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "axpy: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + s * y).collect()
-}
-
-/// `a − b`, element-wise.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[must_use]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    axpy(a, -1.0, b)
-}
-
 /// Normalizes `a` to sum to one (probability vector); returns `None` when the
 /// sum is zero or non-finite.
 #[must_use]
@@ -70,34 +20,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norms() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-    }
-
-    #[test]
-    fn axpy_and_sub() {
-        assert_eq!(axpy(&[1.0, 1.0], 2.0, &[1.0, 2.0]), vec![3.0, 5.0]);
-        assert_eq!(sub(&[3.0, 5.0], &[1.0, 2.0]), vec![2.0, 3.0]);
-    }
-
-    #[test]
     fn normalize_prob_works() {
         assert_eq!(normalize_prob(&[1.0, 3.0]).unwrap(), vec![0.25, 0.75]);
         assert!(normalize_prob(&[0.0, 0.0]).is_none());
         assert!(normalize_prob(&[f64::INFINITY]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_length_mismatch_panics() {
-        let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn empty_vectors() {
-        assert_eq!(dot(&[], &[]), 0.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 }

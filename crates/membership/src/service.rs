@@ -326,12 +326,6 @@ impl MembershipSim {
     pub fn messages_sent(&self) -> u64 {
         self.sim.model().net.stats().attempts
     }
-
-    /// The injected failure schedule `(node, time)`, in injection order.
-    #[must_use]
-    pub fn scheduled_failures(&self) -> &[(usize, f64)] {
-        &self.failures
-    }
 }
 
 #[cfg(test)]

@@ -319,12 +319,6 @@ impl FaultPlan {
         n
     }
 
-    /// Number of scheduled edge outages.
-    #[must_use]
-    pub fn outage_count(&self) -> usize {
-        self.outages.len()
-    }
-
     /// `true` when neither node failures nor edge outages are scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -402,7 +396,6 @@ mod tests {
         assert!(plan.is_outaged(NodeId(5), NodeId(2), SimTime::new(2.999)));
         assert!(!plan.is_outaged(NodeId(2), NodeId(5), SimTime::new(3.0)));
         assert!(!plan.is_outaged(NodeId(2), NodeId(4), SimTime::new(2.0)));
-        assert_eq!(plan.outage_count(), 1);
         assert!(!plan.is_empty());
     }
 

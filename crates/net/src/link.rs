@@ -148,12 +148,6 @@ impl LossState {
         LossState::default()
     }
 
-    /// `true` while the channel is in its burst state.
-    #[must_use]
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
-
     /// Samples whether one message is lost, advancing the chain first.
     ///
     /// RNG discipline: i.i.d. mode draws at most once (and not at all when
@@ -277,16 +271,6 @@ impl LinkSpec {
     #[must_use]
     pub fn min_delay(&self) -> SimDuration {
         SimDuration::new(self.min_delay)
-    }
-
-    /// The marginal per-message loss probability: the i.i.d. `p`, or the
-    /// stationary loss fraction of the Gilbert–Elliott chain.
-    #[must_use]
-    pub fn loss_probability(&self) -> f64 {
-        match self.loss {
-            LossModel::Iid { p } => p,
-            LossModel::GilbertElliott(ge) => ge.stationary_loss(),
-        }
     }
 
     /// The loss model.
@@ -428,8 +412,7 @@ mod tests {
         };
         // π_bad = 0.1 / 0.4 = 0.25 → marginal 0.2.
         assert!((ge.stationary_loss() - 0.2).abs() < 1e-12);
-        let spec = LinkSpec::fixed(0.1).with_bursty_loss(ge).unwrap();
-        assert!((spec.loss_probability() - 0.2).abs() < 1e-12);
+        assert!(LinkSpec::fixed(0.1).with_bursty_loss(ge).is_ok());
     }
 
     #[test]

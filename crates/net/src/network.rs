@@ -123,18 +123,6 @@ impl<P> Network<P> {
         &self.topology
     }
 
-    /// Mutable topology access (e.g. to unlink a deorbited satellite).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
-    }
-
-    /// Consumes the network, returning its topology so callers can recycle
-    /// the adjacency buffers across episodes.
-    #[must_use]
-    pub fn into_topology(self) -> Topology {
-        self.topology
-    }
-
     /// Installs a recycled loss-state map. It is cleared first, so every
     /// edge's channel still starts fresh; only its capacity carries over.
     #[must_use]
@@ -239,95 +227,6 @@ impl<P> Network<P> {
     }
 }
 
-impl<P> Network<P> {
-    /// Attempts a multi-hop send: finds the shortest path from `src` to
-    /// `dst` through nodes that are alive *now*, samples an independent
-    /// delay (and loss) per hop, and returns the end-to-end envelope.
-    ///
-    /// Intermediate relays that die while the message is in transit are
-    /// checked at their per-hop arrival instants, so a relay failing
-    /// mid-route loses the message — store-and-forward semantics.
-    pub fn send_routed(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        payload: P,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> SendOutcome<P> {
-        self.stats.attempts += 1;
-        if self.faults.is_failed(src, now) {
-            self.stats.endpoint_failures += 1;
-            return SendOutcome::SenderFailed;
-        }
-        let Some(path) = self.alive_path(src, dst, now) else {
-            self.stats.unlinked += 1;
-            return SendOutcome::NotLinked;
-        };
-        let mut t = now;
-        for window in path.windows(2) {
-            let (hop_src, hop_dst) = (window[0], window[1]);
-            if self.faults.is_failed(hop_src, t) {
-                // The relay died before forwarding.
-                self.stats.endpoint_failures += 1;
-                return SendOutcome::ReceiverFailed;
-            }
-            if self.faults.is_outaged(hop_src, hop_dst, t) {
-                self.stats.outage_drops += 1;
-                return SendOutcome::Outage;
-            }
-            if self.sample_edge_loss(hop_src, hop_dst, rng) {
-                self.stats.lost += 1;
-                return SendOutcome::Lost;
-            }
-            t += self.link.sample_delay(rng);
-            if self.faults.is_failed(hop_dst, t) {
-                self.stats.endpoint_failures += 1;
-                return SendOutcome::ReceiverFailed;
-            }
-        }
-        self.stats.delivered += 1;
-        SendOutcome::Delivered(Envelope {
-            src,
-            dst,
-            sent_at: now,
-            arrival: t,
-            payload,
-        })
-    }
-
-    /// Shortest path from `src` to `dst` over nodes alive at `now` (BFS);
-    /// `None` when the live subgraph is disconnected.
-    fn alive_path(&self, src: NodeId, dst: NodeId, now: SimTime) -> Option<Vec<NodeId>> {
-        use std::collections::{HashMap, VecDeque};
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut frontier = VecDeque::from([src]);
-        while let Some(node) = frontier.pop_front() {
-            for &nb in self.topology.neighbors(node) {
-                if nb == src || parent.contains_key(&nb) || self.faults.is_failed(nb, now) {
-                    continue;
-                }
-                parent.insert(nb, node);
-                if nb == dst {
-                    let mut path = vec![dst];
-                    let mut cur = dst;
-                    while cur != src {
-                        cur = parent[&cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                frontier.push_back(nb);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,79 +290,6 @@ mod tests {
         assert_eq!(s.attempts, 1000);
         assert_eq!(s.delivered + s.lost, 1000);
         assert!((s.lost as f64 - 500.0).abs() < 60.0, "lost {}", s.lost);
-    }
-
-    #[test]
-    fn routed_send_crosses_the_ring() {
-        let mut n = net(0.0);
-        let mut rng = SimRng::seed_from(10);
-        let out = n.send_routed(NodeId(0), NodeId(3), 9, SimTime::new(1.0), &mut rng);
-        let e = out.delivered().expect("3 hops exist");
-        // 3 hops, each within [0.02, 0.1].
-        let lat = e.latency().as_minutes();
-        assert!((0.06..=0.3).contains(&lat), "latency {lat}");
-        assert_eq!(e.payload, 9);
-    }
-
-    #[test]
-    fn routed_send_avoids_dead_relays() {
-        let mut n = net(0.0);
-        // Kill node 1: the 0→2 route must go the long way (0-5-4-3-2).
-        n.faults_mut().fail_at(NodeId(1), SimTime::ZERO);
-        let mut rng = SimRng::seed_from(11);
-        let out = n.send_routed(NodeId(0), NodeId(2), 0, SimTime::new(1.0), &mut rng);
-        let e = out.delivered().expect("long-way route exists");
-        assert!(e.latency().as_minutes() >= 4.0 * 0.02, "four hops minimum");
-    }
-
-    #[test]
-    fn routed_send_fails_when_partitioned() {
-        let mut n = net(0.0);
-        n.faults_mut().fail_at(NodeId(1), SimTime::ZERO);
-        n.faults_mut().fail_at(NodeId(5), SimTime::ZERO);
-        let mut rng = SimRng::seed_from(12);
-        let out = n.send_routed(NodeId(0), NodeId(3), 0, SimTime::new(1.0), &mut rng);
-        assert_eq!(out, SendOutcome::NotLinked);
-    }
-
-    #[test]
-    fn routed_send_to_self_is_instant() {
-        let mut n = net(0.0);
-        let mut rng = SimRng::seed_from(13);
-        let e = n
-            .send_routed(NodeId(2), NodeId(2), 7, SimTime::new(3.0), &mut rng)
-            .delivered()
-            .unwrap();
-        assert_eq!(e.arrival, SimTime::new(3.0));
-    }
-
-    #[test]
-    fn routed_loss_applies_per_hop() {
-        let mut n = net(0.3);
-        let mut rng = SimRng::seed_from(14);
-        let mut delivered = 0;
-        let trials = 2000;
-        for _ in 0..trials {
-            if n.send_routed(NodeId(0), NodeId(3), 0, SimTime::new(1.0), &mut rng)
-                .is_delivered()
-            {
-                delivered += 1;
-            }
-        }
-        // Three hops at 70% each ≈ 34%.
-        let rate = f64::from(delivered) / f64::from(trials);
-        assert!((rate - 0.343).abs() < 0.04, "rate {rate}");
-    }
-
-    #[test]
-    fn unlinking_partitions() {
-        let mut n = net(0.0);
-        n.topology_mut().unlink(NodeId(0), NodeId(1));
-        let mut rng = SimRng::seed_from(6);
-        assert_eq!(
-            n.send(NodeId(0), NodeId(1), 0, SimTime::ZERO, &mut rng),
-            SendOutcome::NotLinked
-        );
     }
 
     #[test]

@@ -151,19 +151,6 @@ impl CoverageAnalysis {
             mean_multiplicity: multiplicity_sum as f64 / total as f64,
         }
     }
-
-    /// Analyzes several latitude bands at once (equator to pole).
-    #[must_use]
-    pub fn latitude_profile(
-        &self,
-        c: &Constellation,
-        latitudes: &[Degrees],
-    ) -> Vec<LatitudeBandCoverage> {
-        latitudes
-            .iter()
-            .map(|&lat| self.latitude_band(c, lat))
-            .collect()
-    }
 }
 
 impl Default for CoverageAnalysis {
@@ -217,15 +204,6 @@ mod tests {
         }
         let after = an.latitude_band(&c, Degrees(30.0)).mean_multiplicity;
         assert!(after < before, "degradation must reduce multiplicity");
-    }
-
-    #[test]
-    fn profile_returns_one_entry_per_latitude() {
-        let c = Constellation::reference();
-        let an = CoverageAnalysis::new(8, 2);
-        let prof = an.latitude_profile(&c, &[Degrees(0.0), Degrees(45.0)]);
-        assert_eq!(prof.len(), 2);
-        assert_eq!(prof[1].latitude, Degrees(45.0));
     }
 
     #[test]

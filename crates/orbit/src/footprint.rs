@@ -1,7 +1,7 @@
 //! Satellite footprints and coverage time.
 
-use crate::geo::{GroundPoint, EARTH_RADIUS};
-use crate::units::{Km, Minutes, Radians};
+use crate::geo::GroundPoint;
+use crate::units::{Minutes, Radians};
 
 /// A satellite's coverage cone projected on the earth: every ground point
 /// within `half_angle` (earth-central angle) of the sub-satellite point is
@@ -59,37 +59,10 @@ impl Footprint {
         Footprint::from_half_angle(Radians(std::f64::consts::PI * (tc / theta)))
     }
 
-    /// Creates a footprint from orbit altitude and minimum elevation angle,
-    /// using the standard visibility geometry
-    /// `half_angle = acos(R·cos ε / (R + h)) − ε`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if altitude is non-positive or elevation is outside
-    /// `[0, π/2)`.
-    #[must_use]
-    pub fn from_altitude_elevation(altitude: Km, min_elevation: Radians) -> Self {
-        assert!(altitude.value() > 0.0, "altitude must be positive");
-        let e = min_elevation.value();
-        assert!(
-            (0.0..std::f64::consts::FRAC_PI_2).contains(&e),
-            "elevation out of range"
-        );
-        let r = EARTH_RADIUS.value();
-        let gamma = (r * e.cos() / (r + altitude.value())).acos() - e;
-        Footprint::from_half_angle(Radians(gamma))
-    }
-
     /// The earth-central half-angle.
     #[must_use]
     pub fn half_angle(&self) -> Radians {
         self.half_angle
-    }
-
-    /// Radius of the coverage circle measured on the ground.
-    #[must_use]
-    pub fn ground_radius(&self) -> Km {
-        EARTH_RADIUS * self.half_angle.value()
     }
 
     /// Center-line coverage time for an orbit of period `theta`.
@@ -103,25 +76,6 @@ impl Footprint {
     pub fn covers(&self, center: &GroundPoint, target: &GroundPoint) -> bool {
         center.central_angle(target).value() <= self.half_angle.value() + 1e-12
     }
-
-    /// Time a ground point at cross-track offset `offset` (central angle from
-    /// the track center line) stays covered, for period `theta`; zero when the
-    /// point lies outside the swath.
-    ///
-    /// Derived from the chord geometry of the coverage circle.
-    #[must_use]
-    pub fn coverage_time_at_offset(&self, offset: Radians, theta: Minutes) -> Minutes {
-        let g = self.half_angle.value();
-        let d = offset.value().abs();
-        if d >= g {
-            return Minutes(0.0);
-        }
-        // Half-chord in central-angle terms on the sphere:
-        // cos(g) = cos(d)·cos(half_chord).
-        let cos_ratio = (g.cos() / d.cos()).clamp(-1.0, 1.0);
-        let half_chord = cos_ratio.acos();
-        Minutes(theta.value() * half_chord / std::f64::consts::PI)
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +87,6 @@ mod tests {
     fn reference_footprint_is_18_degrees() {
         let fp = Footprint::from_coverage_time(Minutes(9.0), Minutes(90.0));
         assert!((fp.half_angle().to_degrees().value() - 18.0).abs() < 1e-9);
-        assert!((fp.ground_radius().value() - 2001.5).abs() < 1.0);
     }
 
     #[test]
@@ -145,27 +98,6 @@ mod tests {
         let outside = GroundPoint::from_degrees(Degrees(41.0), Degrees(0.0));
         assert!(fp.covers(&c, &inside));
         assert!(!fp.covers(&c, &outside));
-    }
-
-    #[test]
-    fn offset_coverage_time_shrinks_to_zero_at_edge() {
-        let fp = Footprint::from_coverage_time(Minutes(9.0), Minutes(90.0));
-        let theta = Minutes(90.0);
-        let center = fp.coverage_time_at_offset(Radians(0.0), theta);
-        assert!((center.value() - 9.0).abs() < 1e-9);
-        let mid = fp.coverage_time_at_offset(Degrees(9.0).to_radians(), theta);
-        assert!(mid.value() > 0.0 && mid.value() < 9.0);
-        let edge = fp.coverage_time_at_offset(Degrees(18.0).to_radians(), theta);
-        assert_eq!(edge.value(), 0.0);
-        let beyond = fp.coverage_time_at_offset(Degrees(25.0).to_radians(), theta);
-        assert_eq!(beyond.value(), 0.0);
-    }
-
-    #[test]
-    fn altitude_elevation_footprint_is_smaller_with_higher_elevation() {
-        let lo = Footprint::from_altitude_elevation(Km(800.0), Degrees(5.0).to_radians());
-        let hi = Footprint::from_altitude_elevation(Km(800.0), Degrees(20.0).to_radians());
-        assert!(lo.half_angle().value() > hi.half_angle().value());
     }
 
     #[test]

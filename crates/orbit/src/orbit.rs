@@ -109,28 +109,6 @@ impl CircularOrbit {
         }
         GroundPoint::new(Radians(lat), Radians(lon))
     }
-
-    /// Samples the ground track over `[0, horizon]` at `steps` uniform
-    /// points (including both endpoints).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps < 2`.
-    #[must_use]
-    pub fn ground_track(
-        &self,
-        phase0: Radians,
-        horizon: Minutes,
-        steps: usize,
-    ) -> Vec<GroundPoint> {
-        assert!(steps >= 2, "need at least two samples");
-        (0..steps)
-            .map(|s| {
-                let t = Minutes(horizon.value() * s as f64 / (steps - 1) as f64);
-                self.subsatellite_point(phase0, t)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -179,18 +157,11 @@ mod tests {
     fn max_latitude_equals_inclination() {
         let orbit = CircularOrbit::new(Degrees(63.4).to_radians(), Radians(0.0), Minutes(90.0))
             .with_earth_rotation(false);
-        let max_lat = orbit
-            .ground_track(Radians(0.0), Minutes(90.0), 721)
-            .iter()
+        let max_lat = (0..=720)
+            .map(|s| orbit.subsatellite_point(Radians(0.0), Minutes(f64::from(s) / 8.0)))
             .map(|p| p.lat().to_degrees().value())
             .fold(f64::MIN, f64::max);
         assert!((max_lat - 63.4).abs() < 0.01);
-    }
-
-    #[test]
-    fn ground_track_length() {
-        let pts = polar_orbit().ground_track(Radians(0.0), Minutes(90.0), 10);
-        assert_eq!(pts.len(), 10);
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub struct OrbitalPlane {
     index: usize,
     orbit: CircularOrbit,
     design_capacity: usize,
-    design_spares: usize,
     satellites: Vec<SatelliteId>,
     spares_remaining: usize,
     next_number: u32,
@@ -85,7 +84,6 @@ impl OrbitalPlane {
             index,
             orbit,
             design_capacity,
-            design_spares: spares,
             satellites,
             spares_remaining: spares,
             next_number: design_capacity as u32,
@@ -204,31 +202,6 @@ impl OrbitalPlane {
     pub fn fail_one(&mut self) -> FailureOutcome {
         self.fail_one_at(0)
     }
-
-    /// Restores the plane to design capacity and refills spares (the paper's
-    /// scheduled or threshold-triggered ground-spare deployment).
-    pub fn restore_full(&mut self) {
-        while self.satellites.len() < self.design_capacity {
-            self.satellites.push(SatelliteId {
-                plane: self.index,
-                number: self.next_number,
-            });
-            self.next_number += 1;
-        }
-        self.spares_remaining = self.design_spares;
-    }
-
-    /// Adds exactly one active satellite (one-for-one replenishment policy),
-    /// capped at design capacity.
-    pub fn replenish_one(&mut self) {
-        if self.satellites.len() < self.design_capacity {
-            self.satellites.push(SatelliteId {
-                plane: self.index,
-                number: self.next_number,
-            });
-            self.next_number += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -280,30 +253,6 @@ mod tests {
             let d = p.satellite_phase(pos + 1).value() - p.satellite_phase(pos).value();
             assert!((d - gap).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn restore_full_resets_capacity_and_spares() {
-        let mut p = plane();
-        for _ in 0..6 {
-            p.fail_one();
-        }
-        assert_eq!(p.active_count(), 10);
-        p.restore_full();
-        assert_eq!(p.active_count(), 14);
-        assert_eq!(p.spares_remaining(), 2);
-    }
-
-    #[test]
-    fn replenish_one_is_capped() {
-        let mut p = plane();
-        p.replenish_one();
-        assert_eq!(p.active_count(), 14, "cannot exceed design capacity");
-        for _ in 0..3 {
-            p.fail_one();
-        }
-        p.replenish_one();
-        assert_eq!(p.active_count(), 14);
     }
 
     #[test]

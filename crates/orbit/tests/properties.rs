@@ -85,22 +85,6 @@ proptest! {
     }
 
     #[test]
-    fn offset_coverage_never_exceeds_center_line(
-        tc in 1.0f64..40.0,
-        offset_frac in 0.0f64..2.0,
-    ) {
-        let theta = Minutes(90.0);
-        prop_assume!(tc < 44.0);
-        let fp = Footprint::from_coverage_time(Minutes(tc), theta);
-        let offset = Radians(fp.half_angle().value() * offset_frac);
-        let t = fp.coverage_time_at_offset(offset, theta);
-        prop_assert!(t.value() <= tc + 1e-9);
-        if offset_frac >= 1.0 {
-            prop_assert_eq!(t.value(), 0.0);
-        }
-    }
-
-    #[test]
     fn walker_total_satellite_count(cfg in walker_config()) {
         let c = cfg.try_build().unwrap();
         prop_assert_eq!(c.num_planes(), cfg.planes);

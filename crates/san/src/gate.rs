@@ -13,83 +13,3 @@ pub type Predicate = Box<dyn Fn(&Marking) -> bool + Send + Sync>;
 
 /// An output gate: transforms the marking when an activity completes.
 pub type Effect = Box<dyn Fn(&mut Marking) + Send + Sync>;
-
-/// Combines predicates conjunctively.
-#[must_use]
-pub fn all_of(preds: Vec<Predicate>) -> Predicate {
-    Box::new(move |m| preds.iter().all(|p| p(m)))
-}
-
-/// Combines predicates disjunctively.
-#[must_use]
-pub fn any_of(preds: Vec<Predicate>) -> Predicate {
-    Box::new(move |m| preds.iter().any(|p| p(m)))
-}
-
-/// Chains effects in order.
-#[must_use]
-pub fn in_sequence(effects: Vec<Effect>) -> Effect {
-    Box::new(move |m| {
-        for e in &effects {
-            e(m);
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::SanBuilder;
-
-    #[test]
-    fn combinators_compose() {
-        let mut b = SanBuilder::new();
-        let p = b.add_place("p", 1);
-        let q = b.add_place("q", 0);
-        b.add_activity(
-            "noop",
-            crate::model::Delay::exponential_rate(1.0),
-            |_| true,
-            |_| {},
-        );
-        let model = b.build();
-        let m = model.initial_marking();
-
-        let both = all_of(vec![
-            Box::new(move |m: &Marking| m.tokens(p) == 1),
-            Box::new(move |m: &Marking| m.tokens(q) == 0),
-        ]);
-        assert!(both(&m));
-
-        let either = any_of(vec![
-            Box::new(move |m: &Marking| m.tokens(p) == 9),
-            Box::new(move |m: &Marking| m.tokens(q) == 0),
-        ]);
-        assert!(either(&m));
-
-        let mut m2 = model.initial_marking();
-        let seq = in_sequence(vec![
-            Box::new(move |m: &mut Marking| m.add_tokens(q, 2)),
-            Box::new(move |m: &mut Marking| m.remove_tokens(p, 1)),
-        ]);
-        seq(&mut m2);
-        assert_eq!(m2.tokens(q), 2);
-        assert_eq!(m2.tokens(p), 0);
-    }
-
-    #[test]
-    fn empty_combinators() {
-        let mut b = SanBuilder::new();
-        let _p = b.add_place("p", 0);
-        b.add_activity(
-            "noop",
-            crate::model::Delay::exponential_rate(1.0),
-            |_| true,
-            |_| {},
-        );
-        let model = b.build();
-        let m = model.initial_marking();
-        assert!(all_of(vec![])(&m), "vacuous conjunction is true");
-        assert!(!any_of(vec![])(&m), "vacuous disjunction is false");
-    }
-}

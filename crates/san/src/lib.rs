@@ -7,11 +7,11 @@
 //! against each other by this workspace's tests and experiments:
 //!
 //! * [`model`] — places, markings, timed activities (exponential with
-//!   marking-dependent rates, deterministic, Erlang) with enabling
+//!   marking-dependent rates, deterministic) with enabling
 //!   predicates and output gates ([`gate`]);
 //! * [`sim`] — discrete-event simulation on the `oaq-sim` kernel
-//!   (enabling-memory execution policy): transient runs and steady-state
-//!   time-fraction estimation with batch-means error bounds;
+//!   (enabling-memory execution policy): step-by-step runs and long-run
+//!   time-fraction estimation of steady-state class probabilities;
 //! * [`ctmc`] / [`solver`] — exact numerical solution for all-exponential
 //!   models: reachability exploration, stationary distribution by direct
 //!   linear solve, transient distribution by uniformization;
@@ -59,7 +59,6 @@ pub mod gate;
 pub mod model;
 pub mod phase_type;
 pub mod plane;
-pub mod reward;
 pub mod sim;
 pub mod solver;
 

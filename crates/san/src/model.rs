@@ -45,12 +45,6 @@ impl Marking {
     pub fn remove_tokens(&mut self, place: PlaceId, tokens: u32) {
         self.0[place.0] = self.0[place.0].saturating_sub(tokens);
     }
-
-    /// The raw token vector (for hashing/state-space exploration).
-    #[must_use]
-    pub fn as_slice(&self) -> &[u32] {
-        &self.0
-    }
 }
 
 /// The firing-time distribution of a timed activity.
@@ -62,13 +56,6 @@ pub enum Delay {
     /// simulator; the CTMC path rejects it (see [`crate::phase_type`] for
     /// the Erlang workaround).
     Deterministic(f64),
-    /// Erlang(shape, rate) — the phase-type bridge between the two.
-    Erlang {
-        /// Number of exponential stages.
-        shape: u32,
-        /// Per-stage rate.
-        rate: f64,
-    },
 }
 
 impl Delay {
@@ -99,21 +86,6 @@ impl Delay {
         assert!(time.is_finite() && time > 0.0, "time must be positive");
         Delay::Deterministic(time)
     }
-
-    /// An Erlang delay with the given shape and mean (`rate = shape/mean`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape == 0` or `mean` is not strictly positive.
-    #[must_use]
-    pub fn erlang_with_mean(shape: u32, mean: f64) -> Delay {
-        assert!(shape > 0, "Erlang shape must be >= 1");
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        Delay::Erlang {
-            shape,
-            rate: shape as f64 / mean,
-        }
-    }
 }
 
 impl fmt::Debug for Delay {
@@ -121,7 +93,6 @@ impl fmt::Debug for Delay {
         match self {
             Delay::Exponential(_) => write!(f, "Exponential(<rate fn>)"),
             Delay::Deterministic(t) => write!(f, "Deterministic({t})"),
-            Delay::Erlang { shape, rate } => write!(f, "Erlang({shape}, {rate})"),
         }
     }
 }
@@ -155,18 +126,6 @@ impl SanModel {
     #[must_use]
     pub fn initial_marking(&self) -> Marking {
         self.initial.clone()
-    }
-
-    /// Number of places.
-    #[must_use]
-    pub fn num_places(&self) -> usize {
-        self.place_names.len()
-    }
-
-    /// Number of activities.
-    #[must_use]
-    pub fn num_activities(&self) -> usize {
-        self.activities.len()
     }
 
     /// Name of a place.
@@ -316,7 +275,6 @@ mod tests {
         m.remove_tokens(p, 10);
         assert_eq!(m.tokens(p), 0, "removal saturates");
         m.set_tokens(p, 7);
-        assert_eq!(m.as_slice(), &[7]);
     }
 
     #[test]
@@ -355,23 +313,12 @@ mod tests {
         let (model, _) = toy();
         assert_eq!(model.place_name(PlaceId(0)), "tokens");
         assert_eq!(model.activity_name(ActivityId(0)), "drain");
-        assert_eq!(model.num_places(), 1);
-        assert_eq!(model.num_activities(), 1);
     }
 
     #[test]
     fn delay_constructors_validate() {
         assert!(std::panic::catch_unwind(|| Delay::exponential_rate(0.0)).is_err());
         assert!(std::panic::catch_unwind(|| Delay::deterministic(-1.0)).is_err());
-        assert!(std::panic::catch_unwind(|| Delay::erlang_with_mean(0, 1.0)).is_err());
-        let d = Delay::erlang_with_mean(4, 2.0);
-        match d {
-            Delay::Erlang { shape, rate } => {
-                assert_eq!(shape, 4);
-                assert!((rate - 2.0).abs() < 1e-12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

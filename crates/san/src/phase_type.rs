@@ -5,9 +5,8 @@
 //! `Erlang(m, m/T)` delay has mean `T` and coefficient of variation
 //! `1/√m`, so as `m` grows it converges (in distribution) to the
 //! deterministic delay `T`. The plane model's Markov variant uses a stage
-//! place advanced by a single exponential activity — the helpers here
-//! quantify how large `m` must be for a target accuracy, which experiment
-//! E11 (ablation) sweeps.
+//! place advanced by a single exponential activity at the rate given here;
+//! experiment E11 (ablation) sweeps `m`.
 
 /// Per-stage rate of the Erlang(m) approximation of a deterministic `mean`.
 ///
@@ -27,55 +26,6 @@ pub fn erlang_stage_rate(shape: u32, mean: f64) -> f64 {
     shape as f64 / mean
 }
 
-/// CDF of an Erlang(`shape`, `rate`) at `t`:
-/// `1 − e^{−rt} Σ_{k<shape} (rt)^k / k!`.
-///
-/// # Panics
-///
-/// Panics if `shape == 0` or `rate <= 0`.
-#[must_use]
-pub fn erlang_cdf(shape: u32, rate: f64, t: f64) -> f64 {
-    assert!(shape > 0, "shape must be >= 1");
-    assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
-    if t <= 0.0 {
-        return 0.0;
-    }
-    let x = rate * t;
-    let mut term = 1.0; // x^k / k!
-    let mut sum = 1.0;
-    for k in 1..shape {
-        term *= x / f64::from(k);
-        sum += term;
-    }
-    // Clamp: for tiny or huge x the subtraction can round a hair outside
-    // the unit interval.
-    (1.0 - (-x).exp() * sum).clamp(0.0, 1.0)
-}
-
-/// Coefficient of variation of the Erlang(`shape`) approximation — the
-/// scale-free distance from determinism (`0` would be exact).
-///
-/// # Panics
-///
-/// Panics if `shape == 0`.
-#[must_use]
-pub fn erlang_cv(shape: u32) -> f64 {
-    assert!(shape > 0, "shape must be >= 1");
-    1.0 / (shape as f64).sqrt()
-}
-
-/// The smallest Erlang shape whose coefficient of variation is at most
-/// `target_cv`.
-///
-/// # Panics
-///
-/// Panics if `target_cv <= 0`.
-#[must_use]
-pub fn shape_for_cv(target_cv: f64) -> u32 {
-    assert!(target_cv > 0.0, "target CV must be positive");
-    (1.0 / (target_cv * target_cv)).ceil().max(1.0) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,41 +35,5 @@ mod tests {
         // mean = shape / rate.
         let rate = erlang_stage_rate(8, 4.0);
         assert!((8.0 / rate - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_basic_properties() {
-        assert_eq!(erlang_cdf(3, 1.0, 0.0), 0.0);
-        assert!(erlang_cdf(3, 1.0, 100.0) > 0.999_999);
-        // Shape 1 is exponential.
-        let t = 0.7;
-        assert!((erlang_cdf(1, 2.0, t) - (1.0 - (-2.0 * t).exp())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_is_monotone_in_t() {
-        let mut last = 0.0;
-        for i in 1..50 {
-            let c = erlang_cdf(5, 2.5, i as f64 * 0.1);
-            assert!(c >= last);
-            last = c;
-        }
-    }
-
-    #[test]
-    fn higher_shape_concentrates_at_mean() {
-        // P(X < 0.8·mean) shrinks as shape grows, keeping the mean fixed.
-        let mean = 10.0;
-        let early = |m: u32| erlang_cdf(m, erlang_stage_rate(m, mean), 0.8 * mean);
-        assert!(early(40) < early(10));
-        assert!(early(10) < early(2));
-    }
-
-    #[test]
-    fn cv_and_shape_roundtrip() {
-        assert_eq!(erlang_cv(4), 0.5);
-        assert_eq!(shape_for_cv(0.5), 4);
-        assert_eq!(shape_for_cv(0.1), 100);
-        assert!(erlang_cv(shape_for_cv(0.2)) <= 0.2);
     }
 }

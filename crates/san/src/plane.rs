@@ -168,7 +168,6 @@ impl PlaneModelConfig {
             m.set_tokens(active, cfg.capacity);
             m.set_tokens(spares, cfg.spares);
         };
-        let mut stage_place = None;
         match clock {
             RestoreClock::Deterministic => {
                 b.add_activity(
@@ -180,7 +179,6 @@ impl PlaneModelConfig {
             }
             RestoreClock::ErlangStages(shape) => {
                 let stage = b.add_place("restore_stage", 0);
-                stage_place = Some(stage);
                 let rate = erlang_stage_rate(shape, cfg.phi);
                 b.add_activity(
                     "restore_stage_tick",
@@ -228,8 +226,6 @@ impl PlaneModelConfig {
         PlaneModel {
             model: b.build(),
             active,
-            spares,
-            stage_place,
             config: cfg,
         }
     }
@@ -405,12 +401,6 @@ impl CapacitySolve {
         Ok(averages.iter().map(|avg| self.classify(avg)).collect())
     }
 
-    /// Number of capacity classes (`total capacity + 1`).
-    #[must_use]
-    pub fn num_classes(&self) -> usize {
-        self.classes
-    }
-
     /// Capacity distributions `P(K(tₛ) = k)` at every Simpson node of
     /// `[0, phi]` — the per-node marginals the product-form assembly
     /// convolves *before* integrating (the convolution is nonlinear in the
@@ -577,8 +567,6 @@ enum RestoreClock {
 pub struct PlaneModel {
     model: SanModel,
     active: PlaceId,
-    spares: PlaceId,
-    stage_place: Option<PlaceId>,
     config: PlaneModelConfig,
 }
 
@@ -593,24 +581,6 @@ impl PlaneModel {
     #[must_use]
     pub fn config(&self) -> &PlaneModelConfig {
         &self.config
-    }
-
-    /// The place holding the active-satellite count `k`.
-    #[must_use]
-    pub fn active_place(&self) -> PlaceId {
-        self.active
-    }
-
-    /// The place holding the remaining in-orbit spares.
-    #[must_use]
-    pub fn spares_place(&self) -> PlaceId {
-        self.spares
-    }
-
-    /// Active capacity `k` in a marking.
-    #[must_use]
-    pub fn capacity_of(&self, m: &Marking) -> u32 {
-        m.tokens(self.active)
     }
 
     /// Estimates `P(K = k)` for `k = 0..=capacity` by long-run simulation.
@@ -646,12 +616,6 @@ impl PlaneModel {
             |m| m.tokens(active) as usize,
             self.config.capacity as usize + 1,
         ))
-    }
-
-    /// Whether this model has the Erlang stage clock (Markov variant).
-    #[must_use]
-    pub fn is_markovian(&self) -> bool {
-        self.stage_place.is_some()
     }
 }
 
@@ -705,7 +669,6 @@ mod tests {
         let cfg = PlaneModelConfig::reference(5e-5, PHI, 10);
         let sim_dist = cfg.build_sim().capacity_distribution_sim(&sim_opts(4));
         let markov = cfg.build_markov(25);
-        assert!(markov.is_markovian());
         let exact = markov.capacity_distribution_markov(50_000).unwrap();
         for k in 10..=14 {
             assert!(
@@ -762,7 +725,6 @@ mod tests {
     fn sim_and_markov_reject_mismatched_solvers() {
         let cfg = PlaneModelConfig::reference(5e-5, PHI, 10);
         let sim_model = cfg.build_sim();
-        assert!(!sim_model.is_markovian());
         assert!(sim_model.capacity_distribution_markov(10_000).is_err());
     }
 
@@ -898,7 +860,6 @@ mod tests {
         for planes in [2usize, 3] {
             let joint = cfg.joint_capacity_solve(planes, 10_000).unwrap();
             assert_eq!(joint.num_states(), 7usize.pow(planes as u32));
-            assert_eq!(joint.num_classes(), planes * 14 + 1);
             let exact = product_form_pk(&[&joint], PHI, 64).unwrap();
             let refs: Vec<&CapacitySolve> = (0..planes).map(|_| &plane).collect();
             let product = product_form_pk(&refs, PHI, 64).unwrap();

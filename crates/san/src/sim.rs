@@ -25,8 +25,8 @@ pub struct SteadyStateOptions {
     pub seed: u64,
 }
 
-/// A running SAN simulation (step-by-step API; the free functions below
-/// cover the common whole-run uses).
+/// A running SAN simulation (step-by-step API; [`steady_state_distribution`]
+/// covers the whole-run steady-state use).
 pub struct SanSimulation<'m> {
     model: &'m SanModel,
     marking: Marking,
@@ -79,7 +79,6 @@ impl<'m> SanSimulation<'m> {
                 (self.rng.exp(r), Some(r))
             }
             Delay::Deterministic(t) => (*t, None),
-            Delay::Erlang { shape, rate } => (self.rng.erlang(*shape, *rate), None),
         }
     }
 
@@ -161,14 +160,6 @@ impl<'m> SanSimulation<'m> {
         }
         self.now = h.max(self.now);
     }
-}
-
-/// Runs the model to `horizon` and returns the final marking.
-#[must_use]
-pub fn simulate_transient(model: &SanModel, horizon: f64, seed: u64) -> Marking {
-    let mut sim = SanSimulation::new(model, seed);
-    sim.run_until(horizon);
-    sim.marking().clone()
 }
 
 /// Estimates the steady-state probability that `classify(marking) == c` for
@@ -286,9 +277,10 @@ mod tests {
             move |m| m.set_tokens(noise, (m.tokens(noise) + 1) % 2),
         );
         let model = b.build();
-        let final_marking = simulate_transient(&model, 95.0, 7);
+        let mut sim = SanSimulation::new(&model, 7);
+        sim.run_until(95.0);
         assert_eq!(
-            final_marking.tokens(count),
+            sim.marking().tokens(count),
             9,
             "ticks at 10,20,...,90 despite churn"
         );
@@ -313,25 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn erlang_delay_has_correct_mean() {
-        let mut b = SanBuilder::new();
-        let fired = b.add_place("fired", 0);
-        b.add_activity(
-            "erl",
-            Delay::erlang_with_mean(4, 2.0),
-            |_| true,
-            move |m| m.add_tokens(fired, 1),
-        );
-        let model = b.build();
-        let m = simulate_transient(&model, 10_000.0, 3);
-        let count = f64::from(m.tokens(fired));
-        assert!(
-            (count - 5000.0).abs() < 200.0,
-            "renewals with mean 2 over 10k: got {count}"
-        );
-    }
-
-    #[test]
     fn run_until_advances_clock_past_last_event() {
         let (model, _) = birth_death();
         let mut sim = SanSimulation::new(&model, 2);
@@ -342,9 +315,12 @@ mod tests {
     #[test]
     fn deterministic_runs_are_reproducible() {
         let (model, n) = birth_death();
-        let a = simulate_transient(&model, 123.0, 9).tokens(n);
-        let b = simulate_transient(&model, 123.0, 9).tokens(n);
-        assert_eq!(a, b);
+        let run = || {
+            let mut sim = SanSimulation::new(&model, 9);
+            sim.run_until(123.0);
+            sim.marking().tokens(n)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

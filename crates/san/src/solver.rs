@@ -230,27 +230,6 @@ pub fn transient_distribution_dense(
     Ok(oaq_linalg::vec_ops::normalize_prob(&out).unwrap_or(out))
 }
 
-/// Integral `∫₀ᵀ p(t) dt / T`: the expected fraction of time spent in each
-/// state over `[0, T]`, computed exactly (to the 1e-12 series tolerance) by
-/// the interval form of uniformization over the sparse [`TransientKernel`]
-/// (see [`TransientKernel::time_average_many`]).
-///
-/// This is the quantity the paper's P(k) reduces to under the deterministic
-/// scheduled-deployment cycle: the time-average of the capacity process over
-/// one cycle of length φ.
-///
-/// # Errors
-///
-/// * [`SolverError::InvalidInput`] for a non-finite / non-positive horizon.
-/// * Propagates [`SolverError`] from the kernel.
-pub fn time_average_distribution(
-    q: &Matrix,
-    p0: &[f64],
-    horizon: f64,
-) -> Result<Vec<f64>, SolverError> {
-    TransientKernel::new(q)?.time_average(p0, horizon)
-}
-
 /// The uniformization rate `Λ = 1.000001 · max |q_ii|`.
 ///
 /// A generator whose diagonal is identically zero (every state absorbing,
@@ -996,7 +975,10 @@ mod tests {
 
     #[test]
     fn time_average_matches_analytic() {
-        let avg = time_average_distribution(&two_state(), &[1.0, 0.0], 2.0).unwrap();
+        let avg = TransientKernel::new(&two_state())
+            .unwrap()
+            .time_average(&[1.0, 0.0], 2.0)
+            .unwrap();
         let expected = two_state_average(2.0);
         assert!(
             (avg[0] - expected).abs() < 1e-12,
@@ -1007,15 +989,24 @@ mod tests {
 
     #[test]
     fn time_average_rejects_bad_horizon() {
-        assert!(time_average_distribution(&two_state(), &[1.0, 0.0], 0.0).is_err());
+        assert!(TransientKernel::new(&two_state())
+            .unwrap()
+            .time_average(&[1.0, 0.0], 0.0)
+            .is_err());
     }
 
     #[test]
     fn time_average_rejects_nonfinite_horizon_typed() {
         for bad in [
-            time_average_distribution(&two_state(), &[1.0, 0.0], -2.0),
-            time_average_distribution(&two_state(), &[1.0, 0.0], f64::NAN),
-            time_average_distribution(&two_state(), &[1.0, 0.0], f64::INFINITY),
+            TransientKernel::new(&two_state())
+                .unwrap()
+                .time_average(&[1.0, 0.0], -2.0),
+            TransientKernel::new(&two_state())
+                .unwrap()
+                .time_average(&[1.0, 0.0], f64::NAN),
+            TransientKernel::new(&two_state())
+                .unwrap()
+                .time_average(&[1.0, 0.0], f64::INFINITY),
         ] {
             assert!(matches!(bad, Err(SolverError::InvalidInput(_))), "{bad:?}");
         }

@@ -3,7 +3,6 @@
 use oaq_linalg::Matrix;
 use oaq_san::ctmc::Ctmc;
 use oaq_san::model::{Delay, SanBuilder, SanModel};
-use oaq_san::phase_type::{erlang_cdf, erlang_stage_rate};
 use oaq_san::plane::{product_form_pk, PlaneModelConfig, SparePolicy};
 use oaq_san::solver::{
     stationary_distribution, transient_distribution, transient_distribution_dense, TransientKernel,
@@ -153,24 +152,6 @@ proptest! {
         for k in 0..4 {
             let ratio = pi[k + 1] / pi[k];
             prop_assert!((ratio - rho).abs() < 1e-6 * rho.max(1.0), "k={k}: {ratio} vs {rho}");
-        }
-    }
-
-    #[test]
-    fn erlang_cdf_is_a_cdf(shape in 1u32..50, mean in 0.1f64..50.0) {
-        let rate = erlang_stage_rate(shape, mean);
-        let mut last = 0.0;
-        for i in 0..=40 {
-            let t = mean * f64::from(i) / 10.0;
-            let c = erlang_cdf(shape, rate, t);
-            prop_assert!((0.0..=1.0).contains(&c));
-            prop_assert!(c >= last - 1e-12);
-            last = c;
-        }
-        // Median near the mean for large shapes.
-        if shape >= 20 {
-            let at_mean = erlang_cdf(shape, rate, mean);
-            prop_assert!((at_mean - 0.5).abs() < 0.1);
         }
     }
 

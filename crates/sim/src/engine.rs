@@ -77,15 +77,6 @@ pub enum RunOutcome {
     Stopped,
 }
 
-/// A record of one dispatched event, for tracing tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventRecord {
-    /// When the event fired.
-    pub time: SimTime,
-    /// Dispatch ordinal (0-based).
-    pub ordinal: u64,
-}
-
 /// Owns a model, a clock, an event queue and a random stream, and drives the
 /// model to completion.
 ///
@@ -152,22 +143,11 @@ impl<M: Model> Simulation<M> {
         &mut self.model
     }
 
-    /// Consumes the simulation, returning the model.
-    #[must_use]
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Consumes the simulation, returning the model *and* the event queue so
     /// the queue's buffers can be recycled via [`Simulation::with_queue`].
     #[must_use]
     pub fn into_parts(self) -> (M, EventQueue<M::Event>) {
         (self.model, self.queue)
-    }
-
-    /// The simulation's random stream (for seeding initial conditions).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     /// Runs until the queue drains or `horizon` is passed. Events scheduled
@@ -176,15 +156,15 @@ impl<M: Model> Simulation<M> {
         self.run_inner(Some(horizon), None)
     }
 
-    /// Runs until the queue drains, at most `budget` events.
-    pub fn run_events(&mut self, budget: u64) -> RunOutcome {
-        self.run_inner(None, Some(budget))
-    }
-
     /// Runs until the queue drains. Beware models with self-sustaining event
     /// streams: prefer [`Simulation::run_until`] for those.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_inner(None, None)
+    }
+
+    /// Runs until the queue drains, at most `budget` events.
+    pub fn run_events(&mut self, budget: u64) -> RunOutcome {
+        self.run_inner(None, Some(budget))
     }
 
     fn run_inner(&mut self, horizon: Option<SimTime>, budget: Option<u64>) -> RunOutcome {
@@ -351,7 +331,7 @@ mod tests {
             );
             sim.schedule_at(SimTime::ZERO, Ev::Tick);
             sim.run_to_completion();
-            sim.into_model().fired
+            sim.into_parts().0.fired
         };
         assert_eq!(run(), run());
     }

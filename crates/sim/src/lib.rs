@@ -23,9 +23,9 @@
 //! * [`rng::SimRng`] — seeded random streams with the distributions used in
 //!   the paper (exponential, uniform, deterministic), plus counter-based
 //!   substream derivation for parallel replication.
-//! * [`stats`] — counters, tallies, time-weighted averages, histograms and
-//!   batch-means confidence intervals; every collector merges, so partial
-//!   results from parallel workers reduce deterministically.
+//! * [`stats`] — counters, tallies, time-weighted averages and streaming
+//!   quantiles; every collector merges, so partial results from parallel
+//!   workers reduce deterministically.
 //! * [`par`] — the deterministic parallel Monte Carlo replication engine
 //!   ([`par::Replicator`]): substream-seeded replications fanned across a
 //!   scoped worker pool, bit-identical for any worker count.
@@ -85,7 +85,7 @@ pub mod rng;
 pub mod stats;
 
 pub use clock::{SimDuration, SimTime};
-pub use engine::{Context, EventRecord, Model, RunOutcome, Simulation};
+pub use engine::{Context, Model, RunOutcome, Simulation};
 pub use par::{Merge, Replicator};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;

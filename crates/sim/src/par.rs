@@ -28,7 +28,7 @@
 //! layer — substream seeding, the adaptive chunk and the [`Merge`]
 //! reduction — on top of it.
 //!
-//! For sinks whose [`Merge`] is exact — integer counters, histograms,
+//! For sinks whose [`Merge`] is exact — integer counters,
 //! order-preserving concatenation — the result is additionally
 //! bit-identical to a plain serial `for` loop over the replications. For
 //! floating-point sinks ([`crate::stats::Tally`] & co.) the chunked merge
@@ -129,18 +129,6 @@ impl Merge for crate::stats::Tally {
     }
 }
 
-impl Merge for crate::stats::Histogram {
-    fn merge(&mut self, other: &Self) {
-        crate::stats::Histogram::merge(self, other);
-    }
-}
-
-impl Merge for crate::stats::BatchMeans {
-    fn merge(&mut self, other: &Self) {
-        crate::stats::BatchMeans::merge(self, other);
-    }
-}
-
 impl Merge for crate::stats::TimeWeighted {
     fn merge(&mut self, other: &Self) {
         crate::stats::TimeWeighted::merge(self, other);
@@ -152,12 +140,6 @@ impl Merge for crate::stats::P2Quantile {
         crate::stats::P2Quantile::merge(self, other);
     }
 }
-
-/// The historical fixed replications-per-chunk — now the *floor* of the
-/// adaptive policy ([`oaq_exec::MIN_CHUNK`]), so runs of up to
-/// `16 × `[`oaq_exec::TARGET_CHUNKS`]` = 1024` replications resolve to
-/// exactly this value and stay bit-identical to pre-adaptive results.
-pub const DEFAULT_CHUNK: u64 = oaq_exec::MIN_CHUNK;
 
 pub use oaq_exec::Executor;
 
@@ -274,14 +256,14 @@ impl Replicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{Histogram, Tally};
+    use crate::stats::Tally;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Sink {
         count: u64,
         sum: f64,
         tally: Tally,
-        hist: Histogram,
+        bits: Vec<u64>,
         order: Vec<u64>,
     }
 
@@ -291,7 +273,7 @@ mod tests {
                 count: 0,
                 sum: 0.0,
                 tally: Tally::new(),
-                hist: Histogram::new(0.0, 10.0, 20),
+                bits: Vec::new(),
                 order: Vec::new(),
             }
         }
@@ -302,7 +284,7 @@ mod tests {
             self.count.merge(&other.count);
             self.sum.merge(&other.sum);
             self.tally.merge(&other.tally);
-            self.hist.merge(&other.hist);
+            self.bits.merge(&other.bits);
             self.order.merge(&other.order);
         }
     }
@@ -317,7 +299,7 @@ mod tests {
                 sink.count += 1;
                 sink.sum += x;
                 sink.tally.record(x);
-                sink.hist.record(x);
+                sink.bits.push(x.to_bits());
                 sink.order.push(i);
             },
         )
@@ -325,9 +307,13 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_the_answer() {
-        let reference = run(1, DEFAULT_CHUNK);
+        let reference = run(1, oaq_exec::MIN_CHUNK);
         for workers in [2, 3, 4, 8] {
-            assert_eq!(run(workers, DEFAULT_CHUNK), reference, "{workers} workers");
+            assert_eq!(
+                run(workers, oaq_exec::MIN_CHUNK),
+                reference,
+                "{workers} workers"
+            );
         }
         assert_eq!(reference.count, 500);
         assert_eq!(reference.order, (0..500).collect::<Vec<_>>());
@@ -357,7 +343,7 @@ mod tests {
         let a = run(2, 16);
         let b = run(2, 64);
         assert_eq!(a.count, b.count);
-        assert_eq!(a.hist, b.hist);
+        assert_eq!(a.bits, b.bits);
         assert_eq!(a.order, b.order);
         assert!((a.sum - b.sum).abs() < 1e-9);
     }
@@ -367,8 +353,8 @@ mod tests {
         // ≤ 1024 replications resolve to the old fixed chunk of 16, so
         // pre-adaptive float aggregates are reproduced bit for bit.
         let r = Replicator::new(2);
-        assert_eq!(r.resolved_chunk(500), DEFAULT_CHUNK);
-        assert_eq!(r.resolved_chunk(1024), DEFAULT_CHUNK);
+        assert_eq!(r.resolved_chunk(500), oaq_exec::MIN_CHUNK);
+        assert_eq!(r.resolved_chunk(1024), oaq_exec::MIN_CHUNK);
         assert_eq!(r.resolved_chunk(64_000), 1000);
         let pinned = Replicator::new(Executor::new(2).with_chunk(Some(7)));
         assert_eq!(pinned.resolved_chunk(64_000), 7);
@@ -376,11 +362,11 @@ mod tests {
 
     #[test]
     fn scratch_and_forced_steals_cannot_change_the_answer() {
-        let reference = run(1, DEFAULT_CHUNK);
+        let reference = run(1, oaq_exec::MIN_CHUNK);
         for workers in [2, 4, 8] {
             for forced in [false, true] {
                 let exec = Executor::new(workers)
-                    .with_chunk(Some(DEFAULT_CHUNK))
+                    .with_chunk(Some(oaq_exec::MIN_CHUNK))
                     .with_forced_steals(forced);
                 let got = Replicator::new(exec).run_scratch(
                     500,
@@ -395,7 +381,7 @@ mod tests {
                         sink.count += 1;
                         sink.sum += x;
                         sink.tally.record(x);
-                        sink.hist.record(x);
+                        sink.bits.push(x.to_bits());
                         sink.order.push(i);
                     },
                 );
@@ -415,7 +401,7 @@ mod tests {
                 sink.count += 1;
                 sink.sum += x;
                 sink.tally.record(x);
-                sink.hist.record(x);
+                sink.bits.push(x.to_bits());
                 sink.order.push(i);
             })
         };

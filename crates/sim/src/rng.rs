@@ -157,17 +157,6 @@ impl SimRng {
         assert!(n > 0, "index range must be non-empty");
         self.inner.random_range(0..n)
     }
-
-    /// An Erlang-`shape` draw with the given per-stage `rate` (sum of
-    /// `shape` independent exponentials).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape == 0` or `rate` is not strictly positive.
-    pub fn erlang(&mut self, shape: u32, rate: f64) -> f64 {
-        assert!(shape > 0, "Erlang shape must be >= 1");
-        (0..shape).map(|_| self.exp(rate)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -222,14 +211,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.05);
         assert!((var - 4.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn erlang_mean_is_shape_over_rate() {
-        let mut rng = SimRng::seed_from(5);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| rng.erlang(4, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.05);
     }
 
     #[test]

@@ -5,9 +5,6 @@
 //! * [`TimeWeighted`] — time-averaged level of a piecewise-constant signal,
 //!   the estimator behind steady-state probabilities such as the paper's
 //!   P(k) (fraction of time an orbital plane holds `k` active satellites).
-//! * [`Histogram`] — fixed-width binned distribution.
-//! * [`BatchMeans`] — steady-state confidence intervals by the method of
-//!   batch means.
 //! * [`P2Quantile`] — streaming quantile estimation (P² algorithm), for
 //!   latency percentiles.
 //!
@@ -16,16 +13,12 @@
 //! engine ([`crate::par::Replicator`]); all of them also implement the
 //! [`crate::par::Merge`] trait.
 
-mod batch;
 mod counter;
-mod histogram;
 mod quantile;
 mod tally;
 mod timeweighted;
 
-pub use batch::BatchMeans;
 pub use counter::Counter;
-pub use histogram::Histogram;
 pub use quantile::P2Quantile;
 pub use tally::Tally;
 pub use timeweighted::TimeWeighted;

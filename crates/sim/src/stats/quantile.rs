@@ -151,8 +151,7 @@ impl P2Quantile {
     /// min/max, the interior marker heights combine as count-weighted
     /// averages, and positions/desired positions add — deterministic and
     /// order-stable, with accuracy comparable to a single estimator fed
-    /// both streams. Replication studies that need an *exact* mergeable
-    /// distribution sketch should use [`super::Histogram`] instead.
+    /// both streams.
     ///
     /// # Panics
     ///

@@ -75,16 +75,6 @@ impl Tally {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    #[must_use]
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Smallest observation, if any.
     #[must_use]
     pub fn min(&self) -> Option<f64> {
@@ -95,12 +85,6 @@ impl Tally {
     #[must_use]
     pub fn max(&self) -> Option<f64> {
         self.max
-    }
-
-    /// A symmetric ~95% normal-approximation confidence half-width.
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error()
     }
 
     /// Merges another tally into this one (parallel reduction).
@@ -151,7 +135,6 @@ mod tests {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
-        assert_eq!(t.std_error(), 0.0);
         assert_eq!(t.min(), None);
     }
 

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use oaq_sim::par::{Executor, Merge, Replicator};
 use oaq_sim::rng::substream_seed;
-use oaq_sim::stats::{BatchMeans, Histogram, Tally, TimeWeighted};
+use oaq_sim::stats::{Tally, TimeWeighted};
 use oaq_sim::{EventQueue, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -111,56 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn histogram_merge_equals_sequential(
-        xs in prop::collection::vec(-2.0f64..12.0, 0..80),
-        ys in prop::collection::vec(-2.0f64..12.0, 0..80),
-    ) {
-        let hist_of = |v: &[f64]| {
-            let mut h = Histogram::new(0.0, 10.0, 16);
-            for &x in v {
-                h.record(x);
-            }
-            h
-        };
-        let mut merged = hist_of(&xs);
-        merged.merge(&hist_of(&ys));
-        let all: Vec<f64> = xs.iter().chain(&ys).copied().collect();
-        // Integer bin counts: merging partials is exactly the sequential
-        // histogram, bit for bit.
-        prop_assert_eq!(merged, hist_of(&all));
-    }
-
-    #[test]
-    fn batch_means_merge_equals_sequential(
-        xs_raw in prop::collection::vec(-50.0f64..50.0, 0..60),
-        ys in prop::collection::vec(-50.0f64..50.0, 0..60),
-        batch in 1u64..8,
-    ) {
-        // Merge is exact when the left side sits on a batch boundary (the
-        // replication engine's chunk sinks usually do); align xs to one.
-        let cut = xs_raw.len() - xs_raw.len() % batch as usize;
-        let xs = &xs_raw[..cut];
-        let bm_of = |v: &[f64]| {
-            let mut b = BatchMeans::new(batch);
-            for &x in v {
-                b.record(x);
-            }
-            b
-        };
-        let mut merged = bm_of(xs);
-        merged.merge(&bm_of(&ys));
-        let all: Vec<f64> = xs.iter().chain(&ys).copied().collect();
-        let seq = bm_of(&all);
-        let obs = |b: &BatchMeans| b.completed_batches() * batch + b.partial_count();
-        prop_assert_eq!(obs(&merged), obs(&seq));
-        prop_assert_eq!(merged.completed_batches(), seq.completed_batches());
-        prop_assert_eq!(merged.partial_count(), seq.partial_count());
-        if seq.completed_batches() > 0 {
-            prop_assert!((merged.grand_mean() - seq.grand_mean()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn time_weighted_merge_equals_sequential(
         levels in prop::collection::vec(0.0f64..10.0, 2..40),
         split in 1usize..39,
@@ -196,17 +146,13 @@ proptest! {
         #[derive(Debug, Clone, PartialEq, Default)]
         struct Sink {
             count: u64,
-            hist: Option<Histogram>,
+            bits: Vec<u64>,
             order: Vec<u64>,
         }
         impl Merge for Sink {
             fn merge(&mut self, other: &Self) {
                 self.count.merge(&other.count);
-                match (&mut self.hist, &other.hist) {
-                    (Some(a), Some(b)) => a.merge(b),
-                    (h @ None, Some(b)) => *h = Some(b.clone()),
-                    _ => {}
-                }
+                self.bits.merge(&other.bits);
                 self.order.merge(&other.order);
             }
         }
@@ -217,9 +163,7 @@ proptest! {
             Replicator::new(exec).run(replications, seed, Sink::default, |i, rng, sink| {
                     let x = rng.exp(0.4);
                     sink.count += 1;
-                    sink.hist
-                        .get_or_insert_with(|| Histogram::new(0.0, 20.0, 32))
-                        .record(x);
+                    sink.bits.push(x.to_bits());
                     sink.order.push(i);
                 })
         };

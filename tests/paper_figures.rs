@@ -2,21 +2,13 @@
 //!
 //! Table 1's per-capacity geometry is recomputed and pinned to the
 //! committed `results/table1.txt`. Each figure is regenerated on the
-//! paper's λ grid through the `analytic::sweep` entry points, once on one
-//! worker and once on two; the two runs must agree exactly. The quoted
-//! values the paper states in its text and figure captions are then
-//! pinned against the one-worker rows.
+//! paper's λ grid through the `analytic::sweep` entry points, and the
+//! quoted values the paper states in its text and figure captions are
+//! pinned against those rows.
 
 use oaq_analytic::compose::Scheme;
 use oaq_analytic::geometry::PlaneGeometry;
 use oaq_analytic::sweep::{figure7, figure8, figure9, paper_lambda_grid, QosRow};
-
-/// Runs a sweep on one and on two workers and returns the (identical) rows.
-fn on_one_and_two<T: PartialEq + std::fmt::Debug>(sweep: impl Fn(usize) -> T) -> T {
-    let serial = sweep(1);
-    assert_eq!(sweep(2), serial, "worker count changed a figure");
-    serial
-}
 
 #[test]
 fn table1_geometry_matches_the_committed_table() {
@@ -65,8 +57,8 @@ fn table1_geometry_matches_the_committed_table() {
 #[test]
 fn figure9_matches_the_paper_anchors() {
     let grid = paper_lambda_grid();
-    let oaq = on_one_and_two(|w| figure9(Scheme::Oaq, &grid, w).unwrap());
-    let baq = on_one_and_two(|w| figure9(Scheme::Baq, &grid, w).unwrap());
+    let oaq = figure9(Scheme::Oaq, &grid).unwrap();
+    let baq = figure9(Scheme::Baq, &grid).unwrap();
     let (first, last) = (0, grid.len() - 1);
     for (rows, scheme, at_1e5, at_1e4) in [(&oaq, "OAQ", 0.75, 0.41), (&baq, "BAQ", 0.33, 0.04)] {
         let near = |row: &QosRow, paper: f64| (row.p_ge_2 - paper).abs() <= 0.01;
@@ -93,7 +85,7 @@ fn figure9_matches_the_paper_anchors() {
 #[test]
 fn figure8_oaq_gains_up_to_38_percent_and_baq_ignores_mu() {
     let grid = paper_lambda_grid();
-    let sweep = |scheme, mu| on_one_and_two(|w| figure8(scheme, mu, &grid, w).unwrap());
+    let sweep = |scheme, mu| figure8(scheme, mu, &grid).unwrap();
     let (oaq_02, oaq_05) = (sweep(Scheme::Oaq, 0.2), sweep(Scheme::Oaq, 0.5));
     let (baq_02, baq_05) = (sweep(Scheme::Baq, 0.2), sweep(Scheme::Baq, 0.5));
     let max_gain = oaq_02
@@ -112,7 +104,7 @@ fn figure8_oaq_gains_up_to_38_percent_and_baq_ignores_mu() {
 #[test]
 fn figure7_mode_moves_from_full_capacity_to_the_threshold() {
     let grid = paper_lambda_grid();
-    let rows = on_one_and_two(|w| figure7(&grid, 30_000.0, 10, w).unwrap());
+    let rows = figure7(&grid, 30_000.0, 10).unwrap();
     let mode = |p_k: &[f64]| {
         (0..p_k.len())
             .max_by(|&a, &b| p_k[a].total_cmp(&p_k[b]))
