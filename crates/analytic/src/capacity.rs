@@ -22,10 +22,68 @@
 //!
 //! one scalar weight per series term, with no quadrature error (de Souza e
 //! Silva & Gail, JACM 1989).
+//!
+//! Every rate of the death chain is `k·λ`, so its generator is `λ·Q₁` and
+//! the substitution `s = λt` turns the average over `[0, φ]` into the λ = 1
+//! chain's average over `[0, λφ]`: P(k) depends on the plane shape
+//! (capacity, spares, η) and on λφ alone. [`CapacityParams::distribution`]
+//! therefore explores each shape once, at λ = 1, keeps it for the life of
+//! the process, and replays that chain's stored iterates `vⱼ` for every
+//! (λ, φ) (see `oaq_san::plane::CapacitySolve::distribution_over`).
+
+use std::sync::{Mutex, PoisonError};
 
 use crate::params::{require_int_in_range, require_positive, ParamError};
 use oaq_san::ctmc::CtmcError;
 use oaq_san::plane::{CapacitySolve, PlaneModelConfig, SparePolicy};
+
+/// Plane shapes (capacity, spares, η) whose λ = 1 solve is kept; a shape
+/// past this many is explored for its call and dropped.
+const MAX_SHAPES: usize = 32;
+
+/// `P(K = k)` of a plane shape's λ = 1 chain over `horizon`, from that
+/// shape's solve, explored on first use.
+fn shape_distribution(
+    (capacity, spares, eta): (u32, u32, u32),
+    horizon: f64,
+) -> Result<Vec<f64>, CtmcError> {
+    type Shapes = Vec<((u32, u32, u32), &'static CapacitySolve)>;
+    // Solves are leaked once per shape (at most MAX_SHAPES), so lookups
+    // hand out plain references with no reference counting.
+    static SHAPES: Mutex<Shapes> = Mutex::new(Vec::new());
+    let key = (capacity, spares, eta);
+    let find = |shapes: &Shapes| shapes.iter().find(|(k, _)| *k == key).map(|&(_, s)| s);
+    let kept = find(&SHAPES.lock().unwrap_or_else(PoisonError::into_inner));
+    if let Some(solve) = kept {
+        return solve.distribution_over(horizon);
+    }
+    let solve = PlaneModelConfig {
+        capacity,
+        spares,
+        lambda: 1.0,
+        phi: 1.0,
+        eta,
+        policy: SparePolicy::PinAtThreshold,
+    }
+    .capacity_solve(10_000)?;
+    let mut shapes = SHAPES.lock().unwrap_or_else(PoisonError::into_inner);
+    // Another caller may have explored the same shape meanwhile; its solve
+    // is the same chain, so keep the first.
+    let kept = match find(&shapes) {
+        Some(kept) => kept,
+        None if shapes.len() < MAX_SHAPES => {
+            let leaked: &'static CapacitySolve = Box::leak(Box::new(solve));
+            shapes.push((key, leaked));
+            leaked
+        }
+        None => {
+            drop(shapes);
+            return solve.distribution_over(horizon);
+        }
+    };
+    drop(shapes);
+    kept.distribution_over(horizon)
+}
 
 /// Parameters of the capacity model (time unit: hours).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,43 +167,29 @@ impl CapacityParams {
         assert!(self.eta < self.capacity, "eta must be below capacity");
     }
 
-    /// The equivalent `oaq-san` plane configuration (pin-at-threshold).
-    #[must_use]
-    pub fn plane_config(&self) -> PlaneModelConfig {
-        PlaneModelConfig {
-            capacity: self.capacity,
-            spares: self.spares,
-            lambda: self.lambda,
-            phi: self.phi,
-            eta: self.eta,
-            policy: SparePolicy::PinAtThreshold,
-        }
-    }
-
-    /// Explores the within-cycle death process into a reusable
-    /// [`CapacitySolve`] — the expensive half of [`Self::distribution`],
-    /// independent of φ. A serving layer that sweeps φ (or composes many
-    /// QoS measures over one failure scenario) should hold on to the solve
-    /// and call [`CapacitySolve::distribution_over`] per horizon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates CTMC exploration failures.
-    pub fn solve(&self) -> Result<CapacitySolve, CtmcError> {
-        self.validate();
-        self.plane_config().capacity_solve(10_000)
-    }
-
     /// Computes `P(K = k)` for `k = 0..=capacity` (entries below η are
     /// exactly zero under the pinning policy) by the exact interval-weight
-    /// integral of the module docs, to the 1e-12 series tolerance.
+    /// integral of the module docs, to the 1e-12 series tolerance, over
+    /// the plane shape's λ = 1 chain at horizon λφ.
+    ///
+    /// An underflowed λφ = 0 is a cycle too short for any failure: the
+    /// plane stays at full capacity, `P(K = capacity) = 1`.
     ///
     /// # Errors
     ///
-    /// Propagates CTMC solver failures (the model itself is a few dozen
-    /// states, so exploration cannot realistically overflow).
+    /// A typed [`CtmcError::Solver`] for a λφ that overflows (a non-finite
+    /// horizon is rejected before any series runs); otherwise propagates
+    /// CTMC solver failures (the model itself is a few dozen states, so
+    /// exploration cannot realistically overflow).
     pub fn distribution(&self) -> Result<Vec<f64>, CtmcError> {
-        self.solve()?.distribution_over(self.phi)
+        self.validate();
+        let horizon = self.lambda * self.phi;
+        if horizon == 0.0 {
+            let mut full = vec![0.0; self.capacity as usize + 1];
+            full[self.capacity as usize] = 1.0;
+            return Ok(full);
+        }
+        shape_distribution((self.capacity, self.spares, self.eta), horizon)
     }
 }
 
@@ -293,15 +337,18 @@ mod tests {
     }
 
     #[test]
-    fn reusable_solve_is_bit_identical_to_distribution() {
+    fn shape_table_hit_is_bit_identical_to_a_cold_solve() {
+        // A cache hit never changes an answer: the process-wide shape's
+        // warm table and a freshly explored λ = 1 chain (cold table) agree
+        // bit for bit, call after call.
         let p = CapacityParams::reference(5e-5, PHI, 10);
-        let direct = p.distribution().unwrap();
-        let solve = p.solve().unwrap();
-        // Same solve, many horizons: the φ = PHI row must match the
-        // one-shot path bit for bit (a serving-layer cache hit may never
-        // change an answer).
+        let cold = PlaneModelConfig::reference(1.0, 1.0, 10)
+            .capacity_solve(10_000)
+            .unwrap()
+            .distribution_over(p.lambda * p.phi)
+            .unwrap();
         for _ in 0..3 {
-            assert_eq!(solve.distribution_over(PHI).unwrap(), direct);
+            assert_eq!(p.distribution().unwrap(), cold);
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests of the analytic QoS model.
 
+use oaq_analytic::capacity::CapacityParams;
 use oaq_analytic::geometry::PlaneGeometry;
 use oaq_analytic::qos::{conditional_qos, g2_oaq, g3_baq, g3_oaq, QosParams, Scheme};
+use oaq_san::plane::{PlaneModelConfig, SparePolicy};
 use proptest::prelude::*;
 
 fn params() -> impl Strategy<Value = QosParams> {
@@ -76,6 +78,46 @@ proptest! {
         prop_assert!(alpha > 0.0 && alpha <= g.l1() + 1e-12);
         if !g.is_overlapping() {
             prop_assert!((alpha - g.tc()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn p_k_depends_on_the_plane_shape_and_lambda_phi_alone(
+        log_lambda in -5.0f64..-4.0,
+        log_phi in 3.5f64..5.5,
+        eta in 8u32..=12,
+    ) {
+        // The oracle of the shape table: the chain explored at the query's
+        // own λ over φ against the shared λ = 1 shape over λφ, at (λ, φ)
+        // and at every rescaled (cλ, φ/c). Every rate is k·λ, so the
+        // answers agree up to the rounding of Λ and Λφ.
+        let (lambda, phi) = (10f64.powf(log_lambda), 10f64.powf(log_phi));
+        for (capacity, spares, eta) in [(14, 2, eta), (22, 2, 18)] {
+            let per_lambda = PlaneModelConfig {
+                capacity,
+                spares,
+                lambda,
+                phi,
+                eta,
+                policy: SparePolicy::PinAtThreshold,
+            }
+            .capacity_solve(10_000)
+            .unwrap()
+            .distribution_over(phi)
+            .unwrap();
+            for c in [1.0, 0.5, 2.0, 3.0, 10.0] {
+                let shared = CapacityParams::new(capacity, spares, c * lambda, phi / c, eta)
+                    .unwrap()
+                    .distribution()
+                    .unwrap();
+                for (k, (a, b)) in per_lambda.iter().zip(&shared).enumerate() {
+                    prop_assert!(
+                        (a - b).abs() <= 1e-13,
+                        "{capacity}+{spares}@{eta}, lambda={lambda}, phi={phi}, c={c}, k={k}: \
+                         {a} vs {b}"
+                    );
+                }
+            }
         }
     }
 }

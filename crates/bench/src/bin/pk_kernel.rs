@@ -11,20 +11,23 @@
 //!    folded quadrature node for node). `max_abs_diff` is that Simpson's
 //!    error. The bench also checks the exact kernel against
 //!    32768-panel Simpson (≤ 2e-12) and exits non-zero on violation.
-//! 2. **phi_batch** — a φ-sweep served by `distributions_over` (every
-//!    horizon riding one iterate sequence) vs one `distribution_over`
-//!    call per φ.
+//! 2. **shape_table** — the reference plane shape's λ = 1 chain, which
+//!    `CapacityParams::distribution` serves every (λ, φ) from: the cold
+//!    first solve (exploration, kernel and iterate-table build included)
+//!    vs a warm replay of the stored iterates. The bench also checks the
+//!    replay against a fresh iterate loop over the same chain at horizons
+//!    λφ from Λφ ≈ 2 to ones the steady-state detector closes early, and
+//!    exits non-zero if any bit differs.
 //! 3. **scaling** — a state-count axis: planes scaled up to 10× the
 //!    reference (capacity 140 + 20 spares); both sides are O(K · nnz)
 //!    matvecs, Simpson adds O(panels · K) scalar weight work.
 //!
 //! Usage: `pk_kernel [--quick] [--panels N]`
 
-use oaq_analytic::capacity::CapacityParams;
 use oaq_bench::args::CliSpec;
 use oaq_bench::json::{emit, fmt_f64};
 use oaq_bench::{max_abs_diff, measure, scaled_solve};
-use oaq_san::plane::{product_form_pk, CapacitySolve};
+use oaq_san::plane::{product_form_pk, CapacitySolve, PlaneModelConfig};
 
 const LAMBDA: f64 = 5e-5;
 const PHI: f64 = 30_000.0;
@@ -34,6 +37,10 @@ const ETA: u32 = 10;
 const CONVERGED_PANELS: usize = 32_768;
 /// Exact kernel vs converged Simpson.
 const CONVERGED_TOL: f64 = 2e-12;
+/// Horizons λφ of the λ = 1 chain checked replay vs fresh loop: Λφ ≈ 2.1,
+/// 21, 210 (the paper's λ = 5e-5 at φ = 3e5), 420 (λ = 1e-4 at φ = 3e5),
+/// and one the steady-state detector closes early.
+const REPLAY_HORIZONS: [f64; 5] = [0.15, 1.5, 15.0, 30.0, 1e4];
 
 struct KernelRow {
     states: usize,
@@ -71,9 +78,9 @@ fn main() {
     // Timing rounds × calls per round.
     let timing = if quick { (3, 1) } else { (5, 2) };
 
-    // 1. Reference plane: the exact solve `engine::eval` serves.
-    let solve = CapacityParams::reference(LAMBDA, PHI, ETA)
-        .solve()
+    // 1. Reference plane at the paper's λ.
+    let solve = PlaneModelConfig::reference(LAMBDA, PHI, ETA)
+        .capacity_solve(10_000)
         .expect("reference plane solves");
     let reference = bench_solve(&solve, panels, timing);
     let converged_diff = max_abs_diff(
@@ -91,28 +98,34 @@ fn main() {
         converged_diff,
     );
 
-    // 2. A φ-sweep batched over one iterate sequence vs per-φ calls.
-    let phis: Vec<f64> = (1..=16).map(|i| PHI / 16.0 * f64::from(i)).collect();
-    let batched = solve.distributions_over(&phis).expect("batch solves");
-    let single: Vec<Vec<f64>> = phis
-        .iter()
-        .map(|&phi| solve.distribution_over(phi).unwrap())
-        .collect();
-    let batch_identical = batched == single;
+    // 2. The shape table: one λ = 1 chain per plane shape, replayed.
     let (rounds, reps) = timing;
-    let batch_secs = measure::per_call(rounds, reps, || solve.distributions_over(&phis).unwrap());
-    let per_phi_secs = measure::per_call(rounds, reps, || {
-        phis.iter()
-            .map(|&phi| solve.distribution_over(phi).unwrap())
-            .collect::<Vec<_>>()
+    let unit = || {
+        PlaneModelConfig::reference(1.0, 1.0, ETA)
+            .capacity_solve(10_000)
+            .expect("unit-rate plane solves")
+    };
+    let horizon = LAMBDA * PHI;
+    let cold_secs = measure::per_call(rounds, reps, || unit().distribution_over(horizon).unwrap());
+    let warm = unit();
+    let warm_secs = measure::per_call(rounds, reps, || warm.distribution_over(horizon).unwrap());
+    let p0 = warm.ctmc().initial_distribution();
+    let kernel = warm.ctmc().kernel().expect("kernel builds");
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let replay_identical = REPLAY_HORIZONS.iter().all(|&h| {
+        let fresh = bits(kernel.time_average(&p0, h).unwrap());
+        bits(warm.ctmc().time_average(h).unwrap()) == fresh
+            && bits(unit().ctmc().time_average(h).unwrap()) == fresh
     });
     eprintln!(
-        "# phi_batch ({} horizons): per-phi {:.1} us, batched {:.1} us, {:.1}x, identical={}",
-        phis.len(),
-        per_phi_secs * 1e6,
-        batch_secs * 1e6,
-        per_phi_secs / batch_secs,
-        batch_identical,
+        "# shape_table ({} states): cold {:.1} us, warm {:.1} us, {:.1}x, \
+         replay identical to a fresh loop at {} horizons: {}",
+        warm.num_states(),
+        cold_secs * 1e6,
+        warm_secs * 1e6,
+        cold_secs / warm_secs,
+        REPLAY_HORIZONS.len(),
+        replay_identical,
     );
 
     // 3. State-count scaling: both sides on planes up to 10× the paper's.
@@ -154,8 +167,8 @@ fn main() {
          \"reference\": {{\"states\": {}, \"simpson_secs\": {}, \"exact_secs\": {}, \
          \"speedup\": {}, \"max_abs_diff\": {}, \"converged_panels\": {CONVERGED_PANELS}, \
          \"converged_max_abs_diff\": {}}},\n  \
-         \"phi_batch\": {{\"horizons\": {}, \"per_phi_secs\": {}, \"batched_secs\": {}, \
-         \"speedup\": {}, \"bit_identical\": {batch_identical}}},\n  \
+         \"shape_table\": {{\"states\": {}, \"cold_secs\": {}, \"warm_secs\": {}, \
+         \"speedup\": {}, \"horizons\": {}, \"bit_identical\": {replay_identical}}},\n  \
          \"scaling\": [{}]\n}}",
         reference.states,
         fmt_f64(reference.simpson_secs),
@@ -163,15 +176,16 @@ fn main() {
         fmt_f64(reference.simpson_secs / reference.exact_secs),
         fmt_f64(reference.diff),
         fmt_f64(converged_diff),
-        phis.len(),
-        fmt_f64(per_phi_secs),
-        fmt_f64(batch_secs),
-        fmt_f64(per_phi_secs / batch_secs),
+        warm.num_states(),
+        fmt_f64(cold_secs),
+        fmt_f64(warm_secs),
+        fmt_f64(cold_secs / warm_secs),
+        REPLAY_HORIZONS.len(),
         scaling_json.join(", "),
     ));
 
-    if converged_diff > CONVERGED_TOL || !batch_identical {
-        eprintln!("# KERNEL AGREEMENT VIOLATED: exact/Simpson or batch/serial answers diverged");
+    if converged_diff > CONVERGED_TOL || !replay_identical {
+        eprintln!("# KERNEL AGREEMENT VIOLATED: exact/Simpson or replay/fresh answers diverged");
         std::process::exit(1);
     }
 }

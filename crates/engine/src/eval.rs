@@ -235,6 +235,32 @@ mod tests {
     }
 
     #[test]
+    fn extreme_lambda_phi_products_from_the_wire() {
+        // λ and φ each pass `QuerySpec::build` while λφ does not fit an
+        // f64: an underflowed λφ still answers a full plane, an
+        // overflowed one is a typed error before any series runs.
+        let spec = |lambda, phi| {
+            let mut s = QuerySpec::paper_defaults(lambda, Measure::CapacityDistribution);
+            s.phi = phi;
+            s.build().unwrap()
+        };
+        let tiny = direct_eval(&spec(1e-200, 1e-150)).unwrap();
+        assert_eq!(tiny.distribution()[14], 1.0);
+        assert!(tiny.distribution()[..14].iter().all(|&x| x == 0.0));
+        for (lambda, phi) in [(1e300, 1e10), (1e300, 1e8)] {
+            assert!(
+                matches!(
+                    direct_eval(&spec(lambda, phi)),
+                    Err(EngineError::Solver(oaq_san::ctmc::CtmcError::Solver(
+                        oaq_san::solver::SolverError::InvalidInput(_)
+                    )))
+                ),
+                "lambda={lambda}, phi={phi}"
+            );
+        }
+    }
+
+    #[test]
     fn conditional_skips_capacity_and_matches_paper_value() {
         // P(Y = 3 | k = 12) at tau = 5, mu = 0.5: 0.44 OAQ vs 0.20 BAQ.
         let mut spec = QuerySpec::paper_defaults(

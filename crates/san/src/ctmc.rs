@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use oaq_linalg::Matrix;
 
 use crate::model::{ActivityId, Delay, Marking, SanModel};
-use crate::solver::{self, SolverError, TransientKernel};
+use crate::solver::{self, IterateTable, SolverError, TransientKernel};
 
 /// Errors from state-space exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,9 +64,10 @@ pub struct Ctmc {
     states: Vec<Marking>,
     generator: Matrix,
     initial_index: usize,
-    /// The sparse uniformization kernel, built on first transient use and
-    /// shared by every subsequent solve (and thread).
-    kernel: OnceLock<TransientKernel>,
+    /// The sparse uniformization kernel and the table of its iterates from
+    /// the initial marking, built on first transient use and shared by
+    /// every subsequent solve (and thread).
+    table: OnceLock<IterateTable>,
 }
 
 impl Ctmc {
@@ -119,7 +120,7 @@ impl Ctmc {
             states,
             generator: q,
             initial_index: 0,
-            kernel: OnceLock::new(),
+            table: OnceLock::new(),
         })
     }
 
@@ -130,14 +131,30 @@ impl Ctmc {
     ///
     /// Propagates generator validation failures.
     pub fn kernel(&self) -> Result<&TransientKernel, CtmcError> {
-        if let Some(k) = self.kernel.get() {
-            return Ok(k);
+        Ok(self.table()?.kernel())
+    }
+
+    /// The kernel with its append-only table of iterates `p₀Pʲ` from the
+    /// initial marking, which every transient solve of this chain replays
+    /// (bit for bit what a fresh series from `p₀` computes).
+    fn table(&self) -> Result<&IterateTable, CtmcError> {
+        if let Some(t) = self.table.get() {
+            return Ok(t);
         }
-        let built = TransientKernel::new(&self.generator)?;
+        let built = IterateTable::new(
+            TransientKernel::new(&self.generator)?,
+            self.initial_distribution(),
+        );
         // A racing thread may have installed its own copy; both were built
         // from the same generator by the same deterministic code, so which
         // one wins is unobservable.
-        Ok(self.kernel.get_or_init(|| built))
+        Ok(self.table.get_or_init(|| built))
+    }
+
+    /// Iterates the table holds now, and at most.
+    #[cfg(test)]
+    pub(crate) fn table_extent(&self) -> (usize, usize) {
+        self.table.get().map_or((0, 0), IterateTable::extent)
     }
 
     fn activity_rate(
@@ -193,44 +210,42 @@ impl Ctmc {
     }
 
     /// Transient distribution at time `t`, starting from the initial
-    /// marking. Uses the cached sparse kernel.
+    /// marking. Replays the cached iterate table.
     ///
     /// # Errors
     ///
     /// Propagates solver failures.
     pub fn transient(&self, t: f64) -> Result<Vec<f64>, CtmcError> {
-        Ok(self
-            .kernel()?
-            .transient(&self.initial_distribution(), t, 1e-12)?)
+        Ok(self.transient_batch(&[t], 1e-12)?.pop().expect("one time"))
     }
 
     /// Transient distributions at every time in `times`, from the initial
-    /// marking, over one shared iterate sequence (see
-    /// [`TransientKernel::transient_batch`]). Each entry is bit-identical
-    /// to the corresponding single-time [`Self::transient`] call.
+    /// marking, accurate to `tol` (see
+    /// [`TransientKernel::transient_batch`]), replayed from the iterate
+    /// table. Each entry is bit-identical to the corresponding single-time
+    /// call.
     ///
     /// # Errors
     ///
-    /// Propagates solver failures; rejects negative or non-finite times.
-    pub fn transient_batch(&self, times: &[f64]) -> Result<Vec<Vec<f64>>, CtmcError> {
-        Ok(self
-            .kernel()?
-            .transient_batch(&self.initial_distribution(), times, 1e-12)?)
+    /// Propagates solver failures; rejects negative or non-finite times
+    /// and a `tol` outside `(0, 1)`.
+    pub fn transient_batch(&self, times: &[f64], tol: f64) -> Result<Vec<Vec<f64>>, CtmcError> {
+        Ok(self.table()?.transient_batch(times, tol)?)
     }
 
     /// Expected fraction of time in each state over `[0, horizon]`, from the
     /// initial marking: the exact interval form of uniformization (see
-    /// [`TransientKernel::time_average_many`]).
+    /// [`TransientKernel::time_average_many`]), replayed from the iterate
+    /// table.
     ///
     /// # Errors
     ///
     /// * [`SolverError::InvalidInput`] (wrapped in [`CtmcError::Solver`])
-    ///   for a non-finite / non-positive horizon.
+    ///   for a non-finite / non-positive horizon, or one whose series
+    ///   overflows.
     /// * Propagates other solver failures.
     pub fn time_average(&self, horizon: f64) -> Result<Vec<f64>, CtmcError> {
-        Ok(self
-            .kernel()?
-            .time_average(&self.initial_distribution(), horizon)?)
+        Ok(self.table()?.time_average(horizon)?)
     }
 
     /// Expected instantaneous reward `Σᵢ p[i]·reward(state i)` under a state
@@ -421,7 +436,7 @@ mod tests {
         let (model, _) = birth_death();
         let ctmc = Ctmc::explore(&model, 100).unwrap();
         let times = [0.0, 0.3, 1.0, 10.0];
-        let batch = ctmc.transient_batch(&times).unwrap();
+        let batch = ctmc.transient_batch(&times, 1e-12).unwrap();
         for (&t, row) in times.iter().zip(&batch) {
             assert_eq!(row, &ctmc.transient(t).unwrap());
         }

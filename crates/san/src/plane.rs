@@ -237,11 +237,12 @@ impl PlaneModelConfig {
     /// clock — into a [`CapacitySolve`] that can be reused for any horizon
     /// φ and shared across threads (`CapacitySolve` is `Send + Sync`).
     ///
-    /// This is the expensive half of the Figure 7 regeneration-cycle
-    /// integral `P(k) = (1/φ)∫₀^φ P(K(t)=k) dt`: state-space exploration
-    /// and generator construction depend only on (capacity, spares, λ, η),
-    /// so a serving layer can solve once per failure scenario and evaluate
-    /// [`CapacitySolve::distribution_over`] for many deployment periods.
+    /// State-space exploration and generator construction for the Figure 7
+    /// regeneration-cycle integral `P(k) = (1/φ)∫₀^φ P(K(t)=k) dt` depend
+    /// only on (capacity, spares, λ, η); every horizon φ is then a
+    /// [`CapacitySolve::distribution_over`] call. Every rate is `k·λ`, so
+    /// the λ = 1 chain over horizon λφ gives the same integral, which is how
+    /// `oaq-analytic` serves every λ from one solve per plane shape.
     ///
     /// # Errors
     ///
@@ -376,6 +377,10 @@ impl CapacitySolve {
     /// integral, by the interval form of uniformization over the sparse
     /// kernel (see [`crate::solver::TransientKernel::time_average_many`]).
     ///
+    /// The iterates are replayed from the chain's table (see
+    /// [`Ctmc::time_average`]), so only the first call pays for the
+    /// matvecs, and every call returns the bits a fresh series would.
+    ///
     /// # Errors
     ///
     /// Rejects a non-finite / non-positive `phi` with a typed
@@ -383,22 +388,6 @@ impl CapacitySolve {
     pub fn distribution_over(&self, phi: f64) -> Result<Vec<f64>, CtmcError> {
         let avg = self.ctmc.time_average(phi)?;
         Ok(self.classify(&avg))
-    }
-
-    /// Capacity distributions for *many* cycle lengths at once: every φ
-    /// rides one shared iterate sequence, so a φ-sweep costs a single
-    /// matvec sweep. Each row is bit-identical to the corresponding
-    /// [`Self::distribution_over`] call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::distribution_over`], applied to every φ.
-    pub fn distributions_over(&self, phis: &[f64]) -> Result<Vec<Vec<f64>>, CtmcError> {
-        let averages = self
-            .ctmc
-            .kernel()?
-            .time_average_many(&self.ctmc.initial_distribution(), phis)?;
-        Ok(averages.iter().map(|avg| self.classify(avg)).collect())
     }
 
     /// Capacity distributions `P(K(tₛ) = k)` at every Simpson node of
@@ -418,10 +407,7 @@ impl CapacitySolve {
         let m = simpson_panels(phi, panels)?;
         let h = phi / m as f64;
         let times: Vec<f64> = (0..=m).map(|s| h * s as f64).collect();
-        let rows =
-            self.ctmc
-                .kernel()?
-                .transient_batch(&self.ctmc.initial_distribution(), &times, tol)?;
+        let rows = self.ctmc.transient_batch(&times, tol)?;
         Ok(rows.iter().map(|r| self.classify(r)).collect())
     }
 
@@ -760,16 +746,29 @@ mod tests {
 
     #[test]
     fn capacity_solve_shared_across_threads() {
+        // Threads racing the cold table's first extension all get the bits
+        // of a fresh loop.
         let solve = PlaneModelConfig::reference(5e-5, PHI, 10)
             .capacity_solve(10_000)
             .unwrap();
-        let baseline = solve.distribution_over(PHI).unwrap();
+        let ctmc = solve.ctmc();
+        let fresh = ctmc
+            .kernel()
+            .unwrap()
+            .time_average(&ctmc.initial_distribution(), PHI)
+            .unwrap();
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| solve.distribution_over(PHI).unwrap()))
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ctmc.time_average(PHI).unwrap()
+                    })
+                })
                 .collect();
             for h in handles {
-                assert_eq!(h.join().unwrap(), baseline, "solves are bit-identical");
+                assert_eq!(bits(&h.join().unwrap()), bits(&fresh));
             }
         });
     }
@@ -792,16 +791,76 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Replays (cold, then warm) of `solve`'s iterate table against fresh
+    /// loops from `p₀` on the same kernel, bit for bit: a single-horizon
+    /// loop per horizon, one loop batching every horizon, and the
+    /// transient batch.
+    fn assert_replays_match_fresh_loops(solve: &CapacitySolve, horizons: &[f64]) {
+        let ctmc = solve.ctmc();
+        let p0 = ctmc.initial_distribution();
+        let kernel = ctmc.kernel().unwrap();
+        let batched = kernel.time_average_many(&p0, horizons).unwrap();
+        for (&h, row) in horizons.iter().zip(&batched) {
+            let fresh = bits(&kernel.time_average(&p0, h).unwrap());
+            assert_eq!(bits(row), fresh, "batch invariance at {h}");
+            for pass in ["cold", "warm"] {
+                assert_eq!(
+                    bits(&ctmc.time_average(h).unwrap()),
+                    fresh,
+                    "{pass} replay at {h}"
+                );
+            }
+        }
+        let fresh = kernel.transient_batch(&p0, horizons, 1e-13).unwrap();
+        let replay = ctmc.transient_batch(horizons, 1e-13).unwrap();
+        for (f, r) in fresh.iter().zip(&replay) {
+            assert_eq!(bits(r), bits(f), "transient replay");
+        }
+    }
+
     #[test]
-    fn distributions_over_matches_per_phi_calls_bitwise() {
-        let solve = PlaneModelConfig::reference(5e-5, PHI, 10)
+    fn table_replay_is_bit_identical_to_a_fresh_loop() {
+        // The reference shape at λ = 1 (Λ ≈ 14): horizons from Λφ ≈ 0.1 to
+        // the query grid's longest series (λφ = 30, Λφ ≈ 420), and two the
+        // steady-state detector closes long before their Poisson bulk.
+        let unit = PlaneModelConfig::reference(1.0, 1.0, 10)
             .capacity_solve(10_000)
             .unwrap();
-        let phis = [5_000.0, 10_000.0, 30_000.0];
-        let rows = solve.distributions_over(&phis).unwrap();
-        for (&phi, row) in phis.iter().zip(&rows) {
-            assert_eq!(row, &solve.distribution_over(phi).unwrap());
+        assert_replays_match_fresh_loops(&unit, &[0.01, 0.15, 1.5, 15.0, 30.0, 1e3, 1e6]);
+        let (stored, max) = unit.ctmc().table_extent();
+        assert!(
+            stored < 1000 && stored < max,
+            "λφ = 1e6 closed early: {stored}"
+        );
+        // A per-λ chain over φ directly, as `mega_pk` and the joint solve
+        // use it.
+        let per_lambda = PlaneModelConfig::reference(1e-4, PHI, 10)
+            .capacity_solve(10_000)
+            .unwrap();
+        assert_replays_match_fresh_loops(&per_lambda, &[5e3, 1e4, 3e4, 3e5]);
+    }
+
+    #[test]
+    fn replay_past_the_table_budget_is_bit_identical() {
+        // 1015 states: the table holds 128 iterates, but the chain needs
+        // ~900 deaths to reach its pinned state, so the detector cannot
+        // close a Λφ ≈ 1344 series before it walks past the table.
+        let big = PlaneModelConfig {
+            capacity: 14 * 64,
+            spares: 2 * 64,
+            ..PlaneModelConfig::reference(5e-5, PHI, 10)
         }
+        .capacity_solve(100_000)
+        .unwrap();
+        assert_eq!(big.num_states(), 1015);
+        assert_replays_match_fresh_loops(&big, &[PHI]);
+        let (stored, max) = big.ctmc().table_extent();
+        assert_eq!(stored, max, "the replay filled the table");
+        assert!(max < 1344, "the series outruns the table");
     }
 
     /// `P(K = c)` in closed form: the plane stays at capacity `c` until

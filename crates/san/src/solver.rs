@@ -10,6 +10,8 @@
 //! transient reference is kept (suffixed `_dense`) as the baseline the
 //! kernel is benchmarked and property-tested against.
 
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use oaq_linalg::{CsrMatrix, LinalgError, Matrix};
 
 /// Errors from the Markov solvers.
@@ -272,23 +274,25 @@ pub struct TransientKernel {
 const LOG_SWITCH: f64 = -700.0;
 
 /// Per-series-term quantities shared by every Poisson weight in a batch:
-/// ln(k+1) and 1/(k+1) are computed once per iterate, not once per point.
+/// 1/(k+1) is computed once per iterate, not once per point.
 struct SharedStep {
     k: u64,
     kf: f64,
-    ln_k1: f64,
     inv_k1: f64,
 }
 
 impl SharedStep {
     fn at(k: u64) -> Self {
-        let kf1 = (k + 1) as f64;
         SharedStep {
             k,
             kf: k as f64,
-            ln_k1: kf1.ln(),
-            inv_k1: 1.0 / kf1,
+            inv_k1: 1.0 / (k + 1) as f64,
         }
+    }
+
+    /// ln(k+1), for the few weights still ramping in log space.
+    fn ln_k1(&self) -> f64 {
+        ((self.k + 1) as f64).ln()
     }
 }
 
@@ -342,6 +346,7 @@ struct SteadyDetector {
 /// One window-boundary observation: the windowed displacement `D`, the
 /// single-step difference `d`, and the iterate sup-norm, from which
 /// per-point projected drifts are formed.
+#[derive(Debug, Clone, Copy)]
 struct SteadyWindow {
     disp: f64,
     step_diff: f64,
@@ -402,6 +407,265 @@ impl SteadyDetector {
     }
 }
 
+/// The iterate sequence `vₖ = p₀ Pᵏ` computed as it goes: one CSR matvec
+/// per step into two buffers, watched by the steady-state detector.
+struct Walk {
+    term: Vec<f64>,
+    next: Vec<f64>,
+    detector: SteadyDetector,
+}
+
+impl Walk {
+    fn new(p0: &[f64], detect: bool) -> Self {
+        Walk {
+            term: p0.to_vec(),
+            next: vec![0.0; p0.len()],
+            detector: SteadyDetector::new(detect, p0),
+        }
+    }
+
+    /// The walk exactly as it stood on the last iterate of stored chunk
+    /// `c`: chunks start on window boundaries, so the detector's
+    /// checkpoint is the chunk's first iterate and its one-step-back copy
+    /// the chunk's last.
+    fn resume(chunk: &Chunk, c: usize) -> Self {
+        let n = chunk.iterates.len() / CHUNK;
+        let last = &chunk.iterates[(CHUNK - 1) * n..];
+        Walk {
+            term: last.to_vec(),
+            next: vec![0.0; n],
+            detector: SteadyDetector {
+                enabled: true,
+                steps: ((c + 1) * CHUNK - 1) as u64,
+                checkpoint: chunk.iterates[..n].to_vec(),
+                prev: last.to_vec(),
+            },
+        }
+    }
+
+    /// Computes the next iterate; returns the detector's reading when it
+    /// lands on a window boundary.
+    fn advance(&mut self, p: &CsrMatrix) -> Result<Option<SteadyWindow>, SolverError> {
+        p.vec_mul_into(&self.term, &mut self.next)
+            .map_err(SolverError::Numeric)?;
+        std::mem::swap(&mut self.term, &mut self.next);
+        Ok(self.detector.window(&self.term))
+    }
+}
+
+/// Bytes of iterates one [`IterateTable`] stores at most. A replay that
+/// needs more continues past the last stored iterate with a [`Walk`].
+const TABLE_BYTES: usize = 1 << 20;
+/// Iterates per table chunk: one detector window, so every chunk starts
+/// on a window boundary and carries that boundary's reading.
+const CHUNK: usize = STEADY_WINDOW as usize;
+
+/// `CHUNK` consecutive iterates `v₁₂₈꜀ … v₁₂₈꜀₊₁₂₇`, stored flat.
+struct Chunk {
+    iterates: Box<[f64]>,
+    /// The detector's reading at `k = 128c` (none for `c = 0`).
+    window: Option<SteadyWindow>,
+}
+
+/// An append-only table of one chain's iterates `vₖ = p₀ Pᵏ` from its own
+/// fixed `p₀`, with the steady-state detector's reading at every window
+/// boundary. Both depend on `P` and `p₀` alone, so every series over the
+/// chain can replay them: a solve then costs its scalar weights and one
+/// `n`-wide weighted sum per term, with no matvec.
+///
+/// The table grows lazily, one chunk at a time under a lock, up to
+/// [`TABLE_BYTES`]; readers never lock a filled chunk. Each chunk is
+/// computed by the same [`Walk`] a fresh series runs, resumed from the
+/// chunk before it, so a replay is bit-identical to a fresh loop, and a
+/// replay that outruns the budget resumes the walk from the last stored
+/// iterate.
+pub(crate) struct IterateTable {
+    kernel: TransientKernel,
+    p0: Vec<f64>,
+    chunks: Box<[OnceLock<Chunk>]>,
+    grow: Mutex<()>,
+}
+
+impl std::fmt::Debug for IterateTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IterateTable")
+            .field("kernel", &self.kernel)
+            .field("stored_chunks", &self.stored_chunks())
+            .field("max_chunks", &self.chunks.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl IterateTable {
+    /// An empty table over `kernel` from the distribution `p0`.
+    pub(crate) fn new(kernel: TransientKernel, p0: Vec<f64>) -> Self {
+        let max_chunks = TABLE_BYTES / (CHUNK * kernel.n.max(1) * std::mem::size_of::<f64>());
+        IterateTable {
+            kernel,
+            p0,
+            chunks: (0..max_chunks).map(|_| OnceLock::new()).collect(),
+            grow: Mutex::new(()),
+        }
+    }
+
+    /// The kernel the table replays.
+    pub(crate) fn kernel(&self) -> &TransientKernel {
+        &self.kernel
+    }
+
+    /// [`TransientKernel::time_average`] from the table's `p₀`, replayed.
+    ///
+    /// # Errors
+    ///
+    /// As [`TransientKernel::time_average`].
+    pub(crate) fn time_average(&self, horizon: f64) -> Result<Vec<f64>, SolverError> {
+        Ok(self
+            .kernel
+            .time_average_many_impl(&self.p0, Some(self), &[horizon], true)?
+            .pop()
+            .expect("one horizon"))
+    }
+
+    /// [`TransientKernel::transient_batch`] from the table's `p₀`, replayed.
+    ///
+    /// # Errors
+    ///
+    /// As [`TransientKernel::transient_batch`].
+    pub(crate) fn transient_batch(
+        &self,
+        times: &[f64],
+        tol: f64,
+    ) -> Result<Vec<Vec<f64>>, SolverError> {
+        self.kernel
+            .transient_batch_impl(&self.p0, Some(self), times, tol, true)
+    }
+
+    /// Chunks stored so far.
+    fn stored_chunks(&self) -> usize {
+        self.chunks.iter().take_while(|c| c.get().is_some()).count()
+    }
+
+    /// Iterates stored now, and at most.
+    #[cfg(test)]
+    pub(crate) fn extent(&self) -> (usize, usize) {
+        (self.stored_chunks() * CHUNK, self.chunks.len() * CHUNK)
+    }
+
+    /// The replay cursor on `v₀`.
+    fn iterates(&self) -> Result<Iterates<'_>, SolverError> {
+        Ok(match self.chunk(0)? {
+            Some(chunk) => Iterates::Table {
+                table: self,
+                chunk,
+                c: 0,
+                slot: 0,
+            },
+            None => Iterates::Walk(self.walk_after(0)),
+        })
+    }
+
+    /// Chunk `c`, computed first if no one has yet; `None` past the
+    /// budget. Replays ask for chunks in order, so chunk `c − 1` is
+    /// stored whenever chunk `c` is asked for.
+    fn chunk(&self, c: usize) -> Result<Option<&Chunk>, SolverError> {
+        let Some(cell) = self.chunks.get(c) else {
+            return Ok(None);
+        };
+        if let Some(chunk) = cell.get() {
+            return Ok(Some(chunk));
+        }
+        // The lock guards no data: a panic mid-fill leaves the cell
+        // unset, and the next fill starts over from the chunk before it.
+        let _grow = self.grow.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(chunk) = cell.get() {
+            return Ok(Some(chunk));
+        }
+        let mut walk = self.walk_after(c);
+        let mut iterates = Vec::with_capacity(CHUNK * self.kernel.n);
+        let window = if c == 0 {
+            None
+        } else {
+            walk.advance(&self.kernel.p_csr)?
+        };
+        iterates.extend_from_slice(&walk.term);
+        for _ in 1..CHUNK {
+            walk.advance(&self.kernel.p_csr)?;
+            iterates.extend_from_slice(&walk.term);
+        }
+        Ok(Some(cell.get_or_init(|| Chunk {
+            iterates: iterates.into_boxed_slice(),
+            window,
+        })))
+    }
+
+    /// The walk on the last iterate of the first `chunks` chunks (on `p₀`
+    /// for none), which must be stored.
+    fn walk_after(&self, chunks: usize) -> Walk {
+        match chunks.checked_sub(1) {
+            None => Walk::new(&self.p0, true),
+            Some(last) => {
+                Walk::resume(self.chunks[last].get().expect("chunks fill in order"), last)
+            }
+        }
+    }
+}
+
+/// Where [`TransientKernel::weighted_sums`] reads each `vₖ` from.
+enum Iterates<'a> {
+    /// Computed as the series goes.
+    Walk(Walk),
+    /// Slot `slot` of a table's stored chunk `c`.
+    Table {
+        table: &'a IterateTable,
+        chunk: &'a Chunk,
+        c: usize,
+        slot: usize,
+    },
+}
+
+impl Iterates<'_> {
+    fn current(&self) -> &[f64] {
+        match self {
+            Iterates::Walk(walk) => &walk.term,
+            Iterates::Table { chunk, slot, .. } => {
+                let n = chunk.iterates.len() / CHUNK;
+                &chunk.iterates[slot * n..(slot + 1) * n]
+            }
+        }
+    }
+
+    /// Moves to the next iterate; returns the detector's reading when it
+    /// lands on a window boundary (always recorded in a table; only with
+    /// detection on in a walk).
+    fn advance(&mut self, p: &CsrMatrix) -> Result<Option<SteadyWindow>, SolverError> {
+        match self {
+            Iterates::Walk(walk) => walk.advance(p),
+            Iterates::Table {
+                table,
+                chunk,
+                c,
+                slot,
+            } => {
+                *slot += 1;
+                if *slot < CHUNK {
+                    return Ok(None);
+                }
+                let table = *table;
+                if let Some(next) = table.chunk(*c + 1)? {
+                    *c += 1;
+                    *chunk = next;
+                    *slot = 0;
+                    return Ok(next.window);
+                }
+                let mut walk = table.walk_after(table.chunks.len());
+                let window = walk.advance(p)?;
+                *self = Iterates::Walk(walk);
+                Ok(window)
+            }
+        }
+    }
+}
+
 /// One row's scalar weights `wₖ` over the shared iterates: the row's
 /// answer is `Σₖ wₖ vₖ`, with `Σₖ wₖ = 1` up to truncation.
 trait SeriesWeight {
@@ -458,7 +722,7 @@ impl SeriesWeight for PoissonWeight {
         } else if self.linear {
             self.weight *= self.lt * shared.inv_k1;
         } else {
-            self.log_weight += self.ln_lt - shared.ln_k1;
+            self.log_weight += self.ln_lt - shared.ln_k1();
             if self.log_weight > LOG_SWITCH {
                 self.linear = true;
                 self.weight = self.log_weight.exp();
@@ -674,7 +938,7 @@ impl TransientKernel {
         times: &[f64],
         tol: f64,
     ) -> Result<Vec<Vec<f64>>, SolverError> {
-        self.transient_batch_impl(p0, times, tol, true)
+        self.transient_batch_impl(p0, None, times, tol, true)
     }
 
     /// [`Self::transient_batch`] with steady-state detection disabled: the
@@ -691,12 +955,15 @@ impl TransientKernel {
         times: &[f64],
         tol: f64,
     ) -> Result<Vec<Vec<f64>>, SolverError> {
-        self.transient_batch_impl(p0, times, tol, false)
+        self.transient_batch_impl(p0, None, times, tol, false)
     }
 
+    /// The batch from `p0`, its iterates replayed from `table` (whose
+    /// `p₀` is `p0`) when there is one.
     fn transient_batch_impl(
         &self,
         p0: &[f64],
+        table: Option<&IterateTable>,
         times: &[f64],
         tol: f64,
         detect: bool,
@@ -709,12 +976,13 @@ impl TransientKernel {
             if t < 0.0 || !t.is_finite() {
                 return Err(SolverError::InvalidInput(format!("bad time {t}")));
             }
+            self.require_finite_series(t)?;
         }
         let weights = times
             .iter()
             .map(|&t| PoissonWeight::new(self.lambda * t))
             .collect();
-        let sums = self.weighted_sums(p0, weights, tol, detect)?;
+        let sums = self.weighted_sums(self.iterates(p0, table, detect)?, weights, tol, detect)?;
         Ok(sums
             .into_iter()
             .zip(times)
@@ -768,7 +1036,7 @@ impl TransientKernel {
         p0: &[f64],
         horizons: &[f64],
     ) -> Result<Vec<Vec<f64>>, SolverError> {
-        self.time_average_many_impl(p0, horizons, true)
+        self.time_average_many_impl(p0, None, horizons, true)
     }
 
     /// [`Self::time_average_many`] with steady-state detection disabled:
@@ -784,24 +1052,27 @@ impl TransientKernel {
         p0: &[f64],
         horizons: &[f64],
     ) -> Result<Vec<Vec<f64>>, SolverError> {
-        self.time_average_many_impl(p0, horizons, false)
+        self.time_average_many_impl(p0, None, horizons, false)
     }
 
+    /// As [`Self::transient_batch_impl`], for time averages.
     fn time_average_many_impl(
         &self,
         p0: &[f64],
+        table: Option<&IterateTable>,
         horizons: &[f64],
         detect: bool,
     ) -> Result<Vec<Vec<f64>>, SolverError> {
         validate_p0(self.n, p0)?;
         for &h in horizons {
             validate_horizon(h)?;
+            self.require_finite_series(h)?;
         }
         let weights = horizons
             .iter()
             .map(|&h| IntervalWeight::new(self.lambda * h))
             .collect();
-        let sums = self.weighted_sums(p0, weights, 1e-12, detect)?;
+        let sums = self.weighted_sums(self.iterates(p0, table, detect)?, weights, 1e-12, detect)?;
         // The truncated tail (≤ tol of weight) is discarded; renormalize.
         Ok(sums
             .into_iter()
@@ -809,10 +1080,36 @@ impl TransientKernel {
             .collect())
     }
 
+    /// Rejects a time whose series `Λt` overflows: its Poisson weights
+    /// would never close, and the loop would run to its term cap.
+    fn require_finite_series(&self, t: f64) -> Result<(), SolverError> {
+        if (self.lambda * t).is_finite() {
+            Ok(())
+        } else {
+            Err(SolverError::InvalidInput(format!(
+                "horizon {t} overflows the uniformized series"
+            )))
+        }
+    }
+
+    /// The iterates from `p0`: replayed from `table`, or a fresh walk.
+    fn iterates<'a>(
+        &self,
+        p0: &[f64],
+        table: Option<&'a IterateTable>,
+        detect: bool,
+    ) -> Result<Iterates<'a>, SolverError> {
+        match table {
+            Some(table) => table.iterates(),
+            None => Ok(Iterates::Walk(Walk::new(p0, detect))),
+        }
+    }
+
     /// `Σₖ wₖ vₖ` for every row of `weights`, over one shared iterate
     /// sequence `vₖ = p₀ Pᵏ` that runs until the last row is done. Each row
     /// accumulates its own weights in fixed order, so its sum does not
-    /// depend on the other rows.
+    /// depend on the other rows, nor on whether `iterates` replays a table
+    /// or walks.
     ///
     /// With `detect`, once the iterates stop moving (see
     /// [`SteadyDetector`]) a row whose remaining series fits inside the
@@ -820,7 +1117,7 @@ impl TransientKernel {
     /// iterate and closed early.
     fn weighted_sums<W: SeriesWeight>(
         &self,
-        p0: &[f64],
+        mut iterates: Iterates<'_>,
         weights: Vec<W>,
         tol: f64,
         detect: bool,
@@ -838,16 +1135,14 @@ impl TransientKernel {
                 hits: 0,
             })
             .collect();
-        let mut term = p0.to_vec(); // vₖ = p₀ Pᵏ, shared by every row
-        let mut next = vec![0.0; self.n];
-        let mut detector = SteadyDetector::new(detect, p0);
         let mut k: u64 = 0;
         loop {
             let shared = SharedStep::at(k);
+            let term = iterates.current(); // vₖ, shared by every row
             for r in rows.iter_mut().filter(|r| !r.weight.is_done()) {
                 let w = r.weight.step(&shared, tol);
                 if w > 0.0 {
-                    for (a, x) in r.acc.iter_mut().zip(&term) {
+                    for (a, x) in r.acc.iter_mut().zip(term) {
                         *a += w * x;
                     }
                 }
@@ -861,11 +1156,9 @@ impl TransientKernel {
                     "uniformization failed to converge".to_string(),
                 ));
             }
-            self.p_csr
-                .vec_mul_into(&term, &mut next)
-                .map_err(SolverError::Numeric)?;
-            std::mem::swap(&mut term, &mut next);
-            if let Some(win) = detector.window(&term) {
+            let window = iterates.advance(&self.p_csr)?;
+            if let Some(win) = window.filter(|_| detect) {
+                let term = iterates.current();
                 // vⱼ ≈ v* for all j ≥ k within the projected drift.
                 for r in rows.iter_mut().filter(|r| !r.weight.is_done()) {
                     if win.within_floor(r.weight.k_bulk() - k as f64) {
@@ -876,7 +1169,7 @@ impl TransientKernel {
                     if r.hits >= STEADY_HITS {
                         let rest = (1.0 - r.weight.served()).max(0.0);
                         if rest > 0.0 {
-                            for (a, x) in r.acc.iter_mut().zip(&term) {
+                            for (a, x) in r.acc.iter_mut().zip(term) {
                                 *a += rest * x;
                             }
                         }
